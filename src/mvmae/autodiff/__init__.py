@@ -1,6 +1,6 @@
 from . import ops
 from .optim import AdamWState, adamw_step, cosine_lr
-from .tensor import Parameter, Tensor, backward, grad_enabled, no_grad
+from .tensor import Parameter, Tensor, backward, no_grad
 
 __all__ = [
     "ops",
@@ -8,7 +8,6 @@ __all__ = [
     "Parameter",
     "backward",
     "no_grad",
-    "grad_enabled",
     "AdamWState",
     "adamw_step",
     "cosine_lr",

@@ -30,10 +30,6 @@ def no_grad():
         _grad_enabled = prev
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
 
@@ -49,48 +45,11 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def item(self) -> float:
-        return float(self.data)
-
     def zero_grad(self) -> None:
         self.grad = np.zeros_like(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # operator sugar; implementations live in ops to keep this module small
-    def __add__(self, other):
-        from . import ops
-
-        return ops.add(self, other)
-
-    def __sub__(self, other):
-        from . import ops
-
-        return ops.sub(self, other)
-
-    def __mul__(self, other):
-        from . import ops
-
-        if isinstance(other, (int, float)):
-            return ops.scale(self, float(other))
-        return ops.mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        from . import ops
-
-        return ops.scale(self, -1.0)
-
-    def __matmul__(self, other):
-        from . import ops
-
-        return ops.matmul(self, other)
 
 
 class Parameter(Tensor):

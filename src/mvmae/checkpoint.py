@@ -19,6 +19,7 @@ save -> load -> save reproduces the file byte for byte.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -119,14 +120,17 @@ class _Reader:
         return parsed
 
     def array(self) -> tuple[str, np.ndarray]:
-        name = self.take(self.u32()).decode("utf-8")
+        try:
+            name = self.take(self.u32()).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise self.fail(f"parameter name is not utf-8: {exc}") from exc
         tag = self.u8()
         if tag != _DTYPE_F64:
             raise self.fail(f"unknown dtype tag {tag} for {name}")
         rank = self.u32()
         shape = tuple(self.u64() for _ in range(rank))
-        count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        buf = self.take(count * 8)
+        # exact integer product: a numpy int64 product can wrap on huge dims
+        buf = self.take(math.prod(shape) * 8)
         values = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
         return name, values
 
@@ -155,9 +159,7 @@ def save_checkpoint(
     names = sorted(params)
     w.u32(len(names))
     for name in names:
-        data = params[name]
-        payload = data.data if hasattr(data, "data") and not isinstance(data, np.ndarray) else data
-        w.array(name, np.asarray(payload, dtype=np.float64))
+        w.array(name, np.asarray(params[name], dtype=np.float64))
 
     hypers = {
         "lr": opt.lr,
@@ -193,7 +195,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise r.fail(
             f"format version {version} unsupported (expected {CHECKPOINT_VERSION})"
         )
-    config = config_from_dict(r.json_block("config"))
+    try:
+        config = config_from_dict(r.json_block("config"))
+    except (TypeError, ValueError) as exc:  # ConfigError is a ValueError
+        raise r.fail(f"invalid config: {exc}") from exc
 
     params: dict[str, np.ndarray] = {}
     for _ in range(r.u32()):
@@ -203,13 +208,16 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         params[name] = values
 
     hypers = r.json_block("optimizer")
-    opt = AdamWState(
-        lr=float(hypers["lr"]),
-        betas=tuple(float(b) for b in hypers["betas"]),
-        eps=float(hypers["eps"]),
-        weight_decay=float(hypers["weight_decay"]),
-        step=int(hypers["step"]),
-    )
+    try:
+        opt = AdamWState(
+            lr=float(hypers["lr"]),
+            betas=tuple(float(b) for b in hypers["betas"]),
+            eps=float(hypers["eps"]),
+            weight_decay=float(hypers["weight_decay"]),
+            step=int(hypers["step"]),
+        )
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise r.fail(f"invalid optimizer hyperparameters: {exc!r}") from exc
     for _ in range(r.u32()):
         name_m, m = r.array()
         name_v, v = r.array()

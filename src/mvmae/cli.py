@@ -2,7 +2,7 @@
 dumps, frozen-encoder probes, and the gradient-check harness.
 
 Exit codes: 0 success, 1 failed gradient check, 2 configuration or
-input error, 3 training aborted on a non-finite loss.
+input error, 3 a non-finite loss (pretrain or reconstruct).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 
 from . import __version__
 from .autodiff import no_grad
-from .checkpoint import load_checkpoint
 from .config import Config, preset_or_file
 from .data import make_dataset
 from .errors import (
@@ -27,14 +26,15 @@ from .errors import (
     ContractViolation,
     TrainingAborted,
 )
-from .geometry import PointCloud, read_off, read_xyz, write_xyz
+from .geometry import PointCloud, load_cloud, write_xyz
 from .gradcheck import GRADCHECK_TOLERANCE, run_gradcheck
 from .model import MultiviewMae, build_pretrain_plan, loss_from_plan
 from .pipeline import (
-    few_shot_eval,
-    linear_probe,
+    extract_features,
+    fewshot_trials,
     load_pretrained,
     pretrain,
+    probe_features,
     summarize_accuracy,
 )
 from .projection import CameraPose, rasterize_depth, write_pgm
@@ -54,10 +54,9 @@ def _fail(message: str, code: int = EXIT_CONFIG) -> int:
 
 
 def _load_cloud(path: str) -> PointCloud:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"input cloud not found: {p}")
-    return read_off(p) if p.suffix.lower() == ".off" else read_xyz(p)
+    if not Path(path).exists():
+        raise ConfigError(f"input cloud not found: {path}")
+    return load_cloud(path)
 
 
 # --- run manifests -------------------------------------------------------
@@ -149,6 +148,8 @@ def cmd_render(args) -> int:
             raise ConfigError(f'pose must be "az,el,radius,fov", got {args.pose!r}')
         h_txt, _, w_txt = args.size.partition("x")
         height, width = int(h_txt), int(w_txt)
+        if height < 1 or width < 1:
+            raise ConfigError(f"image size must be positive, got {args.size!r}")
         pose = CameraPose(
             azimuth_deg=parts[0],
             elevation_deg=parts[1],
@@ -162,10 +163,10 @@ def cmd_render(args) -> int:
         return _fail(f"{out} exists; pass --force to overwrite")
     depth = rasterize_depth(cloud.points, pose, height, width)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_pgm(out, depth.values)
+    write_pgm(out, depth)
     print(
         f"wrote {out} ({height}x{width}, "
-        f"{int((depth.values > 0).sum())} occupied pixels)"
+        f"{int((depth > 0).sum())} occupied pixels)"
     )
     return EXIT_OK
 
@@ -192,9 +193,12 @@ def cmd_reconstruct(args) -> int:
     )
 
     plan = build_pretrain_plan(cloud, model_cfg, Rng(args.seed).derive("reconstruct"))
-    with no_grad():
-        model.cfg = model_cfg
-        _, recon, diag = loss_from_plan(model, plan)
+    try:
+        with no_grad():
+            _, recon, diag = loss_from_plan(model, plan)
+    except TrainingAborted as exc:
+        print(f"aborted: {exc}", file=sys.stderr)
+        return EXIT_NAN_ABORT
 
     visible_abs = plan.patches.absolute()[plan.mask.visible_idx].reshape(-1, 3)
     write_xyz(out_dir / "masked_input.xyz", PointCloud(visible_abs))
@@ -237,18 +241,18 @@ def cmd_probe(args) -> int:
     clouds, labels = make_dataset(ckpt.config.data)
     rng = Rng(args.seed)
     try:
+        features = extract_features(model, clouds)
         if args.mode == "linear":
-            report = linear_probe(model, clouds, labels, rng.derive("probe"))
+            report = probe_features(features, labels, rng.derive("probe"))
             payload = {"mode": "linear", **_report_dict(report)}
         else:
-            reports = few_shot_eval(
-                model,
-                clouds,
+            reports = fewshot_trials(
+                features,
                 labels,
-                n_way=args.n_way,
-                m_shot=args.m_shot,
-                trials=args.trials,
-                rng=rng.derive("fewshot"),
+                args.n_way,
+                args.m_shot,
+                args.trials,
+                rng.derive("fewshot"),
             )
             mean, std = summarize_accuracy(reports)
             payload = {

@@ -23,6 +23,7 @@ __all__ = [
     "read_xyz",
     "write_xyz",
     "read_off",
+    "load_cloud",
 ]
 
 
@@ -105,16 +106,12 @@ def rotate_z(points: np.ndarray, angle: float) -> np.ndarray:
     return points @ rot.T
 
 
-def scale_and_rotate_z(points: np.ndarray, scale: float, angle: float) -> np.ndarray:
-    return rotate_z(points * scale, angle)
-
-
 def augment(cloud: PointCloud, rng: Rng) -> PointCloud:
     """Pretraining augmentation: uniform scale in [0.8, 1.2], then a uniform
     rotation about the gravity (z) axis. Draw order is scale, then angle."""
     s = float(rng.uniform(0.8, 1.2))
     theta = float(rng.uniform(0.0, 2.0 * math.pi))
-    return replace(cloud, points=scale_and_rotate_z(cloud.points, s, theta))
+    return replace(cloud, points=rotate_z(cloud.points * s, theta))
 
 
 def read_xyz(path: str | Path) -> PointCloud:
@@ -124,9 +121,11 @@ def read_xyz(path: str | Path) -> PointCloud:
         parts = line.split()
         if not parts:
             continue
-        if len(parts) < 3:
-            raise ContractViolation(f"bad XYZ line in {path}: {line!r}")
-        rows.append([float(parts[0]), float(parts[1]), float(parts[2])])
+        try:
+            x, y, z = map(float, parts[:3])
+        except ValueError:  # too few fields, or one that is not a number
+            raise ContractViolation(f"bad XYZ line in {path}: {line!r}") from None
+        rows.append([x, y, z])
     if not rows:
         raise ContractViolation(f"no points in {path}")
     return PointCloud(np.array(rows), source_id=str(path))
@@ -156,11 +155,14 @@ def read_off(path: str | Path) -> PointCloud:
         tokens = ([rest] if rest else []) + tokens[1:]
     if len(tokens) < 3:
         raise ContractViolation(f"truncated OFF header: {path}")
-    n_vertices = int(tokens[0])
-    coords = tokens[3 : 3 + 3 * n_vertices]
+    try:
+        n_vertices = int(tokens[0])
+        coords = [float(c) for c in tokens[3 : 3 + 3 * n_vertices]]
+    except ValueError:
+        raise ContractViolation(f"non-numeric OFF header or vertex in {path}") from None
     if len(coords) < 3 * n_vertices or n_vertices < 1:
         raise ContractViolation(f"OFF vertex section truncated: {path}")
-    pts = np.array([float(c) for c in coords]).reshape(n_vertices, 3)
+    pts = np.array(coords).reshape(n_vertices, 3)
     return PointCloud(pts, source_id=str(path))
 
 

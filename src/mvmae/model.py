@@ -30,7 +30,6 @@ from .nn import (
 )
 from .projection import (
     CameraPose,
-    DepthMap,
     TokenGrouping,
     group_by_image_token,
     make_pose_pool,
@@ -82,15 +81,6 @@ class MultiviewMae:
     def tokens_per_view(self) -> int:
         return self.cfg.H_t * self.cfg.W_t
 
-    def pose_pool(self) -> list[CameraPose]:
-        cfg = self.cfg
-        return make_pose_pool(
-            cfg.V,
-            elevation_deg=cfg.elevation_deg,
-            radius=cfg.radius,
-            fov_deg=cfg.fov_deg,
-        )
-
     # --- encoder -----------------------------------------------------
 
     def encode(self, visible_tokens: Tensor, pos_visible: Tensor) -> Tensor:
@@ -126,9 +116,9 @@ class MultiviewMae:
         plan_mask: MaskPlan,
         poses: list[CameraPose],
         pos_all: Tensor,
-    ) -> "DecoderBatch":
-        cfg = self.cfg
-        n = cfg.n
+    ) -> tuple[Tensor, Tensor]:
+        """The joint decoder's (sequence, position) pair: n point slots,
+        then tokens_per_view slots for each view."""
         t_per_view = self.tokens_per_view
         if len(poses) != len(fused_per_view):
             raise ContractViolation("one fused map per pose required")
@@ -138,7 +128,7 @@ class MultiviewMae:
 
         # point segment: visible slots carry encoder outputs, masked slots
         # the learnable point mask token; Eq-style padding then embeddings
-        slot_source = np.empty(n, dtype=np.int64)
+        slot_source = np.empty(self.cfg.n, dtype=np.int64)
         slot_source[plan_mask.visible_idx] = np.arange(len(plan_mask.visible_idx))
         slot_source[plan_mask.masked_idx] = len(plan_mask.visible_idx) + np.arange(
             len(plan_mask.masked_idx)
@@ -166,25 +156,22 @@ class MultiviewMae:
 
         seq = ops.concat([point_seq] + image_seqs, axis=0)
         pos = ops.concat([pos_all] + image_pos, axis=0)
-        return DecoderBatch(seq=seq, pos=pos, n=n, t_per_view=t_per_view, views=len(poses))
+        return seq, pos
 
     # --- joint decoding ----------------------------------------------
 
-    def joint_decode(self, batch: "DecoderBatch") -> tuple[Tensor, list[Tensor]]:
-        x = batch.seq
+    def joint_decode(self, seq: Tensor, pos: Tensor) -> tuple[Tensor, list[Tensor]]:
+        """Decode an assembled sequence; split it into the point rows and
+        one row block per view."""
+        n, t = self.cfg.n, self.tokens_per_view
+        x = seq
         for block in self.dec_blocks:
-            x = block(ops.add(x, batch.pos))
+            x = block(ops.add(x, pos))
         x = self.dec_norm(x)
-        point_rows = ops.gather_rows(x, np.arange(batch.n))
+        point_rows = ops.gather_rows(x, np.arange(n))
         image_rows = [
-            ops.gather_rows(
-                x,
-                np.arange(
-                    batch.n + v * batch.t_per_view,
-                    batch.n + (v + 1) * batch.t_per_view,
-                ),
-            )
-            for v in range(batch.views)
+            ops.gather_rows(x, np.arange(start, start + t))
+            for start in range(n, x.shape[0], t)
         ]
         return point_rows, image_rows
 
@@ -205,15 +192,6 @@ class MultiviewMae:
             image = ops.reshape(ops.transpose(tiles, (0, 2, 1, 3)), (cfg.H_i, cfg.W_i))
             images.append(image)
         return patches, images
-
-
-@dataclass
-class DecoderBatch:
-    seq: Tensor  # (n + views*t_per_view, C)
-    pos: Tensor  # same shape; re-added before every decoder block
-    n: int
-    t_per_view: int
-    views: int
 
 
 @dataclass
@@ -238,24 +216,9 @@ def _pairwise_sq_dists(p: Tensor, q: Tensor) -> Tensor:
     return ops.sum_(ops.mul(diff, diff), axis=-1)
 
 
-def chamfer_l2(p: Tensor | np.ndarray, q: Tensor | np.ndarray) -> Tensor:
-    """Symmetric mean-of-squared-nearest-neighbor distance, two point sets."""
-    p = p if isinstance(p, Tensor) else Tensor(p)
-    q = q if isinstance(q, Tensor) else Tensor(q)
-    if p.data.ndim != 2 or q.data.ndim != 2 or p.data.shape[-1] != 3:
-        raise ContractViolation(
-            f"chamfer needs (A,3) and (B,3) sets, got {p.shape} and {q.shape}"
-        )
-    if p.shape[0] == 0 or q.shape[0] == 0:
-        raise ContractViolation("chamfer distance needs non-empty sets")
-    d2 = _pairwise_sq_dists(p, q)
-    side_p = ops.mean(ops.min_(d2, axis=1))
-    side_q = ops.mean(ops.min_(d2, axis=0))
-    return ops.add(side_p, side_q)
-
-
 def loss_3d(predicted: Tensor, target: np.ndarray) -> Tensor:
-    """Mean over masked patches of the per-patch Chamfer distance."""
+    """Mean over masked patches of the per-patch Chamfer distance: the
+    symmetric mean of squared nearest-neighbor distances."""
     if predicted.shape[0] == 0:
         raise ContractViolation("no masked patches to reconstruct")
     if predicted.shape != tuple(target.shape):
@@ -302,44 +265,36 @@ class PretrainPlan:
     poses: list[CameraPose]
     groupings: list[TokenGrouping]
     target_images: list[np.ndarray]
-    depth_maps: list[DepthMap]
 
 
-def ensure_min_points(points: np.ndarray, minimum: int) -> np.ndarray:
-    """Degenerate tiny clouds are cycled up to the patch layout size."""
-    if len(points) >= minimum:
-        return points
-    reps = -(-minimum // len(points))
-    return np.tile(points, (reps, 1))[:minimum]
+def patchify(cloud: PointCloud, cfg: ModelConfig) -> PatchSet:
+    """FPS + KNN patch layout of a cloud. A cloud with fewer than
+    max(n, k) points is cycled up to that size first."""
+    points = cloud.points
+    minimum = max(cfg.n, cfg.k)
+    if len(points) < minimum:
+        points = np.tile(points, (-(-minimum // len(points)), 1))[:minimum]
+    return build_patches(points, cfg.n, cfg.k)
 
 
 def build_pretrain_plan(cloud: PointCloud, cfg: ModelConfig, rng: Rng) -> PretrainPlan:
-    points = ensure_min_points(cloud.points, max(cfg.n, cfg.k))
-    patches = build_patches(points, cfg.n, cfg.k)
+    patches = patchify(cloud, cfg)
     mask = apply_mask(cfg.n, cfg.m, rng.derive("mask"))
-    pool = make_pose_pool(
-        cfg.V, elevation_deg=cfg.elevation_deg, radius=cfg.radius, fov_deg=cfg.fov_deg
-    )
+    pool = make_pose_pool(cfg.V, cfg.elevation_deg, cfg.radius, cfg.fov_deg)
     chosen = rng.derive("views").choice(cfg.V, cfg.K, replace=False)
     poses = [pool[i] for i in np.sort(chosen)]
     visible_centers = patches.centers[mask.visible_idx]
-    groupings = []
-    maps = []
-    targets = []
-    for pose in poses:
-        groupings.append(
-            group_by_image_token(visible_centers, pose, cfg.H_i, cfg.W_i, cfg.H_t, cfg.W_t)
-        )
-        depth_map = rasterize_depth(points, pose, cfg.H_i, cfg.W_i)
-        maps.append(depth_map)
-        targets.append(depth_map.values)
     return PretrainPlan(
         patches=patches,
         mask=mask,
         poses=poses,
-        groupings=groupings,
-        target_images=targets,
-        depth_maps=maps,
+        groupings=[
+            group_by_image_token(visible_centers, pose, cfg.H_i, cfg.W_i, cfg.H_t, cfg.W_t)
+            for pose in poses
+        ],
+        target_images=[
+            rasterize_depth(cloud.points, pose, cfg.H_i, cfg.W_i) for pose in poses
+        ],
     )
 
 
@@ -347,15 +302,14 @@ def loss_from_plan(
     model: MultiviewMae, plan: PretrainPlan
 ) -> tuple[Tensor, Reconstruction, dict]:
     """The parameterized forward pass for a fixed plan."""
-    cfg = model.cfg
     pos_all = model.pos3d(Tensor(plan.patches.centers))
     visible_patches = Tensor(plan.patches.patches[plan.mask.visible_idx])
     tokens = model.patch_embed(visible_patches)
     pos_visible = ops.gather_rows(pos_all, plan.mask.visible_idx)
     encoded = model.encode(tokens, pos_visible)
     fused = [model.fuse_image_tokens(encoded, g) for g in plan.groupings]
-    batch = model.assemble_decoder_input(encoded, fused, plan.mask, plan.poses, pos_all)
-    point_rows, image_rows = model.joint_decode(batch)
+    seq, pos = model.assemble_decoder_input(encoded, fused, plan.mask, plan.poses, pos_all)
+    point_rows, image_rows = model.joint_decode(seq, pos)
     pred_patches, pred_images = model.project_heads(
         point_rows, image_rows, plan.mask.masked_idx
     )
@@ -387,9 +341,7 @@ def forward_pretrain(
 def encoder_features(model: MultiviewMae, cloud: PointCloud) -> np.ndarray:
     """Frozen-encoder descriptor: encode all n patches unmasked, then
     concatenate max-pool and mean-pool over tokens (2C dims)."""
-    cfg = model.cfg
-    points = ensure_min_points(cloud.points, max(cfg.n, cfg.k))
-    patches = build_patches(points, cfg.n, cfg.k)
+    patches = patchify(cloud, model.cfg)
     with no_grad():
         pos = model.pos3d(Tensor(patches.centers))
         tokens = model.patch_embed(Tensor(patches.patches))

@@ -45,9 +45,6 @@ class ParamRegistry:
     def params(self) -> dict[str, Parameter]:
         return dict(self._params)
 
-    def __getitem__(self, name: str) -> Parameter:
-        return self._params[name]
-
 
 class Linear:
     """Affine map on the last axis: y = x @ W + b, W is (d_in, d_out)."""

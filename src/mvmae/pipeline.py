@@ -8,7 +8,6 @@ run resumed from any checkpoint replays the remaining steps bit for bit.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -133,7 +132,6 @@ def pretrain(
     root = Rng(run_seed)
     last_step = total_steps if stop_after_step is None else min(stop_after_step, total_steps)
     order_epoch, order = -1, None
-    final_path = out_dir / "final.ckpt"
 
     with metrics_path.open("a") as metrics:
         for step in range(start_step, last_step):
@@ -185,23 +183,24 @@ def pretrain(
                     {"run_seed": run_seed},
                 )
 
-    steps_run = last_step
+    if last_step == total_steps:
+        checkpoint_path = out_dir / "final.ckpt"
+    else:
+        checkpoint_path = out_dir / f"ckpt_{last_step:08d}.ckpt"
     save_checkpoint(
-        final_path if steps_run == total_steps else out_dir / f"ckpt_{steps_run:08d}.ckpt",
+        checkpoint_path,
         cfg,
         {name: p.data for name, p in model.params.items()},
         opt,
-        steps_run,
+        last_step,
         {"run_seed": run_seed},
     )
     return PretrainResult(
         model=model,
         opt=opt,
-        checkpoint_path=(
-            final_path if steps_run == total_steps else out_dir / f"ckpt_{steps_run:08d}.ckpt"
-        ),
+        checkpoint_path=checkpoint_path,
         metrics_path=metrics_path,
-        steps_run=steps_run,
+        steps_run=last_step,
         total_steps=total_steps,
     )
 
@@ -297,12 +296,6 @@ def probe_features(
     )
 
 
-def linear_probe(
-    model: MultiviewMae, clouds: list[PointCloud], labels: np.ndarray, rng: Rng
-) -> ProbeReport:
-    return probe_features(extract_features(model, clouds), labels, rng)
-
-
 def fewshot_trials(
     features: np.ndarray,
     labels: np.ndarray,
@@ -361,22 +354,6 @@ def fewshot_trials(
             )
         )
     return reports
-
-
-def few_shot_eval(
-    model: MultiviewMae,
-    clouds: list[PointCloud],
-    labels: np.ndarray,
-    n_way: int,
-    m_shot: int,
-    trials: int = 10,
-    rng: Rng | None = None,
-) -> list[ProbeReport]:
-    if rng is None:
-        raise ContractViolation("few_shot_eval needs an explicit rng")
-    return fewshot_trials(
-        extract_features(model, clouds), labels, n_way, m_shot, trials, rng
-    )
 
 
 def summarize_accuracy(reports: list[ProbeReport]) -> tuple[float, float]:

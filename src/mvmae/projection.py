@@ -16,9 +16,6 @@ import numpy as np
 
 from .errors import ConfigError, ContractViolation
 
-DEFAULT_ELEVATION_DEG = 30.0
-DEFAULT_RADIUS = 2.2
-DEFAULT_FOV_DEG = 50.0
 CLIP_MARGIN = 1.05  # near/far = radius -/+ this margin
 
 
@@ -54,10 +51,7 @@ class CameraPose:
 
 
 def make_pose_pool(
-    v: int,
-    elevation_deg: float = DEFAULT_ELEVATION_DEG,
-    radius: float = DEFAULT_RADIUS,
-    fov_deg: float = DEFAULT_FOV_DEG,
+    v: int, elevation_deg: float, radius: float, fov_deg: float
 ) -> list[CameraPose]:
     """V poses on a ring: uniform azimuths, fixed elevation/radius/fov."""
     if v < 1:
@@ -86,31 +80,18 @@ class ProjectedPoints:
     in_frustum: np.ndarray  # (N,) bool
 
 
-def clip_planes(pose: CameraPose, near: float | None, far: float | None) -> tuple[float, float]:
-    if near is None:
-        near = pose.radius - CLIP_MARGIN
-    if far is None:
-        far = pose.radius + CLIP_MARGIN
-    if not near < far:
-        raise ContractViolation(f"near {near} must be below far {far}")
-    return float(near), float(far)
+def clip_planes(pose: CameraPose) -> tuple[float, float]:
+    return pose.radius - CLIP_MARGIN, pose.radius + CLIP_MARGIN
 
 
-def project_points(
-    points: np.ndarray,
-    pose: CameraPose,
-    h_i: int,
-    w_i: int,
-    near: float | None = None,
-    far: float | None = None,
-) -> ProjectedPoints:
+def project_points(points: np.ndarray, pose: CameraPose, h_i: int, w_i: int) -> ProjectedPoints:
     """Pinhole projection of points onto an h_i x w_i image.
 
     Pixel coordinates are the floor of continuous image coordinates, row 0
     at the top. A point is in-frustum when its pixel lands inside the
     image and its depth lies strictly inside (near, far).
     """
-    near, far = clip_planes(pose, near, far)
+    near, far = clip_planes(pose)
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     eye, right, true_up, fwd = camera_basis(pose)
     rel = points - eye
@@ -130,35 +111,20 @@ def project_points(
     return ProjectedPoints(rows=rows, cols=cols, depth=depth, in_frustum=in_frustum)
 
 
-@dataclass(frozen=True)
-class DepthMap:
-    values: np.ndarray  # (h_i, w_i) in [0, 1]; 0 marks background
-    pose: CameraPose
-    near: float
-    far: float
-
-
-def rasterize_depth(
-    points: np.ndarray,
-    pose: CameraPose,
-    h_i: int,
-    w_i: int,
-    near: float | None = None,
-    far: float | None = None,
-) -> DepthMap:
-    """Z-buffered splat of every in-frustum point (1-pixel footprint).
+def rasterize_depth(points: np.ndarray, pose: CameraPose, h_i: int, w_i: int) -> np.ndarray:
+    """Z-buffered splat of every in-frustum point (1-pixel footprint) into
+    an (h_i, w_i) image in [0, 1].
 
     Occupied pixels hold (far - z)/(far - near) for the nearest point, so
     closer surfaces are brighter; empty pixels are exactly 0.
     """
-    near, far = clip_planes(pose, near, far)
-    proj = project_points(points, pose, h_i, w_i, near, far)
+    near, far = clip_planes(pose)
+    proj = project_points(points, pose, h_i, w_i)
     zbuf = np.full((h_i, w_i), np.inf)
     sel = proj.in_frustum
     np.minimum.at(zbuf, (proj.rows[sel], proj.cols[sel]), proj.depth[sel])
     occupied = np.isfinite(zbuf)
-    values = np.where(occupied, (far - zbuf) / (far - near), 0.0)
-    return DepthMap(values=values, pose=pose, near=near, far=far)
+    return np.where(occupied, (far - zbuf) / (far - near), 0.0)
 
 
 def token_index(
@@ -192,11 +158,6 @@ class TokenGrouping:
     def g(self) -> int:
         return len(self.groups)
 
-    def member_union(self) -> np.ndarray:
-        if not self.groups:
-            return np.empty(0, dtype=np.int64)
-        return np.sort(np.concatenate(list(self.groups.values())))
-
 
 def group_by_image_token(
     visible_centers: np.ndarray,
@@ -205,15 +166,13 @@ def group_by_image_token(
     w_i: int,
     h_t: int,
     w_t: int,
-    near: float | None = None,
-    far: float | None = None,
 ) -> TokenGrouping:
     """Bucket visible patch centers by projected image token.
 
     Out-of-frustum centers join no group; their information reaches the
     image branch only through attention in the joint decoder.
     """
-    proj = project_points(visible_centers, pose, h_i, w_i, near, far)
+    proj = project_points(visible_centers, pose, h_i, w_i)
     sel = np.flatnonzero(proj.in_frustum)
     tokens = token_index(proj.rows[sel], proj.cols[sel], h_i, w_i, h_t, w_t)
     groups: dict[int, np.ndarray] = {}
@@ -225,10 +184,10 @@ def group_by_image_token(
 def write_pgm(path: str | Path, values: np.ndarray) -> None:
     """16-bit binary PGM (P5, maxval 65535, big-endian), top row first."""
     values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2:
-        raise ContractViolation(f"depth image must be 2-d, got {values.shape}")
-    if values.min() < 0.0 or values.max() > 1.0:
-        raise ContractViolation("depth values outside [0, 1]")
+    if values.ndim != 2 or values.size == 0:
+        raise ContractViolation(f"depth image must be non-empty 2-d, got {values.shape}")
+    if not (np.all(values >= 0.0) and np.all(values <= 1.0)):  # NaN fails both
+        raise ContractViolation("depth values outside [0, 1] or not finite")
     h, w = values.shape
     quantized = np.rint(values * 65535.0).astype(">u2")
     with open(path, "wb") as fh:
@@ -257,7 +216,10 @@ def read_pgm(path: str | Path) -> np.ndarray:
     i += 1  # single whitespace byte separates header from raster
     if tokens[0] != b"P5":
         raise ContractViolation(f"not a binary PGM: magic {tokens[0]!r}")
-    w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    try:
+        w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    except ValueError:
+        raise ContractViolation(f"non-numeric PGM header in {path}") from None
     if maxval != 65535:
         raise ContractViolation(f"expected 16-bit PGM, maxval {maxval}")
     raster = blob[i : i + 2 * w * h]

@@ -13,9 +13,6 @@ import hashlib
 
 import numpy as np
 
-ALGORITHM = "pcg64"
-
-
 def _mix(seed: int, keys: tuple) -> int:
     material = repr((seed,) + keys).encode("utf-8")
     digest = hashlib.blake2s(material).digest()
@@ -27,7 +24,6 @@ class Rng:
 
     def __init__(self, seed: int):
         self.seed = int(seed) & (2**64 - 1)
-        self.algorithm = ALGORITHM
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def derive(self, *keys: int | str) -> "Rng":
@@ -48,7 +44,3 @@ class Rng:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
-
-    def state(self) -> dict:
-        """JSON-serializable description sufficient to recreate the stream."""
-        return {"algorithm": self.algorithm, "seed": self.seed}

@@ -27,14 +27,6 @@ class PatchSet:
     patches: np.ndarray  # (n, k, 3) relative to each center
     center_indices: np.ndarray  # (n,) indices into the source cloud
 
-    @property
-    def n(self) -> int:
-        return len(self.centers)
-
-    @property
-    def k(self) -> int:
-        return self.patches.shape[1]
-
     def absolute(self) -> np.ndarray:
         return self.patches + self.centers[:, None, :]
 
@@ -43,7 +35,6 @@ class PatchSet:
 class MaskPlan:
     visible_idx: np.ndarray  # sorted
     masked_idx: np.ndarray  # sorted
-    ratio: float
 
     def __post_init__(self):
         n = len(self.visible_idx) + len(self.masked_idx)
@@ -78,7 +69,7 @@ def apply_mask(n: int, m: float, rng: Rng) -> MaskPlan:
         )
     masked = np.sort(rng.choice(n, n_masked, replace=False))
     visible = np.setdiff1d(np.arange(n), masked, assume_unique=True)
-    return MaskPlan(visible_idx=visible, masked_idx=masked, ratio=m)
+    return MaskPlan(visible_idx=visible, masked_idx=masked)
 
 
 class PatchEmbed:

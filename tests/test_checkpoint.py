@@ -1,12 +1,20 @@
+import math
+import struct
+import tempfile
+from functools import cache
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mvmae.autodiff import Tensor, backward
+from mvmae.autodiff import backward
 from mvmae.autodiff.optim import AdamWState, adamw_step
 from mvmae.checkpoint import (
     CHECKPOINT_VERSION,
     MAGIC,
-    Checkpoint,
+    _Reader,
     _Writer,
     load_checkpoint,
     restore_params,
@@ -164,6 +172,109 @@ def test_duplicate_parameter_rejected(tmp_path):
     path.write_bytes(w.blob())
     with pytest.raises(CheckpointError, match="duplicate"):
         load_checkpoint(path)
+
+
+def single_record(name: bytes, dims: tuple[int, ...], payload: bytes) -> bytes:
+    w = _Writer()
+    w.raw(MAGIC)
+    w.u32(CHECKPOINT_VERSION)
+    w.sized(tiny_config().canonical_json().encode())
+    w.u32(1)
+    w.u32(len(name))
+    w.raw(name)
+    w.u8(0)
+    w.u32(len(dims))
+    for dim in dims:
+        w.u64(dim)
+    w.raw(payload)
+    return w.blob()
+
+
+def test_huge_dims_rejected(tmp_path):
+    # 2**62 * 4 wraps to 0 in int64 arithmetic
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(single_record(b"p", (2**62, 4), bytes(64)))
+    with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(path)
+
+
+def test_non_utf8_name_rejected(tmp_path):
+    path = tmp_path / "name.ckpt"
+    path.write_bytes(single_record(b"\xff\xfe", (1,), bytes(8)))
+    with pytest.raises(CheckpointError, match="utf-8"):
+        load_checkpoint(path)
+
+
+@cache
+def fuzz_base() -> tuple[bytes, tuple[int, ...], tuple[range, ...]]:
+    """A saved checkpoint, the byte offset of every u64 dim field and the
+    byte ranges of its three JSON blocks."""
+    cfg, model, opt = trained_state(steps=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a.ckpt"
+        save_state(path, cfg, model, opt)
+        blob = path.read_bytes()
+    r = _Reader(blob)
+    offsets = []
+    spans = []
+
+    def json_block():
+        size = r.u32()
+        spans.append(range(r.offset, r.offset + size))
+        r.take(size)
+
+    def record():
+        r.take(r.u32())
+        r.u8()
+        rank = r.u32()
+        offsets.extend(r.offset + 8 * i for i in range(rank))
+        r.take(8 * math.prod(r.u64() for _ in range(rank)))
+
+    r.take(len(MAGIC))
+    r.u32()
+    json_block()
+    for _ in range(r.u32()):
+        record()
+    json_block()
+    for _ in range(r.u32()):
+        record()
+        record()
+    r.u64()
+    json_block()
+    return blob, tuple(offsets), tuple(spans)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cut=st.none() | st.floats(0.0, 1.0, exclude_max=True),
+    dim=st.none() | st.tuples(
+        st.integers(0, 10**6),
+        st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 1, 2**61, 2**62, 2**63])),
+    ),
+    flips=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 7)), max_size=3),
+    json_flip=st.none() | st.tuples(st.integers(0, 2), st.integers(0, 10**6), st.integers(0, 7)),
+)
+def test_malformed_checkpoint_only_raises_checkpoint_error(cut, dim, flips, json_flip):
+    blob, offsets, spans = fuzz_base()
+    if dim is not None:
+        at = offsets[dim[0] % len(offsets)]
+        blob = blob[:at] + struct.pack("<Q", dim[1]) + blob[at + 8 :]
+    raw = bytearray(blob)
+    for where, bit in flips:
+        raw[int(where * len(raw))] ^= 1 << bit
+    if json_flip is not None:
+        block, where, bit = json_flip
+        raw[spans[block][where % len(spans[block])]] ^= 1 << bit
+    blob = bytes(raw)
+    if cut is not None:
+        blob = blob[: int(cut * len(blob))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.ckpt"
+        path.write_bytes(blob)
+        try:
+            load_checkpoint(path)
+        except CheckpointError:
+            pass
 
 
 def test_restore_params_round_trip(tmp_path):

@@ -157,6 +157,10 @@ def test_render_bad_inputs(origin_xyz, tmp_path, capsys):
     assert main(["render", "--input", str(origin_xyz), "--out", str(out)]) == 0
     assert main(["render", "--input", str(origin_xyz), "--out", str(out)]) == 2
     assert main(["render", "--input", str(origin_xyz), "--out", str(out), "--force"]) == 0
+    for size in ("0x64", "64x0", "-5x64"):
+        sized = tmp_path / f"{size}.pgm"
+        assert main(["render", "--input", str(origin_xyz), "--out", str(sized), f"--size={size}"]) == 2
+        assert not sized.exists()
 
 
 # --- reconstruct -----------------------------------------------------------
@@ -226,6 +230,41 @@ def test_reconstruct_untrained_is_near_constant(tmp_path):
     gt = read_pgm(out / "gt_view0.pgm")
     assert np.ptp(pred) < 0.5  # fresh weights: output hugs the head bias
     assert np.ptp(gt) > 0.8  # while the target has full structure
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [("bad.xyz", "0 0 0\n1 2 x\n"), ("bad.off", "abc 0 0\n0 0 0\n")],
+)
+def test_reconstruct_malformed_input_exit_2(tiny_run, tmp_path, capsys, name, text):
+    cloud = tmp_path / name
+    cloud.write_text(text)
+    code = main([
+        "reconstruct", "--checkpoint", str(tiny_run / "final.ckpt"),
+        "--input", str(cloud), "--out", str(tmp_path / "rec"),
+    ])
+    assert code == 2
+    assert name in capsys.readouterr().err
+
+
+def test_reconstruct_nan_parameter_exit_3(tmp_path, capsys):
+    cfg = tiny_config()
+    model = MultiviewMae(cfg.model, Rng(0).derive("init"))
+    params = {name: p.data for name, p in model.params.items()}
+    params["head3d.bias"][0] = np.nan
+    ckpt = tmp_path / "nan.ckpt"
+    save_checkpoint(
+        ckpt, cfg, params,
+        AdamWState(lr=cfg.train.lr, weight_decay=cfg.train.weight_decay),
+        0, {"run_seed": 0},
+    )
+    with np.errstate(all="ignore"):
+        code = main([
+            "reconstruct", "--checkpoint", str(ckpt),
+            "--input", str(shape_cloud(tmp_path)), "--out", str(tmp_path / "rec"),
+        ])
+    assert code == 3
+    assert "non-finite" in capsys.readouterr().err
 
 
 # --- probe -------------------------------------------------------------------

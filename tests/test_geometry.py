@@ -12,11 +12,11 @@ from mvmae.geometry import (
     augment,
     farthest_point_sampling,
     knn,
+    load_cloud,
     normalize_unit_sphere,
     read_off,
     read_xyz,
     rotate_z,
-    scale_and_rotate_z,
     write_xyz,
 )
 
@@ -152,7 +152,8 @@ def test_knn_matches_bruteforce_oracle(points, k):
 
 def test_identity_augment_core():
     pts = np.random.default_rng(3).normal(size=(20, 3))
-    np.testing.assert_array_equal(scale_and_rotate_z(pts, 1.0, 0.0), pts)
+    # augment's core at scale 1, angle 0
+    np.testing.assert_array_equal(rotate_z(pts * 1.0, 0.0), pts)
 
 
 def test_rotation_preserves_pairwise_distances():
@@ -168,7 +169,7 @@ def test_scale_changes_max_norm():
     cloud = normalize_unit_sphere(
         PointCloud(np.random.default_rng(5).normal(size=(40, 3)))
     )
-    scaled = scale_and_rotate_z(cloud.points, 1.2, 0.7)
+    scaled = rotate_z(cloud.points * 1.2, 0.7)
     assert abs(np.linalg.norm(scaled, axis=1).max() - 1.2) < 1e-9
 
 
@@ -210,3 +211,31 @@ def test_off_reader_glued_header(tmp_path):
     path = tmp_path / "m.off"
     path.write_text("OFF3 0 0\n0 0 0\n1 1 1\n2 2 2\n")
     assert len(read_off(path)) == 3
+
+
+def test_load_cloud_dispatches_on_extension(tmp_path):
+    off = tmp_path / "m.OFF"
+    off.write_text("OFF\n1 0 0\n1 2 3\n")
+    xyz = tmp_path / "c.txt"
+    xyz.write_text("1 2 3\n")
+    np.testing.assert_array_equal(load_cloud(off).points, [[1, 2, 3]])
+    np.testing.assert_array_equal(load_cloud(xyz).points, [[1, 2, 3]])
+
+
+@pytest.mark.parametrize("text", ["1 2 x\n", "1 2\n", "\n\n"])
+def test_xyz_reader_rejects_malformed(tmp_path, text):
+    path = tmp_path / "bad.xyz"
+    path.write_text(text)
+    with pytest.raises(ContractViolation):
+        read_xyz(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["abc 0 0\n", "OFF\n2 0 0\n0 0 0\n1 y 1\n", "OFF\n2 0 0\n0 0 0\n", "OFF\n0 0 0\n", "OFF\n"],
+)
+def test_off_reader_rejects_malformed(tmp_path, text):
+    path = tmp_path / "bad.off"
+    path.write_text(text)
+    with pytest.raises(ContractViolation):
+        read_off(path)

@@ -2,22 +2,20 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from mvmae.autodiff import Tensor, backward, no_grad, ops
+from mvmae.autodiff import Tensor, backward, no_grad
 from mvmae.config import ModelConfig, desk_config, tiny_config
 from mvmae.data import SyntheticShape, generate_shape
 from mvmae.errors import ContractViolation, TrainingAborted
 from mvmae.geometry import PointCloud
 from mvmae.model import (
-    DecoderBatch,
     MultiviewMae,
     build_pretrain_plan,
-    chamfer_l2,
     encoder_features,
-    ensure_min_points,
     forward_pretrain,
     loss_2d,
     loss_3d,
     loss_from_plan,
+    patchify,
     total_loss,
 )
 from mvmae.projection import TokenGrouping
@@ -122,10 +120,10 @@ def test_assemble_empty_grouping_slots_follow_formula():
     pos_all = model.pos3d(Tensor(plan.patches.centers))
     encoded = Tensor(np.random.default_rng(9).normal(size=(len(plan.mask.visible_idx), cfg.C)))
     empty = [{} for _ in plan.poses]
-    batch = model.assemble_decoder_input(encoded, empty, plan.mask, plan.poses, pos_all)
+    seq, _ = model.assemble_decoder_input(encoded, empty, plan.mask, plan.poses, pos_all)
     t = model.tokens_per_view
     for v, pose in enumerate(plan.poses):
-        seg = batch.seq.data[cfg.n + v * t : cfg.n + (v + 1) * t]
+        seg = seq.data[cfg.n + v * t : cfg.n + (v + 1) * t]
         want = (
             model.mask_token_image.data
             + mlp2_np(model.modality_mlp, np.array([[0.0, 1.0]]))
@@ -144,8 +142,8 @@ def test_assemble_desk_sequence_length():
     pos_all = model.pos3d(Tensor(plan.patches.centers))
     encoded = Tensor(np.zeros((len(plan.mask.visible_idx), cfg.C)))
     fused = [{} for _ in plan.poses]
-    batch = model.assemble_decoder_input(encoded, fused, plan.mask, plan.poses, pos_all)
-    assert batch.seq.shape == (256, cfg.C)
+    seq, pos = model.assemble_decoder_input(encoded, fused, plan.mask, plan.poses, pos_all)
+    assert seq.shape == pos.shape == (256, cfg.C)
 
 
 def test_assemble_views_differ_only_by_pose_embedding():
@@ -158,16 +156,16 @@ def test_assemble_views_differ_only_by_pose_embedding():
     encoded = Tensor(np.random.default_rng(11).normal(size=(len(plan.mask.visible_idx), cfg.C)))
     fused = [model.fuse_image_tokens(encoded, g) for g in plan.groupings]
 
-    batch = model.assemble_decoder_input(encoded, fused, plan.mask, plan.poses, pos_all)
+    seq, _ = model.assemble_decoder_input(encoded, fused, plan.mask, plan.poses, pos_all)
     t = model.tokens_per_view
-    seg = lambda v: batch.seq.data[cfg.n + v * t : cfg.n + (v + 1) * t]
+    seg = lambda v: seq.data[cfg.n + v * t : cfg.n + (v + 1) * t]
     assert not np.allclose(seg(0), seg(1))  # pose embeddings separate views
 
     for p in (model.pose_mlp.fc1, model.pose_mlp.fc2):
         p.weight.data[...] = 0.0
         p.bias.data[...] = 0.0
-    batch0 = model.assemble_decoder_input(encoded, fused, plan.mask, plan.poses, pos_all)
-    seg0 = lambda v: batch0.seq.data[cfg.n + v * t : cfg.n + (v + 1) * t]
+    seq0, _ = model.assemble_decoder_input(encoded, fused, plan.mask, plan.poses, pos_all)
+    seg0 = lambda v: seq0.data[cfg.n + v * t : cfg.n + (v + 1) * t]
     np.testing.assert_array_equal(seg0(0), seg0(1))
 
 
@@ -183,14 +181,8 @@ def test_assemble_rejects_view_count_mismatch():
 # --- joint decoding -------------------------------------------------------
 
 
-def decode_batch(model, seq, pos, views):
-    cfg = model.cfg
-    return model.joint_decode(
-        DecoderBatch(
-            seq=Tensor(seq), pos=Tensor(pos), n=cfg.n,
-            t_per_view=model.tokens_per_view, views=views,
-        )
-    )
+def decode_batch(model, seq, pos):
+    return model.joint_decode(Tensor(seq), Tensor(pos))
 
 
 def test_decode_segment_shapes():
@@ -199,7 +191,7 @@ def test_decode_segment_shapes():
     length = cfg.n + cfg.K * model.tokens_per_view
     rng = np.random.default_rng(12)
     points, images = decode_batch(
-        model, rng.normal(size=(length, cfg.C)), rng.normal(size=(length, cfg.C)), cfg.K
+        model, rng.normal(size=(length, cfg.C)), rng.normal(size=(length, cfg.C))
     )
     assert points.shape == (cfg.n, cfg.C)
     assert len(images) == cfg.K
@@ -213,10 +205,10 @@ def test_decode_points_attend_to_images():
     rng = np.random.default_rng(13)
     seq = rng.normal(size=(length, cfg.C))
     pos = rng.normal(size=(length, cfg.C))
-    base_points, _ = decode_batch(model, seq, pos, cfg.K)
+    base_points, _ = decode_batch(model, seq, pos)
     zeroed = seq.copy()
     zeroed[cfg.n :] = 0.0
-    other_points, _ = decode_batch(model, zeroed, pos, cfg.K)
+    other_points, _ = decode_batch(model, zeroed, pos)
     assert np.abs(base_points.data - other_points.data).max() > 1e-6
 
 
@@ -233,8 +225,8 @@ def test_decode_view_swap_equivariance():
         np.arange(cfg.n + t, cfg.n + 2 * t),
         np.arange(cfg.n, cfg.n + t),
     )
-    base_points, base_images = decode_batch(model, seq, pos, cfg.K)
-    swap_points, swap_images = decode_batch(model, seq[swap], pos[swap], cfg.K)
+    base_points, base_images = decode_batch(model, seq, pos)
+    swap_points, swap_images = decode_batch(model, seq[swap], pos[swap])
     np.testing.assert_allclose(swap_points.data, base_points.data, atol=1e-9)
     np.testing.assert_allclose(swap_images[0].data, base_images[1].data, atol=1e-9)
     np.testing.assert_allclose(swap_images[1].data, base_images[0].data, atol=1e-9)
@@ -289,42 +281,47 @@ def test_head2d_zero_input_gives_tiled_bias():
 # --- chamfer and losses -----------------------------------------------
 
 
+def chamfer(p, q):
+    """loss_3d of a single (k, 3) patch against an equal-size target."""
+    return float(loss_3d(Tensor(p[None]), q[None]).data)
+
+
 def test_chamfer_identical_sets_zero():
     pts = np.random.default_rng(18).normal(size=(10, 3))
-    assert float(chamfer_l2(pts, pts).data) == 0.0
+    assert chamfer(pts, pts) == 0.0
 
 
 def test_chamfer_hand_case():
     a = np.array([[0.0, 0.0, 0.0]])
     b = np.array([[1.0, 0.0, 0.0]])
-    assert float(chamfer_l2(a, b).data) == 2.0
+    assert chamfer(a, b) == 2.0
 
 
 def test_chamfer_matches_bruteforce():
     rng = np.random.default_rng(19)
     for _ in range(50):
-        p = rng.normal(size=(rng.integers(1, 65), 3))
-        q = rng.normal(size=(rng.integers(1, 65), 3))
-        got = float(chamfer_l2(p, q).data)
-        assert abs(got - chamfer_bruteforce(p, q)) < 1e-12
+        k = rng.integers(1, 65)
+        p = rng.normal(size=(k, 3))
+        q = rng.normal(size=(k, 3))
+        assert abs(chamfer(p, q) - chamfer_bruteforce(p, q)) < 1e-12
 
 
 def test_chamfer_symmetry_exact():
     rng = np.random.default_rng(20)
     p = rng.normal(size=(17, 3))
-    q = rng.normal(size=(9, 3))
-    assert float(chamfer_l2(p, q).data) == float(chamfer_l2(q, p).data)
+    q = rng.normal(size=(17, 3))
+    assert chamfer(p, q) == chamfer(q, p)
 
 
 def test_chamfer_empty_set_rejected():
     with pytest.raises(ContractViolation):
-        chamfer_l2(np.zeros((0, 3)), np.zeros((3, 3)))
+        loss_3d(Tensor(np.zeros((0, 3, 3))), np.zeros((0, 3, 3)))
 
 
 def test_chamfer_gradient_flows_to_prediction():
-    p = Tensor(np.random.default_rng(21).normal(size=(5, 3)), requires_grad=True)
-    q = np.random.default_rng(22).normal(size=(7, 3))
-    backward(chamfer_l2(p, q))
+    p = Tensor(np.random.default_rng(21).normal(size=(1, 5, 3)), requires_grad=True)
+    q = np.random.default_rng(22).normal(size=(1, 5, 3))
+    backward(loss_3d(p, q))
     assert p.grad is not None and np.abs(p.grad).sum() > 0
 
 
@@ -358,9 +355,7 @@ def test_loss_3d_equals_per_patch_chamfer_loop():
     target = rng.normal(size=(6, 8, 3))
     pred = rng.normal(size=(6, 8, 3))
     batched = float(loss_3d(Tensor(pred), target).data)
-    looped = np.mean(
-        [float(chamfer_l2(pred[i], target[i]).data) for i in range(6)]
-    )
+    looped = np.mean([chamfer_bruteforce(pred[i], target[i]) for i in range(6)])
     assert abs(batched - looped) < 1e-12
 
 
@@ -455,11 +450,14 @@ def test_forward_pretrain_single_point_cloud_finite():
 
 
 def test_ensure_min_points_cycles():
+    # a 2-point cloud is cycled up to max(n, k) = 5 points before patching
     pts = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    out = ensure_min_points(pts, 5)
-    assert out.shape == (5, 3)
-    np.testing.assert_array_equal(out[2], pts[0])
-    np.testing.assert_array_equal(out[4], pts[0])
+    cfg = ModelConfig(n=5, k=3)
+    patches = patchify(PointCloud(pts), cfg)
+    assert patches.centers.shape == (5, 3)
+    assert patches.patches.shape == (5, 3, 3)
+    np.testing.assert_array_equal(patches.center_indices, [0, 1, 2, 3, 4])
+    np.testing.assert_array_equal(patches.centers, pts[[0, 1, 0, 1, 0]])
 
 
 def test_encoder_never_sees_masked_patch_contents():

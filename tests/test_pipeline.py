@@ -13,9 +13,7 @@ from mvmae.pipeline import (
     QUERIES_PER_CLASS,
     ProbeReport,
     extract_features,
-    few_shot_eval,
     fewshot_trials,
-    linear_probe,
     param_fingerprint,
     pretrain,
     probe_features,
@@ -207,7 +205,8 @@ def test_linear_probe_on_encoder_keeps_params(corpus, trained):
     _, clouds, labels = corpus
     result, _ = trained
     before = param_fingerprint(result.model.params)
-    report = linear_probe(result.model, clouds, labels, Rng(7).derive("p"))
+    features = extract_features(result.model, clouds)
+    report = probe_features(features, labels, Rng(7).derive("p"))
     assert param_fingerprint(result.model.params) == before
     assert 0.0 <= report.accuracy <= 1.0
     # 4 instances/class at tiny scale -> 3 train / 1 test per class
@@ -280,8 +279,8 @@ def test_fewshot_on_encoder_insufficient_data(corpus, trained):
     _, clouds, labels = corpus
     result, _ = trained
     with pytest.raises(ContractViolation, match="fewer than"):
-        few_shot_eval(result.model, clouds, labels, n_way=2, m_shot=1,
-                      trials=2, rng=Rng(0).derive("f"))
+        fewshot_trials(extract_features(result.model, clouds), labels,
+                       n_way=2, m_shot=1, trials=2, rng=Rng(0).derive("f"))
 
 
 def test_probe_report_validates_accuracy():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mvmae.config import ModelConfig
 from mvmae.errors import ConfigError, ContractViolation
 from mvmae.geometry import rotate_z
 from mvmae.projection import (
@@ -19,6 +20,12 @@ from oracles import project_point_by_hand
 POSE = CameraPose(0.0, 30.0, 2.2, 50.0)
 
 
+def ring(v):
+    """The pose pool at the default camera settings of ModelConfig."""
+    cfg = ModelConfig()
+    return make_pose_pool(v, cfg.elevation_deg, cfg.radius, cfg.fov_deg)
+
+
 def ball_cloud(seed, n=256):
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(n, 3))
@@ -28,7 +35,7 @@ def ball_cloud(seed, n=256):
 
 
 def test_pose_pool_twelve():
-    pool = make_pose_pool(12)
+    pool = ring(12)
     assert [p.azimuth_deg for p in pool] == [30.0 * i for i in range(12)]
     for p in pool:
         assert p.elevation_deg == 30.0
@@ -38,16 +45,16 @@ def test_pose_pool_twelve():
 
 
 def test_pose_pool_three():
-    assert [p.azimuth_deg for p in make_pose_pool(3)] == [0.0, 120.0, 240.0]
+    assert [p.azimuth_deg for p in ring(3)] == [0.0, 120.0, 240.0]
 
 
 def test_pose_pool_empty_rejected():
     with pytest.raises(ContractViolation):
-        make_pose_pool(0)
+        ring(0)
 
 
 def test_pose_pool_distinct():
-    pool = make_pose_pool(24)
+    pool = ring(24)
     assert len({p.azimuth_deg for p in pool}) == 24
 
 
@@ -129,14 +136,14 @@ def test_token_index_divisibility_contract():
 def test_rasterize_empty_frustum_all_zero():
     far_away = np.full((10, 3), 50.0)
     depth_map = rasterize_depth(far_away, POSE, 64, 64)
-    assert not depth_map.values.any()
+    assert not depth_map.any()
 
 
 def test_rasterize_single_origin_point_golden():
     depth_map = rasterize_depth(np.zeros((1, 3)), POSE, 224, 224)
-    nonzero = np.argwhere(depth_map.values > 0)
+    nonzero = np.argwhere(depth_map > 0)
     assert nonzero.tolist() == [[112, 112]]
-    assert abs(depth_map.values[112, 112] - 0.5) < 1e-12
+    assert abs(depth_map[112, 112] - 0.5) < 1e-12
 
 
 def test_rasterize_nearer_point_wins():
@@ -145,7 +152,7 @@ def test_rasterize_nearer_point_wins():
     near_pt = eye + 1.7 * fwd  # depth 1.7
     far_pt = eye + 2.2 * fwd  # origin, depth 2.2
     depth_map = rasterize_depth(np.vstack([far_pt, near_pt]), POSE, 64, 64)
-    value = depth_map.values[32, 32]
+    value = depth_map[32, 32]
     want = (POSE.radius + 1.05 - 1.7) / 2.1
     assert abs(value - want) < 1e-12
 
@@ -154,9 +161,9 @@ def test_rasterize_values_bounded_and_deterministic():
     cloud = ball_cloud(3)
     a = rasterize_depth(cloud, POSE, 64, 64)
     b = rasterize_depth(cloud, POSE, 64, 64)
-    np.testing.assert_array_equal(a.values, b.values)
-    assert a.values.min() >= 0.0 and a.values.max() <= 1.0
-    assert (a.values > 0).any()
+    np.testing.assert_array_equal(a, b)
+    assert a.min() >= 0.0 and a.max() <= 1.0
+    assert (a > 0).any()
 
 
 def test_rasterize_azimuth_equivariance():
@@ -165,8 +172,8 @@ def test_rasterize_azimuth_equivariance():
     for theta_deg in (33.0, 90.0, 211.5):
         rotated = rotate_z(cloud, np.radians(theta_deg))
         moved = CameraPose(theta_deg, 30.0, 2.2, 50.0)
-        base = rasterize_depth(cloud, POSE, 64, 64).values
-        swung = rasterize_depth(rotated, moved, 64, 64).values
+        base = rasterize_depth(cloud, POSE, 64, 64)
+        swung = rasterize_depth(rotated, moved, 64, 64)
         np.testing.assert_allclose(swung, base, atol=1e-9)
 
 
@@ -174,7 +181,7 @@ def test_grouping_all_behind_camera_is_empty():
     behind = POSE.eye() * 1.5 + np.random.default_rng(5).normal(0, 0.01, (8, 3))
     grouping = group_by_image_token(behind, POSE, 64, 64, 8, 8)
     assert grouping.g == 0
-    assert grouping.member_union().size == 0
+    assert grouping.groups == {}
 
 
 def test_grouping_same_cell_merges():
@@ -190,7 +197,8 @@ def test_grouping_union_matches_in_frustum_set():
     grouping = group_by_image_token(centers, POSE, 64, 64, 8, 8)
     proj = project_points(centers, POSE, 64, 64)
     want = np.flatnonzero(proj.in_frustum)
-    np.testing.assert_array_equal(grouping.member_union(), want)
+    union = np.sort(np.concatenate(list(grouping.groups.values())))
+    np.testing.assert_array_equal(union, want)
     assert grouping.g <= min(len(want), 64)
     for token, members in grouping.groups.items():
         assert 0 <= token < 64
@@ -237,8 +245,13 @@ def test_pgm_comment_tolerated(tmp_path):
 
 def test_pgm_rejects_bad_inputs(tmp_path):
     path = tmp_path / "bad.pgm"
-    with pytest.raises(ContractViolation):
-        write_pgm(path, np.full((2, 2), 1.5))
+    bad_images = (
+        np.full((2, 2), 1.5), np.full((2, 2), np.nan), np.array([[0.5, np.inf]]), np.zeros((0, 4))
+    )
+    for values in bad_images:
+        with pytest.raises(ContractViolation):
+            write_pgm(path, values)
+        assert not path.exists()
     write_pgm(path, np.zeros((4, 4)))
     blob = path.read_bytes()
     path.write_bytes(blob[:-3])
@@ -247,7 +260,8 @@ def test_pgm_rejects_bad_inputs(tmp_path):
     path.write_bytes(b"P6" + blob[2:])
     with pytest.raises(ContractViolation):
         read_pgm(path)
-    eight_bit = b"P5\n2 2\n255\n" + bytes(4)
-    path.write_bytes(eight_bit)
-    with pytest.raises(ContractViolation):
-        read_pgm(path)
+    # 8-bit maxval, then non-numeric header fields
+    for header in (b"P5\n2 2\n255\n", b"P5\nx 2\n65535\n", b"P5\n2 2\n6553five\n"):
+        path.write_bytes(header + bytes(8))
+        with pytest.raises(ContractViolation):
+            read_pgm(path)

@@ -30,7 +30,6 @@ def test_build_patches_desk_shapes():
     assert ps.centers.shape == (64, 3)
     assert ps.patches.shape == (64, 32, 3)
     assert ps.center_indices.shape == (64,)
-    assert ps.n == 64 and ps.k == 32
 
 
 def test_build_patches_membership():
@@ -114,9 +113,7 @@ def test_mask_rejects_degenerate_ratios():
 
 def test_mask_plan_partition_contract():
     with pytest.raises(ContractViolation):
-        MaskPlan(
-            visible_idx=np.array([0, 1]), masked_idx=np.array([1, 2]), ratio=0.5
-        )
+        MaskPlan(visible_idx=np.array([0, 1]), masked_idx=np.array([1, 2]))
 
 
 def test_patch_embed_shape_and_permutation_invariance():
