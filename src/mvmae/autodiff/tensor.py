@@ -114,7 +114,7 @@ def backward(loss: Tensor) -> None:
         if g is None:
             continue
         if node._vjp is None:
-            # leaf: publish the accumulated adjoint
+            # leaf: publish the accumulated adjoint in a buffer of its own
             if node.grad is None:
                 node.grad = np.array(g, dtype=np.float64, copy=True)
             else:
@@ -123,8 +123,7 @@ def backward(loss: Tensor) -> None:
         for parent, pg in zip(node._parents, node._vjp(g)):
             if pg is None or not parent.requires_grad:
                 continue
+            # a VJP may return its own adjoint or a view of it, so one array
+            # can be pending for several parents: accumulate out of place
             acc = grads.get(id(parent))
-            if acc is None:
-                grads[id(parent)] = np.array(pg, dtype=np.float64, copy=True)
-            else:
-                acc += pg
+            grads[id(parent)] = pg if acc is None else acc + pg

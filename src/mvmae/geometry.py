@@ -60,6 +60,24 @@ def normalize_unit_sphere(cloud: PointCloud) -> PointCloud:
     return replace(cloud, points=centered / radius)
 
 
+def _sq_dists(coords: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Squared distances from the columns of a (3, N) coordinate-major
+    array to one (3,) center, or to m centers given as (3, m, 1).
+
+    Summed x, y, z in that order, which is bit for bit what
+    np.sum(diff ** 2, axis=-1) gives over a length-3 axis.
+    """
+    d2 = center[0] - coords[0]
+    d2 *= d2
+    term = center[1] - coords[1]
+    term *= term
+    d2 += term
+    np.subtract(center[2], coords[2], out=term)
+    term *= term
+    d2 += term
+    return d2
+
+
 def farthest_point_sampling(
     points: np.ndarray, n_samples: int, start_index: int = 0
 ) -> np.ndarray:
@@ -74,30 +92,44 @@ def farthest_point_sampling(
         raise ContractViolation(f"n_samples {n_samples} outside [1, {n}]")
     if not 0 <= start_index < n:
         raise ContractViolation(f"start_index {start_index} outside [0, {n})")
+    coords = np.ascontiguousarray(points.T)
     chosen = np.empty(n_samples, dtype=np.int64)
     chosen[0] = start_index
-    min_d2 = np.sum((points - points[start_index]) ** 2, axis=1)
+    min_d2 = _sq_dists(coords, coords[:, start_index])
     # chosen entries get -1 so duplicates of a selected point can't win
     min_d2[start_index] = -1.0
     for i in range(1, n_samples):
         nxt = int(np.argmax(min_d2))  # argmax takes the first max: lowest index
         chosen[i] = nxt
-        d2 = np.sum((points - points[nxt]) ** 2, axis=1)
-        np.minimum(min_d2, d2, out=min_d2)
+        np.minimum(min_d2, _sq_dists(coords, coords[:, nxt]), out=min_d2)
         min_d2[nxt] = -1.0
     return chosen
 
 
 def knn(points: np.ndarray, centers: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k nearest points per center, ascending by distance,
-    ties by lowest index."""
+    ties by lowest index.
+
+    Equal to argsort(d2, kind="stable")[:, :k] of the full distance matrix,
+    ties at the k-th distance included, without sorting whole rows.
+    """
     points = np.asarray(points, dtype=np.float64)
     centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
-    if k > len(points):
-        raise ContractViolation(f"k {k} exceeds point count {len(points)}")
-    d2 = np.sum((centers[:, None, :] - points[None, :, :]) ** 2, axis=2)
-    # stable sort on distance keeps index order within exact ties
-    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+    if not 1 <= k <= len(points):
+        raise ContractViolation(f"k {k} outside [1, {len(points)}]")
+    d2 = _sq_dists(np.ascontiguousarray(points.T), centers.T[:, :, None])
+    # candidates: every entry not above the k-th smallest distance ("not
+    # above" rather than "<=" keeps a row whole when its k-th entry is NaN,
+    # and NaN sorts last in both sorts)
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+    keep = ~(d2 > kth)
+    flat = np.flatnonzero(keep)  # row-major: ascending index within a row
+    rows, cols = np.divmod(flat, d2.shape[1])
+    # stable: equal distances keep index order, as in the full stable sort
+    order = np.lexsort((d2.ravel()[flat], rows))
+    counts = np.count_nonzero(keep, axis=1)
+    starts = np.cumsum(counts) - counts
+    return cols[order[starts[:, None] + np.arange(k)]]
 
 
 def rotate_z(points: np.ndarray, angle: float) -> np.ndarray:
@@ -115,7 +147,7 @@ def augment(cloud: PointCloud, rng: Rng) -> PointCloud:
 
 
 def read_xyz(path: str | Path) -> PointCloud:
-    """One "x y z" triple per line; blank lines ignored."""
+    """One "x y z" triple per line of finite numbers; blank lines ignored."""
     rows = []
     for line in Path(path).read_text().splitlines():
         parts = line.split()
@@ -125,6 +157,8 @@ def read_xyz(path: str | Path) -> PointCloud:
             x, y, z = map(float, parts[:3])
         except ValueError:  # too few fields, or one that is not a number
             raise ContractViolation(f"bad XYZ line in {path}: {line!r}") from None
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+            raise ContractViolation(f"non-finite XYZ line in {path}: {line!r}")
         rows.append([x, y, z])
     if not rows:
         raise ContractViolation(f"no points in {path}")
@@ -140,8 +174,8 @@ def write_xyz(path: str | Path, cloud: PointCloud) -> None:
 
 
 def read_off(path: str | Path) -> PointCloud:
-    """OFF mesh vertices; faces are ignored. Tolerates the count header
-    glued to the OFF tag (the common ModelNet quirk)."""
+    """OFF mesh vertices, which must be finite; faces are ignored. Tolerates
+    the count header glued to the OFF tag (the common ModelNet quirk)."""
     tokens: list[str] = []
     for line in Path(path).read_text().splitlines():
         line = line.split("#", 1)[0].strip()
@@ -163,6 +197,8 @@ def read_off(path: str | Path) -> PointCloud:
     if len(coords) < 3 * n_vertices or n_vertices < 1:
         raise ContractViolation(f"OFF vertex section truncated: {path}")
     pts = np.array(coords).reshape(n_vertices, 3)
+    if not np.isfinite(pts).all():
+        raise ContractViolation(f"non-finite OFF vertex in {path}")
     return PointCloud(pts, source_id=str(path))
 
 

@@ -94,7 +94,7 @@ def pretrain(
 
     Writes an append-only metrics TSV and periodic binary checkpoints
     under out_dir. Raises TrainingAborted with the offending step when
-    the loss goes non-finite.
+    the loss or a gradient goes non-finite, before that step's update.
     """
     if not clouds:
         raise ContractViolation("pretraining needs a non-empty dataset")
@@ -115,7 +115,11 @@ def pretrain(
             raise CheckpointError(
                 "checkpoint config does not match the requested config"
             )
-        run_seed = int(ckpt.rng_state["run_seed"])
+        run_seed = ckpt.rng_state.get("run_seed")
+        if not isinstance(run_seed, int) or isinstance(run_seed, bool):
+            raise CheckpointError(
+                f"{resume_from}: bookkeeping has no integer run_seed"
+            )
         model = MultiviewMae(cfg.model, Rng(run_seed).derive("init"))
         restore_params(model.params, ckpt)
         opt = ckpt.opt
@@ -165,6 +169,9 @@ def pretrain(
                 backward(ops.scale(loss, 1.0 / len(items)))
                 sum_l3d += diag["l3d"]
                 sum_l2d += diag["l2d"]
+            for name, p in model.params.items():
+                if p.trainable and p.grad is not None and not np.isfinite(p.grad).all():
+                    raise TrainingAborted(step, f"non-finite gradient for {name}")
             adamw_step(model.params, opt, lr)
 
             l3d = sum_l3d / len(items)

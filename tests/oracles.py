@@ -105,6 +105,13 @@ def knn_bruteforce(points: np.ndarray, center: np.ndarray, k: int) -> list[int]:
     return order[:k]
 
 
+def knn_stable_argsort(points: np.ndarray, centers: np.ndarray, k: int) -> np.ndarray:
+    """The full-sort definition: stable argsort of the whole (centers,
+    points) squared-distance matrix, first k columns of each row."""
+    d2 = np.sum((centers[:, None, :] - points[None, :, :]) ** 2, axis=2)
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+
 def chamfer_bruteforce(p: np.ndarray, q: np.ndarray) -> float:
     """Double-loop l2 Chamfer: per-side mean of squared nearest distances."""
     total_pq = 0.0

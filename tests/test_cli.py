@@ -26,13 +26,13 @@ def micro_config() -> Config:
     )
 
 
-def untrained_checkpoint(path, cfg):
+def untrained_checkpoint(path, cfg, bookkeeping=None):
     model = MultiviewMae(cfg.model, Rng(0).derive("init"))
     save_checkpoint(
         path, cfg,
         {name: p.data for name, p in model.params.items()},
         AdamWState(lr=cfg.train.lr, weight_decay=cfg.train.weight_decay),
-        0, {"run_seed": 0},
+        0, {"run_seed": 0} if bookkeeping is None else bookkeeping,
     )
 
 
@@ -91,6 +91,20 @@ def test_pretrain_resume_reproduces_tail(tiny_run, tmp_path):
     tail = read_metrics(resumed / "metrics.tsv")
     assert tail == [row for row in full if row["step"] >= 8]
     assert (resumed / "final.ckpt").read_bytes() == (tiny_run / "final.ckpt").read_bytes()
+
+
+def test_pretrain_resume_without_run_seed_exit_2(tmp_path, capsys):
+    cfg = micro_config()
+    cfg_path = tmp_path / "micro.json"
+    save_config(cfg_path, cfg)
+    ckpt = tmp_path / "no_seed.ckpt"
+    untrained_checkpoint(ckpt, cfg, {"seed": 1})
+    code = main([
+        "pretrain", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+        "--resume", str(ckpt),
+    ])
+    assert code == 2
+    assert "run_seed" in capsys.readouterr().err
 
 
 def test_pretrain_nan_abort_exit_code(tmp_path, capsys):
@@ -157,6 +171,10 @@ def test_render_bad_inputs(origin_xyz, tmp_path, capsys):
     assert main(["render", "--input", str(origin_xyz), "--out", str(out)]) == 0
     assert main(["render", "--input", str(origin_xyz), "--out", str(out)]) == 2
     assert main(["render", "--input", str(origin_xyz), "--out", str(out), "--force"]) == 0
+    nan_xyz = tmp_path / "nan.xyz"
+    nan_xyz.write_text("0 0 0\nnan 0 0\n")
+    assert main(["render", "--input", str(nan_xyz), "--out", str(tmp_path / "n.pgm")]) == 2
+    assert not (tmp_path / "n.pgm").exists()
     for size in ("0x64", "64x0", "-5x64"):
         sized = tmp_path / f"{size}.pgm"
         assert main(["render", "--input", str(origin_xyz), "--out", str(sized), f"--size={size}"]) == 2
@@ -234,7 +252,12 @@ def test_reconstruct_untrained_is_near_constant(tmp_path):
 
 @pytest.mark.parametrize(
     "name, text",
-    [("bad.xyz", "0 0 0\n1 2 x\n"), ("bad.off", "abc 0 0\n0 0 0\n")],
+    [
+        ("bad.xyz", "0 0 0\n1 2 x\n"),
+        ("bad.off", "abc 0 0\n0 0 0\n"),
+        ("nan.xyz", "0 0 0\nnan 0 0\n"),
+        ("inf.off", "OFF\n2 0 0\n0 0 0\n1 inf 1\n"),
+    ],
 )
 def test_reconstruct_malformed_input_exit_2(tiny_run, tmp_path, capsys, name, text):
     cloud = tmp_path / name

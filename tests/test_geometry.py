@@ -20,7 +20,10 @@ from mvmae.geometry import (
     write_xyz,
 )
 
-from oracles import fps_greedy, knn_bruteforce
+from mvmae.config import DataConfig
+from mvmae.data import make_dataset
+
+from oracles import fps_greedy, knn_bruteforce, knn_stable_argsort
 
 clouds_small = st.integers(2, 40).flatmap(
     lambda n: st.lists(
@@ -33,6 +36,10 @@ clouds_small = st.integers(2, 40).flatmap(
         max_size=n,
     )
 )
+
+# integer-grid clouds: duplicated points and exact distance ties are common
+grid_point = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2))
+grid_clouds = st.lists(grid_point, min_size=1, max_size=40)
 
 
 def test_normalize_symmetric_pair():
@@ -150,6 +157,70 @@ def test_knn_matches_bruteforce_oracle(points, k):
         assert np.all(np.diff(d) >= 0)
 
 
+@given(grid_clouds, st.lists(grid_point, min_size=1, max_size=4), st.data())
+@settings(max_examples=80, deadline=None)
+def test_knn_matches_bruteforce_oracle_on_grid_ties(points, centers, data):
+    pts = np.array(points, dtype=np.float64)
+    ctr = np.array(centers, dtype=np.float64)
+    k = data.draw(st.integers(1, len(pts)), label="k")
+    got = knn(pts, ctr, k)
+    assert got.shape == (len(ctr), k)
+    for row, center in zip(got, ctr):
+        assert row.tolist() == knn_bruteforce(pts, center, k)
+
+
+@given(grid_clouds, st.data())
+@settings(max_examples=80, deadline=None)
+def test_fps_matches_exhaustive_greedy_oracle_on_grid_ties(points, data):
+    pts = np.array(points, dtype=np.float64)
+    n_samples = data.draw(st.integers(1, len(pts)), label="n_samples")
+    start = data.draw(st.integers(0, len(pts) - 1), label="start_index")
+    got = farthest_point_sampling(pts, n_samples, start_index=start).tolist()
+    assert got == fps_greedy(pts, n_samples, start_index=start)
+
+
+@pytest.mark.parametrize("n_points", [20, 1024, 8192])
+def test_knn_equals_full_stable_sort_on_dataset_cloud(n_points):
+    # a cloud with fewer than max(n, k) = 64 points is cycled up as patchify
+    # does, so every distance occurs several times over
+    clouds, _ = make_dataset(
+        DataConfig(n_points=n_points, n_classes=1, instances_per_class=1)
+    )
+    pts = np.tile(clouds[0].points, (-(-64 // n_points), 1))[: max(64, n_points)]
+    centers = pts[farthest_point_sampling(pts, 64)]
+    for k in (1, 5, 32, 64):
+        np.testing.assert_array_equal(
+            knn(pts, centers, k), knn_stable_argsort(pts, centers, k)
+        )
+
+
+def test_kernels_sum_squares_in_coordinate_order():
+    # every coordinate permutation of each point: the squared distances to
+    # the origin agree up to rounding, which depends on summation order
+    base = np.random.default_rng(9).uniform(-1.0, 1.0, size=(10, 3))
+    perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+    pts = np.concatenate([np.zeros((1, 3))] + [base[:, list(p)] for p in perms])
+    for k in (6, 20, 45):
+        np.testing.assert_array_equal(
+            knn(pts, pts[:1], k), knn_stable_argsort(pts, pts[:1], k)
+        )
+    assert farthest_point_sampling(pts, 12).tolist() == fps_greedy(pts, 12)
+
+
+def test_knn_equals_full_stable_sort_with_nan_points():
+    pts = np.random.default_rng(8).normal(size=(30, 3))
+    pts[[3, 7, 8, 20]] = np.nan
+    for k in (1, 10, 26, 30):
+        np.testing.assert_array_equal(
+            knn(pts, pts[:5], k), knn_stable_argsort(pts, pts[:5], k)
+        )
+
+
+def test_knn_k_below_one_rejected():
+    with pytest.raises(ContractViolation):
+        knn(np.zeros((2, 3)), np.zeros((1, 3)), 0)
+
+
 def test_identity_augment_core():
     pts = np.random.default_rng(3).normal(size=(20, 3))
     # augment's core at scale 1, angle 0
@@ -222,7 +293,9 @@ def test_load_cloud_dispatches_on_extension(tmp_path):
     np.testing.assert_array_equal(load_cloud(xyz).points, [[1, 2, 3]])
 
 
-@pytest.mark.parametrize("text", ["1 2 x\n", "1 2\n", "\n\n"])
+@pytest.mark.parametrize(
+    "text", ["1 2 x\n", "1 2\n", "\n\n", "0 0 0\nnan 0 0\n", "0 inf 0\n", "1 2 -inf\n"]
+)
 def test_xyz_reader_rejects_malformed(tmp_path, text):
     path = tmp_path / "bad.xyz"
     path.write_text(text)
@@ -232,7 +305,15 @@ def test_xyz_reader_rejects_malformed(tmp_path, text):
 
 @pytest.mark.parametrize(
     "text",
-    ["abc 0 0\n", "OFF\n2 0 0\n0 0 0\n1 y 1\n", "OFF\n2 0 0\n0 0 0\n", "OFF\n0 0 0\n", "OFF\n"],
+    [
+        "abc 0 0\n",
+        "OFF\n2 0 0\n0 0 0\n1 y 1\n",
+        "OFF\n2 0 0\n0 0 0\n",
+        "OFF\n0 0 0\n",
+        "OFF\n",
+        "OFF\n2 0 0\n0 0 0\nnan 1 1\n",
+        "OFF\n1 0 0\n0 -inf 0\n",
+    ],
 )
 def test_off_reader_rejects_malformed(tmp_path, text):
     path = tmp_path / "bad.off"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mvmae.autodiff.optim import cosine_lr
-from mvmae.checkpoint import load_checkpoint
+from mvmae.checkpoint import load_checkpoint, save_checkpoint
 from mvmae.config import tiny_config
 from mvmae.data import make_dataset
 from mvmae.errors import CheckpointError, ContractViolation, TrainingAborted
@@ -144,6 +144,53 @@ def test_divergence_aborts_with_step(corpus, tmp_path):
     assert info.value.step >= 0
     rows = read_metrics(tmp_path / "boom" / "metrics.tsv")
     assert len(rows) == info.value.step  # finite steps logged, the bad one not
+
+
+def test_nonfinite_gradient_aborts_before_update(corpus, tmp_path, monkeypatch):
+    import mvmae.pipeline as pipeline
+
+    cfg, clouds, _ = corpus
+    batch = cfg.train.batch_size
+    seen = {"backward": 0}
+    real_forward, real_backward = pipeline.forward_pretrain, pipeline.backward
+
+    def forward(model, cloud, rng):
+        seen["model"] = model
+        return real_forward(model, cloud, rng)
+
+    def backward(loss):
+        real_backward(loss)
+        seen["backward"] += 1
+        if seen["backward"] == 2 * batch:  # last sample of step 1
+            params = seen["model"].params
+            seen["before"] = param_fingerprint(params)
+            names = list(params)
+            seen["first"] = names[3]
+            params[names[3]].grad.flat[0] = np.inf
+            params[names[-1]].grad.flat[-1] = -np.inf
+
+    monkeypatch.setattr(pipeline, "forward_pretrain", forward)
+    monkeypatch.setattr(pipeline, "backward", backward)
+    with pytest.raises(TrainingAborted) as info:
+        pretrain(cfg, clouds, tmp_path / "g", run_seed=0)
+    assert info.value.step == 1
+    assert str(info.value) == f"non-finite gradient for {seen['first']}"
+    # no update was applied, and only the finite step 0 was logged
+    assert param_fingerprint(seen["model"].params) == seen["before"]
+    rows = read_metrics(tmp_path / "g" / "metrics.tsv")
+    assert [r["step"] for r in rows] == [0]
+    assert np.isfinite(rows[0]["total"])
+
+
+def test_resume_without_run_seed_rejected(corpus, tmp_path):
+    cfg, clouds, _ = corpus
+    run = pretrain(cfg, clouds, tmp_path / "a", run_seed=1, stop_after_step=4)
+    ckpt = load_checkpoint(run.checkpoint_path)
+    for bookkeeping in ({"seed": 1}, {"run_seed": "1"}, {"run_seed": True}):
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(path, cfg, ckpt.params, ckpt.opt, ckpt.step, bookkeeping)
+        with pytest.raises(CheckpointError, match="run_seed"):
+            pretrain(cfg, clouds, tmp_path / "b", run_seed=1, resume_from=path)
 
 
 # --- linear probe -----------------------------------------------------------
