@@ -2,8 +2,10 @@
 
 The op set is closed and small: matmul, elementwise arithmetic with
 broadcasting, shape ops, row gather (its adjoint is scatter-add),
-reductions (sum/mean/max/min), softmax, layer normalization, GELU.
-That is sufficient for the whole encoder/decoder and every loss.
+reductions (sum/mean/max), layer normalization, GELU, and three fused
+ops for the hot spots of a training step: scaled dot-product attention,
+segment max+mean pooling, and the patch Chamfer loss. That is
+sufficient for the whole encoder/decoder and every loss.
 """
 
 from __future__ import annotations
@@ -181,11 +183,11 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return make_node(out, (a,), vjp)
 
 
-def _extreme(a: Tensor, axis: int, keepdims: bool, argfn, redfn) -> Tensor:
+def max_(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     axis = axis % a.data.ndim
-    out = redfn(a.data, axis=axis, keepdims=keepdims)
-    # subgradient routed to the first extremum along the axis (deterministic)
-    sel = argfn(a.data, axis=axis)
+    out = np.max(a.data, axis=axis, keepdims=keepdims)
+    # subgradient routed to the first maximum along the axis (deterministic)
+    sel = np.argmax(a.data, axis=axis)
 
     def vjp(g):
         if not keepdims:
@@ -197,24 +199,85 @@ def _extreme(a: Tensor, axis: int, keepdims: bool, argfn, redfn) -> Tensor:
     return make_node(out, (a,), vjp)
 
 
-def max_(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    return _extreme(a, axis, keepdims, np.argmax, np.max)
-
-
-def min_(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    return _extreme(a, axis, keepdims, np.argmin, np.min)
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
+def attention(q: Tensor, k: Tensor, v: Tensor, c: float) -> Tensor:
+    """softmax(c * q k^T) v over the last two axes of (..., L, D) operands,
+    as one node that keeps only the attention map for its adjoint."""
+    s = q.data @ k.data.swapaxes(-1, -2)
+    s *= c
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    out = s @ v.data
 
     def vjp(g):
-        dot = (g * s).sum(axis=axis, keepdims=True)
-        return (s * (g - dot),)
+        gv = s.swapaxes(-1, -2) @ g
+        gs = g @ v.data.swapaxes(-1, -2)
+        gs -= (gs * s).sum(axis=-1, keepdims=True)
+        gs *= s
+        gs *= c
+        return gs @ k.data, gs.swapaxes(-1, -2) @ q.data, gv
 
-    return make_node(s, (a,), vjp)
+    return make_node(out, (q, k, v), vjp)
+
+
+def segment_pool(a: Tensor, idx, starts) -> Tensor:
+    """Max plus mean of the rows a[idx] over consecutive segments.
+
+    Segment j is idx[starts[j]:starts[j + 1]] (the last runs to the end);
+    every segment must be non-empty, and members may repeat across
+    segments. The max subgradient goes to the first maximal member.
+    """
+    idx = np.asarray(idx, dtype=np.intp)
+    starts = np.asarray(starts, dtype=np.intp)
+    bounds = np.append(starts, len(idx))
+    counts = np.diff(bounds)
+    if bounds[0] != 0 or np.any(counts < 1):
+        raise ContractViolation("segments must start at 0 and be non-empty")
+    rows = a.data[idx]
+    peak = np.maximum.reduceat(rows, starts, axis=0)
+    out = peak + np.add.reduceat(rows, starts, axis=0) / counts[:, None]
+    # position in rows of each segment's first maximum, per column (a NaN
+    # is the maximum wherever it occurs, as with argmax)
+    segment = np.repeat(np.arange(len(starts)), counts)
+    hit = (rows == peak[segment]) | np.isnan(rows)
+    position = np.where(hit, np.arange(len(idx))[:, None], len(idx))
+    first = np.minimum.reduceat(position, starts, axis=0)
+    columns = np.arange(rows.shape[1])
+
+    def vjp(g):
+        grows = (g / counts[:, None])[segment]
+        grows[first, columns] += g
+        ga = np.zeros_like(a.data)
+        np.add.at(ga, idx, grows)
+        return (ga,)
+
+    return make_node(out, (a,), vjp)
+
+
+def chamfer(pred: Tensor, target: np.ndarray) -> Tensor:
+    """Mean over M patches of the symmetric squared Chamfer distance between
+    (M, A, 3) predictions and a constant (M, B, 3) target: the mean squared
+    distance to the nearest point on the other side, summed over both
+    sides. Subgradients go to the first nearest point."""
+    p = pred.data
+    diff = p[:, :, None, :] - target[:, None, :, :]
+    diff *= diff
+    d2 = diff.sum(axis=-1)
+    m, a, b = d2.shape
+    near_q = d2.argmin(axis=2)  # (M, A): nearest target point of each p
+    near_p = d2.argmin(axis=1)  # (M, B): nearest predicted point of each q
+    side_p = d2.min(axis=2).mean(axis=1)
+    side_q = d2.min(axis=1).mean(axis=1)
+    out = (side_p + side_q).mean()
+    patch = np.arange(m)[:, None]
+
+    def vjp(g):
+        gp = 2.0 * ((g / m / a) * (p - target[patch, near_q]))
+        scatter = 2.0 * ((g / m / b) * (p[patch, near_p] - target))
+        np.add.at(gp, (patch, near_p), scatter)
+        return (gp,)
+
+    return make_node(out, (pred,), vjp)
 
 
 def layer_norm(a: Tensor, eps: float = 1e-6) -> Tensor:

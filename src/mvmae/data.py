@@ -222,9 +222,7 @@ def make_dataset(cfg: DataConfig) -> tuple[list[PointCloud], np.ndarray]:
                 params=_instance_params(kind, item.derive("params")),
             )
             cloud = generate_shape(shape)
-            position = class_idx * cfg.instances_per_class + j
-            clouds.append(
-                PointCloud(cloud.points, label=class_idx, source_id=cloud.source_id)
-            )
-            labels[position] = class_idx
+            cloud.label = class_idx
+            clouds.append(cloud)
+            labels[class_idx * cfg.instances_per_class + j] = class_idx
     return clouds, labels

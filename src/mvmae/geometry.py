@@ -42,6 +42,10 @@ class PointCloud:
             raise ContractViolation(f"points must be N x 3, got {self.points.shape}")
         if len(self.points) < 1:
             raise ContractViolation("point cloud must contain at least one point")
+        if not np.isfinite(self.points).all():
+            raise ContractViolation(
+                f"non-finite point coordinates in {self.source_id or 'point cloud'}"
+            )
 
     def __len__(self) -> int:
         return len(self.points)
@@ -174,8 +178,9 @@ def write_xyz(path: str | Path, cloud: PointCloud) -> None:
 
 
 def read_off(path: str | Path) -> PointCloud:
-    """OFF mesh vertices, which must be finite; faces are ignored. Tolerates
-    the count header glued to the OFF tag (the common ModelNet quirk)."""
+    """OFF mesh vertices, which PointCloud requires to be finite; faces are
+    ignored. Tolerates the count header glued to the OFF tag (the common
+    ModelNet quirk)."""
     tokens: list[str] = []
     for line in Path(path).read_text().splitlines():
         line = line.split("#", 1)[0].strip()
@@ -196,10 +201,7 @@ def read_off(path: str | Path) -> PointCloud:
         raise ContractViolation(f"non-numeric OFF header or vertex in {path}") from None
     if len(coords) < 3 * n_vertices or n_vertices < 1:
         raise ContractViolation(f"OFF vertex section truncated: {path}")
-    pts = np.array(coords).reshape(n_vertices, 3)
-    if not np.isfinite(pts).all():
-        raise ContractViolation(f"non-finite OFF vertex in {path}")
-    return PointCloud(pts, source_id=str(path))
+    return PointCloud(np.array(coords).reshape(n_vertices, 3), source_id=str(path))
 
 
 def load_cloud(path: str | Path) -> PointCloud:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor, no_grad, ops
+from .autodiff import Tensor, no_grad, ops
 from .config import ModelConfig
 from .errors import ContractViolation, TrainingAborted
 from .geometry import PointCloud
@@ -92,27 +92,22 @@ class MultiviewMae:
 
     # --- view fusion -------------------------------------------------
 
-    def fuse_image_tokens(self, encoded: Tensor, grouping: TokenGrouping) -> dict[int, Tensor]:
-        """Per non-empty image token: MLP(max-pool + avg-pool of members)."""
-        fused: dict[int, Tensor] = {}
-        for token, members in grouping.groups.items():
-            rows = ops.gather_rows(encoded, members)
-            pooled = ops.add(
-                ops.max_(rows, axis=0, keepdims=True),
-                ops.mean(rows, axis=0, keepdims=True),
-            )
-            fused[token] = self.fuse_mlp(pooled)
-        return fused
+    def fuse_image_tokens(self, encoded: Tensor, groupings: list[TokenGrouping]) -> Tensor:
+        """MLP(max-pool + mean-pool of members) of every non-empty image
+        token of every view: a (G, C) stack in view order, tokens
+        ascending within a view."""
+        members = [m for grouping in groupings for m in grouping.groups.values()]
+        starts = np.cumsum([0] + [len(m) for m in members])[:-1]
+        idx = np.concatenate(members) if members else np.zeros(0, dtype=np.intp)
+        return self.fuse_mlp(ops.segment_pool(encoded, idx, starts))
 
     # --- decoder input -----------------------------------------------
-
-    def _tile(self, row: Parameter, count: int) -> Tensor:
-        return ops.gather_rows(row, np.zeros(count, dtype=np.int64))
 
     def assemble_decoder_input(
         self,
         encoded: Tensor,
-        fused_per_view: list[dict[int, Tensor]],
+        fused: Tensor,
+        groupings: list[TokenGrouping],
         plan_mask: MaskPlan,
         poses: list[CameraPose],
         pos_all: Tensor,
@@ -120,8 +115,14 @@ class MultiviewMae:
         """The joint decoder's (sequence, position) pair: n point slots,
         then tokens_per_view slots for each view."""
         t_per_view = self.tokens_per_view
-        if len(poses) != len(fused_per_view):
-            raise ContractViolation("one fused map per pose required")
+        if len(poses) != len(groupings):
+            raise ContractViolation("one token grouping per pose required")
+        slots = np.array(
+            [v * t_per_view + token for v, g in enumerate(groupings) for token in g.groups],
+            dtype=np.intp,
+        )
+        if fused.shape[0] != len(slots):
+            raise ContractViolation("one fused row per non-empty image token required")
 
         modality_point = self.modality_mlp(Tensor(POINT_MODALITY))
         modality_image = self.modality_mlp(Tensor(IMAGE_MODALITY))
@@ -133,29 +134,24 @@ class MultiviewMae:
         slot_source[plan_mask.masked_idx] = len(plan_mask.visible_idx) + np.arange(
             len(plan_mask.masked_idx)
         )
-        mask_rows = self._tile(self.mask_token_point, len(plan_mask.masked_idx))
+        mask_rows = ops.gather_rows(
+            self.mask_token_point, np.zeros(len(plan_mask.masked_idx), dtype=np.int64)
+        )
         point_seq = ops.gather_rows(ops.concat([encoded, mask_rows], axis=0), slot_source)
         point_seq = ops.add(point_seq, ops.add(pos_all, modality_point))
 
-        image_seqs = []
-        image_pos = []
-        for pose, fused in zip(poses, fused_per_view):
-            pose_vec = self.pose_mlp(Tensor(pose.feature()[None, :]))
-            if fused:
-                stack = ops.concat(list(fused.values()), axis=0)
-                source = np.full(t_per_view, len(fused), dtype=np.int64)
-                for rank, token in enumerate(fused):
-                    source[token] = rank
-                bank = ops.concat([stack, self.mask_token_image], axis=0)
-                view_seq = ops.gather_rows(bank, source)
-            else:
-                view_seq = self._tile(self.mask_token_image, t_per_view)
-            view_pos = ops.add(self.sincos, pose_vec)
-            image_seqs.append(ops.add(view_seq, ops.add(view_pos, modality_image)))
-            image_pos.append(view_pos)
+        # image segment, views stacked: a slot holds its fused token, or the
+        # image mask token (the last bank row) when no visible center is in it
+        source = np.full(len(poses) * t_per_view, len(slots), dtype=np.int64)
+        source[slots] = np.arange(len(slots))
+        bank = ops.concat([fused, self.mask_token_image], axis=0)
+        pose_vec = self.pose_mlp(Tensor(np.stack([pose.feature() for pose in poses])))
+        view_pos = ops.add(self.sincos, ops.reshape(pose_vec, (len(poses), 1, self.cfg.C)))
+        view_pos = ops.reshape(view_pos, (len(source), self.cfg.C))
+        image_seq = ops.add(ops.gather_rows(bank, source), ops.add(view_pos, modality_image))
 
-        seq = ops.concat([point_seq] + image_seqs, axis=0)
-        pos = ops.concat([pos_all] + image_pos, axis=0)
+        seq = ops.concat([point_seq, image_seq], axis=0)
+        pos = ops.concat([pos_all, view_pos], axis=0)
         return seq, pos
 
     # --- joint decoding ----------------------------------------------
@@ -205,17 +201,6 @@ class Reconstruction:
 # --- losses ------------------------------------------------------------
 
 
-def _pairwise_sq_dists(p: Tensor, q: Tensor) -> Tensor:
-    """(..., A, 3) x (..., B, 3) -> (..., A, B) squared distances."""
-    a = p.shape[-2]
-    b = q.shape[-2]
-    lead = p.shape[:-2]
-    p_exp = ops.reshape(p, lead + (a, 1, 3))
-    q_exp = ops.reshape(q, lead + (1, b, 3))
-    diff = ops.sub(p_exp, q_exp)
-    return ops.sum_(ops.mul(diff, diff), axis=-1)
-
-
 def loss_3d(predicted: Tensor, target: np.ndarray) -> Tensor:
     """Mean over masked patches of the per-patch Chamfer distance: the
     symmetric mean of squared nearest-neighbor distances."""
@@ -225,10 +210,7 @@ def loss_3d(predicted: Tensor, target: np.ndarray) -> Tensor:
         raise ContractViolation(
             f"prediction {predicted.shape} vs target {target.shape}"
         )
-    d2 = _pairwise_sq_dists(predicted, Tensor(target))
-    side_p = ops.mean(ops.min_(d2, axis=2), axis=1)
-    side_q = ops.mean(ops.min_(d2, axis=1), axis=1)
-    return ops.mean(ops.add(side_p, side_q))
+    return ops.chamfer(predicted, np.asarray(target, dtype=np.float64))
 
 
 def loss_2d(predicted: list[Tensor], target: list[np.ndarray]) -> Tensor:
@@ -307,8 +289,10 @@ def loss_from_plan(
     tokens = model.patch_embed(visible_patches)
     pos_visible = ops.gather_rows(pos_all, plan.mask.visible_idx)
     encoded = model.encode(tokens, pos_visible)
-    fused = [model.fuse_image_tokens(encoded, g) for g in plan.groupings]
-    seq, pos = model.assemble_decoder_input(encoded, fused, plan.mask, plan.poses, pos_all)
+    fused = model.fuse_image_tokens(encoded, plan.groupings)
+    seq, pos = model.assemble_decoder_input(
+        encoded, fused, plan.groupings, plan.mask, plan.poses, pos_all
+    )
     point_rows, image_rows = model.joint_decode(seq, pos)
     pred_patches, pred_images = model.project_heads(
         point_rows, image_rows, plan.mask.masked_idx

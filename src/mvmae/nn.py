@@ -1,10 +1,11 @@
 """Transformer building blocks on the in-house autodiff substrate.
 
 Everything here is expressed in the closed forward-op set (matmul, add,
-mul, reshape, transpose, softmax, layer norm, GELU, reductions) so the
-finite-difference gradient gate covers the whole network. Parameters are
-created through a registry that derives one rng stream per parameter
-name, making initialization independent of construction order.
+mul, reshape, transpose, fused attention, layer norm, GELU, reductions)
+so the finite-difference gradient gate covers the whole network.
+Parameters are created through a registry that derives one rng stream
+per parameter name, making initialization independent of construction
+order.
 """
 
 from __future__ import annotations
@@ -102,12 +103,7 @@ class MultiheadSelfAttention:
         q = self._split_heads(self.wq(x), length)
         k = self._split_heads(self.wk(x), length)
         v = self._split_heads(self.wv(x), length)
-        logits = ops.scale(
-            ops.matmul(q, ops.transpose(k, (0, 2, 1))),
-            1.0 / math.sqrt(self.head_dim),
-        )
-        att = ops.softmax(logits)
-        out = ops.matmul(att, v)
+        out = ops.attention(q, k, v, 1.0 / math.sqrt(self.head_dim))
         out = ops.reshape(ops.transpose(out, (1, 0, 2)), (length, self.dim))
         return self.wo(out)
 

@@ -81,6 +81,13 @@ def _truncate_metrics(path: Path, keep_below_step: int) -> None:
     path.write_text("".join(entry + "\n" for entry in kept))
 
 
+def _bookkeeping_int(ckpt: Checkpoint, key: str, path) -> int:
+    value = ckpt.rng_state.get(key)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise CheckpointError(f"{path}: bookkeeping has no integer {key}")
+    return value
+
+
 def pretrain(
     cfg: Config,
     clouds: list[PointCloud],
@@ -115,10 +122,12 @@ def pretrain(
             raise CheckpointError(
                 "checkpoint config does not match the requested config"
             )
-        run_seed = ckpt.rng_state.get("run_seed")
-        if not isinstance(run_seed, int) or isinstance(run_seed, bool):
+        run_seed = _bookkeeping_int(ckpt, "run_seed", resume_from)
+        saved_total = _bookkeeping_int(ckpt, "total_steps", resume_from)
+        if saved_total != total_steps:
             raise CheckpointError(
-                f"{resume_from}: bookkeeping has no integer run_seed"
+                f"{resume_from}: checkpoint belongs to a {saved_total}-step run, "
+                f"this run has {total_steps} steps (different --epochs?)"
             )
         model = MultiviewMae(cfg.model, Rng(run_seed).derive("init"))
         restore_params(model.params, ckpt)
@@ -133,6 +142,7 @@ def pretrain(
         opt = AdamWState(lr=cfg.train.lr, weight_decay=cfg.train.weight_decay)
         metrics_path.write_text(METRICS_HEADER + "\n")
 
+    bookkeeping = {"run_seed": run_seed, "total_steps": total_steps}
     root = Rng(run_seed)
     last_step = total_steps if stop_after_step is None else min(stop_after_step, total_steps)
     order_epoch, order = -1, None
@@ -187,7 +197,7 @@ def pretrain(
                     {name: p.data for name, p in model.params.items()},
                     opt,
                     done,
-                    {"run_seed": run_seed},
+                    bookkeeping,
                 )
 
     if last_step == total_steps:
@@ -200,7 +210,7 @@ def pretrain(
         {name: p.data for name, p in model.params.items()},
         opt,
         last_step,
-        {"run_seed": run_seed},
+        bookkeeping,
     )
     return PretrainResult(
         model=model,
@@ -229,12 +239,19 @@ class ProbeReport:
 
 
 def extract_features(model: MultiviewMae, clouds: list[PointCloud]) -> np.ndarray:
-    """Frozen-encoder descriptors for a whole corpus, with a guard that
-    feature extraction never changes a parameter."""
+    """Frozen-encoder descriptors for a whole corpus, with guards that
+    feature extraction never changes a parameter and that no descriptor
+    is non-finite (one NaN row would silently ruin a whole probe)."""
     before = param_fingerprint(model.params)
     features = np.stack([encoder_features(model, cloud) for cloud in clouds])
     if param_fingerprint(model.params) != before:
         raise ContractViolation("feature extraction mutated encoder parameters")
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if len(bad):
+        raise ContractViolation(
+            f"non-finite features for {len(bad)} cloud(s), first "
+            f"{clouds[bad[0]].source_id or bad[0]}"
+        )
     return features
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import erf
 
 
 def finite_difference(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -110,6 +111,41 @@ def knn_stable_argsort(points: np.ndarray, centers: np.ndarray, k: int) -> np.nd
     points) squared-distance matrix, first k columns of each row."""
     d2 = np.sum((centers[:, None, :] - points[None, :, :]) ** 2, axis=2)
     return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+
+def gelu(x: np.ndarray) -> np.ndarray:
+    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+
+
+def mlp2(block, x: np.ndarray) -> np.ndarray:
+    """A two-layer GELU MLP block evaluated from its parameter arrays."""
+    h = gelu(x @ block.fc1.weight.data + block.fc1.bias.data)
+    return h @ block.fc2.weight.data + block.fc2.bias.data
+
+
+def decoder_input_per_token(model, encoded, groupings, mask, poses, pos_all):
+    """The joint decoder's (sequence, position) arrays built one view and
+    one image token at a time: a non-empty token is fuse_mlp(max + mean of
+    its members' encoded rows), an empty one the image mask token."""
+    cfg = model.cfg
+    tokens_per_view = cfg.H_t * cfg.W_t
+    point = np.empty((cfg.n, cfg.C))
+    point[mask.visible_idx] = encoded
+    point[mask.masked_idx] = model.mask_token_point.data[0]
+    modality_point = mlp2(model.modality_mlp, np.array([[1.0, 0.0]]))
+    modality_image = mlp2(model.modality_mlp, np.array([[0.0, 1.0]]))
+    seq = [point + (pos_all + modality_point)]
+    pos = [pos_all]
+    for pose, grouping in zip(poses, groupings):
+        view = np.repeat(model.mask_token_image.data, tokens_per_view, axis=0)
+        for token, members in grouping.groups.items():
+            rows = encoded[members]
+            pooled = rows.max(axis=0) + rows.mean(axis=0)
+            view[token] = mlp2(model.fuse_mlp, pooled[None, :])[0]
+        view_pos = model.sincos.data + mlp2(model.pose_mlp, pose.feature()[None, :])
+        seq.append(view + (view_pos + modality_image))
+        pos.append(view_pos)
+    return np.concatenate(seq), np.concatenate(pos)
 
 
 def chamfer_bruteforce(p: np.ndarray, q: np.ndarray) -> float:

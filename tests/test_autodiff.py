@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvmae.autodiff import Parameter, Tensor, backward, no_grad, ops
 from mvmae.errors import ContractViolation
@@ -41,6 +43,13 @@ A34 = RNG.standard_normal((3, 4))
 A234 = RNG.standard_normal((2, 3, 4))
 A243 = RNG.standard_normal((2, 4, 3))
 VEC4 = RNG.standard_normal(4)
+Q253, K253, V253 = (RNG.standard_normal((2, 5, 3)) for _ in range(3))
+P453 = RNG.standard_normal((4, 5, 3))
+T463 = RNG.standard_normal((4, 6, 3))
+# three segments over five rows; rows 0 and 2 belong to two segments each
+SEG_IDX = [0, 2, 1, 2, 3, 4, 0]
+SEG_STARTS = [0, 3, 5]
+A54 = RNG.standard_normal((5, 4))
 
 
 @pytest.mark.parametrize(
@@ -67,11 +76,14 @@ VEC4 = RNG.standard_normal(4)
         ("mean_all", lambda t: ops.mean(t), A234),
         ("mean_axis", lambda t: ops.mean(t, axis=2), A234),
         ("max", lambda t: ops.max_(t, axis=1), A234),
-        ("min", lambda t: ops.min_(t, axis=0), A234),
-        ("softmax", lambda t: ops.softmax(t, axis=-1), A34),
+        ("chamfer", lambda t: ops.chamfer(t, T463), P453),
+        ("attention_q", lambda t: ops.attention(t, Tensor(K253), Tensor(V253), 0.7), Q253),
         ("layer_norm", lambda t: ops.layer_norm(t), A34),
         ("gelu", lambda t: ops.gelu(t), A34),
         ("mse", lambda t: ops.mse(t, Tensor(A34)), A34),
+        ("attention_k", lambda t: ops.attention(Tensor(Q253), t, Tensor(V253), 0.7), K253),
+        ("attention_v", lambda t: ops.attention(Tensor(Q253), Tensor(K253), t, 0.7), V253),
+        ("segment_pool", lambda t: ops.segment_pool(t, SEG_IDX, SEG_STARTS), A54),
     ],
 )
 def test_op_gradients_match_finite_differences(name, build, x0):
@@ -122,10 +134,127 @@ def test_matmul_batch_dim_mismatch_raises():
 
 
 def test_softmax_rows_sum_to_one():
+    # attention against all-ones values returns each softmax row's sum
     rng = np.random.default_rng(7)
-    x = Tensor(rng.standard_normal((50, 17)) * 10)
-    s = ops.softmax(x).data
-    np.testing.assert_allclose(s.sum(axis=-1), np.ones(50), atol=1e-12)
+    q = Tensor(rng.standard_normal((2, 50, 17)) * 10)
+    k = Tensor(rng.standard_normal((2, 50, 17)))
+    out = ops.attention(q, k, Tensor(np.ones((2, 50, 3))), 1.0).data
+    np.testing.assert_allclose(out, np.ones((2, 50, 3)), atol=1e-12)
+
+
+def test_attention_matches_unfused_composition():
+    rng = np.random.default_rng(10)
+    q, k, v = (rng.standard_normal((3, 9, 4)) for _ in range(3))
+    logits = 0.5 * q @ k.transpose(0, 2, 1)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    want = (e / e.sum(axis=-1, keepdims=True)) @ v
+    got = ops.attention(Tensor(q), Tensor(k), Tensor(v), 0.5).data
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+def test_vjps_leave_incoming_adjoint_untouched():
+    rng = np.random.default_rng(11)
+    cases = [
+        (lambda t: ops.attention(t, t, t, 0.3), rng.standard_normal((2, 5, 3))),
+        (lambda t: ops.segment_pool(t, SEG_IDX, SEG_STARTS), rng.standard_normal((5, 4))),
+        (lambda t: ops.chamfer(t, T463), rng.standard_normal((4, 5, 3))),
+    ]
+    for build, x in cases:
+        out = build(Tensor(x, requires_grad=True))
+        g = rng.standard_normal(out.shape)
+        before = g.copy()
+        out._vjp(g)
+        np.testing.assert_array_equal(g, before)
+
+
+# --- segment pooling --------------------------------------------------------
+
+
+def segment_pool_by_loop(a, idx, starts):
+    """gather_rows + max_ + mean per segment, the unfused composition."""
+    bounds = list(starts) + [len(idx)]
+    rows = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        members = ops.gather_rows(a, idx[lo:hi])
+        rows.append(
+            ops.add(
+                ops.max_(members, axis=0, keepdims=True),
+                ops.mean(members, axis=0, keepdims=True),
+            )
+        )
+    return ops.concat(rows, axis=0)
+
+
+@st.composite
+def segment_layouts(draw):
+    n_rows = draw(st.integers(1, 6))
+    width = draw(st.integers(1, 3))
+    segments = draw(
+        st.lists(
+            st.lists(st.integers(0, n_rows - 1), min_size=1, max_size=5),
+            min_size=1, max_size=5,
+        )
+    )
+    # small integers make equal maxima within a segment common
+    values = draw(
+        st.lists(st.integers(-2, 2), min_size=n_rows * width, max_size=n_rows * width)
+    )
+    weights = draw(
+        st.lists(
+            st.integers(-3, 3),
+            min_size=len(segments) * width, max_size=len(segments) * width,
+        )
+    )
+    a = np.array(values, dtype=np.float64).reshape(n_rows, width)
+    idx = np.array([m for seg in segments for m in seg])
+    starts = np.cumsum([0] + [len(seg) for seg in segments])[:-1]
+    g = np.array(weights, dtype=np.float64).reshape(len(segments), width)
+    return a, idx, starts, g
+
+
+@settings(max_examples=200, deadline=None)
+@given(segment_layouts())
+def test_segment_pool_matches_gather_max_mean_loop(layout):
+    a0, idx, starts, g = layout
+    results = []
+    for pool in (ops.segment_pool, segment_pool_by_loop):
+        a = Parameter(a0.copy(), "a")
+        out = pool(a, idx, starts)
+        backward(ops.sum_(ops.mul(out, Tensor(g))))
+        results.append((out.data, a.grad))
+    (fused, fused_grad), (looped, looped_grad) = results
+    np.testing.assert_allclose(fused, looped, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(fused_grad, looped_grad, rtol=1e-12, atol=1e-12)
+
+
+def test_segment_pool_tie_routes_to_first_maximal_member():
+    # rows 3 and 1 are equal and maximal in the segment [2, 3, 1]
+    a = Parameter(np.array([[0.0], [5.0], [1.0], [5.0]]), "a")
+    backward(ops.sum_(ops.segment_pool(a, [2, 3, 1], [0])))
+    np.testing.assert_array_equal(a.grad, [[0.0], [1 / 3], [1 / 3], [1 + 1 / 3]])
+
+
+def test_segment_pool_rejects_empty_or_misplaced_segments():
+    a = Tensor(np.ones((3, 2)))
+    for idx, starts in (([0, 1], [0, 2]), ([0, 1], [1]), ([0, 1], [0, 1, 1]), ([0], [])):
+        with pytest.raises(ContractViolation):
+            ops.segment_pool(a, idx, starts)
+
+
+# --- chamfer ------------------------------------------------------------------
+
+
+def test_chamfer_tie_routes_to_first_nearest_point():
+    # the predicted point is equidistant from both target points: side p
+    # pulls it toward the first; side q's two pulls cancel
+    p = Parameter(np.zeros((1, 1, 3)), "p")
+    backward(ops.chamfer(p, np.array([[[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]])))
+    np.testing.assert_array_equal(p.grad, [[[-2.0, 0.0, 0.0]]])
+    # the target point is equidistant from both predicted points: side q
+    # pushes only the first
+    p = Parameter(np.array([[[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]]), "p")
+    backward(ops.chamfer(p, np.zeros((1, 1, 3))))
+    np.testing.assert_array_equal(p.grad, [[[3.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]])
 
 
 def test_layer_norm_moments():
@@ -161,5 +290,7 @@ def test_no_grad_skips_graph():
 def test_forward_ops_stay_finite():
     rng = np.random.default_rng(9)
     x = Tensor(rng.standard_normal((30, 30)) * 100)
-    for out in (ops.softmax(x), ops.gelu(x), ops.layer_norm(x)):
+    x3 = ops.reshape(x, (1, 30, 30))
+    att = ops.attention(x3, x3, x3, 1.0)
+    for out in (att, ops.gelu(x), ops.layer_norm(x)):
         assert np.all(np.isfinite(out.data))

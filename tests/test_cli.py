@@ -93,6 +93,17 @@ def test_pretrain_resume_reproduces_tail(tiny_run, tmp_path):
     assert (resumed / "final.ckpt").read_bytes() == (tiny_run / "final.ckpt").read_bytes()
 
 
+def test_pretrain_resume_with_other_epochs_exit_2(tiny_run, tmp_path, capsys):
+    code = main([
+        "pretrain", "--config", "tiny", "--out", str(tmp_path / "o"), "--seed", "5",
+        "--epochs", str(tiny_config().train.epochs + 1),
+        "--resume", str(tiny_run / "ckpt_00000008.ckpt"),
+    ])
+    assert code == 2
+    assert "steps" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "final.ckpt").exists()
+
+
 def test_pretrain_resume_without_run_seed_exit_2(tmp_path, capsys):
     cfg = micro_config()
     cfg_path = tmp_path / "micro.json"

@@ -73,6 +73,14 @@ def test_empty_cloud_rejected():
         PointCloud(np.zeros((0, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_cloud_rejected(bad):
+    points = np.zeros((4, 3))
+    points[2, 1] = bad
+    with pytest.raises(ContractViolation, match="non-finite.*shape:3"):
+        PointCloud(points, source_id="shape:3")
+
+
 def test_fps_line_example():
     pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [10.0, 0, 0]])
     idx = farthest_point_sampling(pts, 2)

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.special import erf
 
 from mvmae.autodiff import Tensor, backward, no_grad
 from mvmae.config import ModelConfig, desk_config, tiny_config
@@ -21,16 +20,7 @@ from mvmae.model import (
 from mvmae.projection import TokenGrouping
 from mvmae.rng import Rng
 
-from oracles import chamfer_bruteforce, fd_gradcheck
-
-
-def gelu_np(x):
-    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
-
-
-def mlp2_np(block, x):
-    h = gelu_np(x @ block.fc1.weight.data + block.fc1.bias.data)
-    return h @ block.fc2.weight.data + block.fc2.bias.data
+from oracles import chamfer_bruteforce, decoder_input_per_token, fd_gradcheck, mlp2
 
 
 def tiny_model(seed=0):
@@ -78,9 +68,9 @@ def test_fusion_singleton_group_is_mlp_of_double():
     model = tiny_model()
     token = np.random.default_rng(6).normal(size=(1, 16))
     grouping = TokenGrouping(groups={3: np.array([0])})
-    fused = model.fuse_image_tokens(Tensor(token), grouping)
+    fused = model.fuse_image_tokens(Tensor(token), [grouping])
     np.testing.assert_allclose(
-        fused[3].data, mlp2_np(model.fuse_mlp, 2.0 * token), atol=1e-12
+        fused.data, mlp2(model.fuse_mlp, 2.0 * token), atol=1e-12
     )
 
 
@@ -90,11 +80,11 @@ def test_fusion_member_order_invariant():
     for trial in range(100):
         perm = np.random.default_rng(trial).permutation(4)
         a = model.fuse_image_tokens(
-            Tensor(rows), TokenGrouping(groups={0: np.arange(4)})
-        )[0].data
+            Tensor(rows), [TokenGrouping(groups={0: np.arange(4)})]
+        ).data
         b = model.fuse_image_tokens(
-            Tensor(rows[perm]), TokenGrouping(groups={0: np.arange(4)})
-        )[0].data
+            Tensor(rows[perm]), [TokenGrouping(groups={0: np.arange(4)})]
+        ).data
         np.testing.assert_allclose(a, b, atol=1e-9)
 
 
@@ -102,33 +92,57 @@ def test_fusion_two_vector_golden():
     model = tiny_model()
     rows = np.random.default_rng(8).normal(size=(2, 16))
     fused = model.fuse_image_tokens(
-        Tensor(rows), TokenGrouping(groups={7: np.array([0, 1])})
+        Tensor(rows), [TokenGrouping(groups={7: np.array([0, 1])})]
     )
-    want = mlp2_np(
+    want = mlp2(
         model.fuse_mlp, (np.maximum(rows[0], rows[1]) + rows.mean(axis=0))[None, :]
     )
-    np.testing.assert_allclose(fused[7].data, want, atol=1e-12)
+    np.testing.assert_allclose(fused.data, want, atol=1e-12)
+
+
+def test_fusion_stacks_views_in_order_with_shared_members():
+    model = tiny_model()
+    rows = np.random.default_rng(30).normal(size=(5, 16))
+    groupings = [
+        TokenGrouping(groups={1: np.array([0, 2]), 6: np.array([4])}),
+        TokenGrouping(groups={}),
+        TokenGrouping(groups={0: np.array([2, 3, 0])}),
+    ]
+    fused = model.fuse_image_tokens(Tensor(rows), groupings).data
+    for i, members in enumerate([[0, 2], [4], [2, 3, 0]]):
+        pooled = rows[members].max(axis=0) + rows[members].mean(axis=0)
+        np.testing.assert_allclose(
+            fused[i], mlp2(model.fuse_mlp, pooled[None, :])[0], atol=1e-12
+        )
+    assert model.fuse_image_tokens(Tensor(rows), [TokenGrouping()]).shape == (0, 16)
 
 
 # --- decoder input assembly ---------------------------------------------
+
+
+def assemble(model, plan, encoded, pos_all):
+    fused = model.fuse_image_tokens(encoded, plan.groupings)
+    return model.assemble_decoder_input(
+        encoded, fused, plan.groupings, plan.mask, plan.poses, pos_all
+    )
 
 
 def test_assemble_empty_grouping_slots_follow_formula():
     model = tiny_model()
     cfg = model.cfg
     plan = build_pretrain_plan(torus_cloud(), cfg, Rng(0).derive("s"))
+    plan.groupings = [TokenGrouping() for _ in plan.poses]
     pos_all = model.pos3d(Tensor(plan.patches.centers))
     encoded = Tensor(np.random.default_rng(9).normal(size=(len(plan.mask.visible_idx), cfg.C)))
-    empty = [{} for _ in plan.poses]
-    seq, _ = model.assemble_decoder_input(encoded, empty, plan.mask, plan.poses, pos_all)
+    seq, _ = assemble(model, plan, encoded, pos_all)
     t = model.tokens_per_view
     for v, pose in enumerate(plan.poses):
         seg = seq.data[cfg.n + v * t : cfg.n + (v + 1) * t]
         want = (
             model.mask_token_image.data
-            + mlp2_np(model.modality_mlp, np.array([[0.0, 1.0]]))
+            + mlp2(model.modality_mlp, np.array([[0.0, 1.0]]))
             + model.sincos.data
-            + mlp2_np(model.pose_mlp, pose.feature()[None, :])
+            + mlp2(model.pose_mlp, pose.feature()[None, :])
         )
         np.testing.assert_allclose(seg, want, atol=1e-12)
 
@@ -137,13 +151,29 @@ def test_assemble_desk_sequence_length():
     cfg = desk_config().model
     model = MultiviewMae(cfg, Rng(0).derive("init"))
     plan = build_pretrain_plan(torus_cloud(1024, 2), cfg, Rng(1).derive("s"))
-    loss, recon, diag = loss_from_plan(model, plan)
     assert cfg.n + cfg.K * model.tokens_per_view == 256
     pos_all = model.pos3d(Tensor(plan.patches.centers))
     encoded = Tensor(np.zeros((len(plan.mask.visible_idx), cfg.C)))
-    fused = [{} for _ in plan.poses]
-    seq, pos = model.assemble_decoder_input(encoded, fused, plan.mask, plan.poses, pos_all)
+    seq, pos = assemble(model, plan, encoded, pos_all)
     assert seq.shape == pos.shape == (256, cfg.C)
+
+
+@pytest.mark.parametrize("preset,seed", [("tiny", 0), ("tiny", 1), ("desk", 2), ("desk", 3)])
+def test_assemble_matches_per_token_oracle(preset, seed):
+    cfg = (tiny_config() if preset == "tiny" else desk_config()).model
+    model = MultiviewMae(cfg, Rng(seed).derive("init"))
+    cloud = torus_cloud(1024 if preset == "desk" else 64, seed)
+    plan = build_pretrain_plan(cloud, cfg, Rng(seed).derive("s"))
+    assert any(g.g > 0 for g in plan.groupings)
+    rng = np.random.default_rng(seed)
+    encoded = rng.normal(size=(len(plan.mask.visible_idx), cfg.C))
+    pos_all = rng.normal(size=(cfg.n, cfg.C))
+    seq, pos = assemble(model, plan, Tensor(encoded), Tensor(pos_all))
+    want_seq, want_pos = decoder_input_per_token(
+        model, encoded, plan.groupings, plan.mask, plan.poses, pos_all
+    )
+    np.testing.assert_allclose(seq.data, want_seq, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(pos.data, want_pos, rtol=1e-12, atol=1e-12)
 
 
 def test_assemble_views_differ_only_by_pose_embedding():
@@ -154,9 +184,8 @@ def test_assemble_views_differ_only_by_pose_embedding():
     assert all(g.g == 0 for g in plan.groupings)
     pos_all = model.pos3d(Tensor(plan.patches.centers))
     encoded = Tensor(np.random.default_rng(11).normal(size=(len(plan.mask.visible_idx), cfg.C)))
-    fused = [model.fuse_image_tokens(encoded, g) for g in plan.groupings]
 
-    seq, _ = model.assemble_decoder_input(encoded, fused, plan.mask, plan.poses, pos_all)
+    seq, _ = assemble(model, plan, encoded, pos_all)
     t = model.tokens_per_view
     seg = lambda v: seq.data[cfg.n + v * t : cfg.n + (v + 1) * t]
     assert not np.allclose(seg(0), seg(1))  # pose embeddings separate views
@@ -164,7 +193,7 @@ def test_assemble_views_differ_only_by_pose_embedding():
     for p in (model.pose_mlp.fc1, model.pose_mlp.fc2):
         p.weight.data[...] = 0.0
         p.bias.data[...] = 0.0
-    seq0, _ = model.assemble_decoder_input(encoded, fused, plan.mask, plan.poses, pos_all)
+    seq0, _ = assemble(model, plan, encoded, pos_all)
     seg0 = lambda v: seq0.data[cfg.n + v * t : cfg.n + (v + 1) * t]
     np.testing.assert_array_equal(seg0(0), seg0(1))
 
@@ -174,8 +203,16 @@ def test_assemble_rejects_view_count_mismatch():
     plan = build_pretrain_plan(torus_cloud(), model.cfg, Rng(3).derive("s"))
     pos_all = model.pos3d(Tensor(plan.patches.centers))
     encoded = Tensor(np.zeros((len(plan.mask.visible_idx), model.cfg.C)))
+    fused = model.fuse_image_tokens(encoded, plan.groupings)
     with pytest.raises(ContractViolation):
-        model.assemble_decoder_input(encoded, [{}], plan.mask, plan.poses, pos_all)
+        model.assemble_decoder_input(
+            encoded, fused, plan.groupings[:1], plan.mask, plan.poses, pos_all
+        )
+    with pytest.raises(ContractViolation):
+        model.assemble_decoder_input(
+            encoded, fused, [TokenGrouping() for _ in plan.poses],
+            plan.mask, plan.poses, pos_all,
+        )
 
 
 # --- joint decoding -------------------------------------------------------
@@ -473,6 +510,38 @@ def test_encoder_never_sees_masked_patch_contents():
         recon_a.predicted_images[0].data, recon_b.predicted_images[0].data
     )
     assert not np.array_equal(recon_a.target_patches, recon_b.target_patches)
+
+
+def graph_nodes(loss):
+    """Nodes the backward sweep visits: every node reachable from the loss
+    that requires a gradient, parameters included."""
+    seen, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or not node.requires_grad:
+            continue
+        seen.add(id(node))
+        stack.extend(node._parents)
+    return len(seen)
+
+
+def test_desk_graph_size_does_not_grow_with_fused_tokens():
+    cfg = desk_config().model
+    model = MultiviewMae(cfg, Rng(0).derive("init"))
+    clouds = [
+        generate_shape(SyntheticShape(kind=kind, n_points=1024, seed=i))
+        for i, kind in enumerate(("torus", "cone", "sphere"))
+    ] + [PointCloud(np.full((1024, 3), 50.0) + torus_cloud(1024, 4).points)]
+    groups, counts = [], []
+    for i, cloud in enumerate(clouds):
+        plan = build_pretrain_plan(cloud, cfg, Rng(i).derive("s"))
+        loss, _, diag = loss_from_plan(model, plan)
+        groups.append(tuple(diag["groups_per_view"]))
+        counts.append(graph_nodes(loss))
+    assert len(set(groups)) == len(groups)
+    assert groups[-1] == (0, 0, 0)
+    assert len(set(counts)) == 1, counts
+    assert counts[0] <= 400
 
 
 # --- downstream features ------------------------------------------------

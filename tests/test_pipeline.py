@@ -8,6 +8,7 @@ from mvmae.checkpoint import load_checkpoint, save_checkpoint
 from mvmae.config import tiny_config
 from mvmae.data import make_dataset
 from mvmae.errors import CheckpointError, ContractViolation, TrainingAborted
+from mvmae.geometry import PointCloud
 from mvmae.pipeline import (
     METRICS_HEADER,
     QUERIES_PER_CLASS,
@@ -193,6 +194,38 @@ def test_resume_without_run_seed_rejected(corpus, tmp_path):
             pretrain(cfg, clouds, tmp_path / "b", run_seed=1, resume_from=path)
 
 
+def test_resume_with_other_epochs_rejected(corpus, tmp_path):
+    cfg, clouds, _ = corpus
+    run = pretrain(cfg, clouds, tmp_path / "a", run_seed=1, epochs=1, stop_after_step=2)
+    assert load_checkpoint(run.checkpoint_path).rng_state == {
+        "run_seed": 1, "total_steps": run.total_steps,
+    }
+    with pytest.raises(CheckpointError, match="-step run"):
+        pretrain(
+            cfg, clouds, tmp_path / "a", run_seed=1, epochs=2,
+            resume_from=run.checkpoint_path,
+        )
+    # the same epochs resumes, and matches an uninterrupted run
+    resumed = pretrain(
+        cfg, clouds, tmp_path / "a", run_seed=1, epochs=1,
+        resume_from=run.checkpoint_path,
+    )
+    whole = pretrain(cfg, clouds, tmp_path / "b", run_seed=1, epochs=1)
+    assert resumed.metrics_path.read_bytes() == whole.metrics_path.read_bytes()
+    assert resumed.checkpoint_path.read_bytes() == whole.checkpoint_path.read_bytes()
+
+
+def test_resume_without_total_steps_rejected(corpus, tmp_path):
+    cfg, clouds, _ = corpus
+    run = pretrain(cfg, clouds, tmp_path / "a", run_seed=1, stop_after_step=4)
+    ckpt = load_checkpoint(run.checkpoint_path)
+    for bookkeeping in ({"run_seed": 1}, {"run_seed": 1, "total_steps": 20.0}):
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(path, cfg, ckpt.params, ckpt.opt, ckpt.step, bookkeeping)
+        with pytest.raises(CheckpointError, match="total_steps"):
+            pretrain(cfg, clouds, tmp_path / "b", run_seed=1, resume_from=path)
+
+
 # --- linear probe -----------------------------------------------------------
 
 
@@ -275,6 +308,24 @@ def test_extract_features_guard_detects_mutation(corpus, trained, monkeypatch):
     monkeypatch.setattr(pipeline_mod, "encoder_features", hostile)
     with pytest.raises(ContractViolation, match="mutated"):
         extract_features(result.model, clouds[:2])
+
+
+def test_nan_point_in_one_cloud_is_rejected(corpus, trained):
+    _, clouds, _ = corpus
+    result, _ = trained
+    assert len(clouds) == 20
+    points = clouds[7].points.copy()
+    points[3, 0] = np.nan
+    with pytest.raises(ContractViolation, match="non-finite"):
+        PointCloud(points, label=clouds[7].label, source_id=clouds[7].source_id)
+    # a cloud whose points went non-finite after construction is caught
+    # at its feature row instead of turning the probe into a constant
+    poisoned = [
+        PointCloud(c.points.copy(), label=c.label, source_id=c.source_id) for c in clouds
+    ]
+    poisoned[7].points[3, 0] = np.nan
+    with pytest.raises(ContractViolation, match=f"non-finite features.*{clouds[7].source_id}"):
+        extract_features(result.model, poisoned)
 
 
 # --- few-shot episodes ----------------------------------------------------
