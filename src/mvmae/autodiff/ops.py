@@ -80,26 +80,16 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product. Two layouts: equal batch dims on both operands, or a
-    stacked left operand against a plain 2-d right operand (a linear layer
-    applied over leading axes)."""
-    stacked_times_mat = a.data.ndim > 2 and b.data.ndim == 2
-    if (a.data.ndim > 2 or b.data.ndim > 2) and not stacked_times_mat:
-        if a.data.shape[:-2] != b.data.shape[:-2]:
-            raise ContractViolation(
-                f"batched matmul requires equal batch dims, got "
-                f"{a.data.shape} @ {b.data.shape}"
-            )
+    """(..., d_in) @ (d_in, d_out): a linear map applied over every leading
+    axis of the left operand."""
+    if b.data.ndim != 2:
+        raise ContractViolation(f"matmul needs a 2-d right operand, got {b.data.shape}")
     out = a.data @ b.data
 
     def vjp(g):
-        ga = g @ b.data.swapaxes(-1, -2)
-        if stacked_times_mat:
-            # weight grad accumulates over all leading axes
-            gb = a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-        else:
-            gb = a.data.swapaxes(-1, -2) @ g
-        return ga, gb
+        # weight grad accumulates over all leading axes
+        gb = a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        return g @ b.data.T, gb
 
     return make_node(out, (a, b), vjp)
 

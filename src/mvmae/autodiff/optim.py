@@ -42,8 +42,6 @@ def adamw_step(params: dict[str, Parameter], state: AdamWState, lr: float) -> No
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
     for name, p in params.items():
-        if not p.trainable:
-            continue
         g = p.grad
         if g is None:
             raise ContractViolation(f"parameter {name} has no gradient")

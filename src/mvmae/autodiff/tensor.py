@@ -45,9 +45,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def zero_grad(self) -> None:
-        self.grad = np.zeros_like(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -55,12 +52,11 @@ class Tensor:
 class Parameter(Tensor):
     """A named trainable leaf. Names are unique within a model."""
 
-    __slots__ = ("name", "trainable")
+    __slots__ = ("name",)
 
-    def __init__(self, data, name: str, trainable: bool = True):
+    def __init__(self, data, name: str):
         super().__init__(data, requires_grad=True)
         self.name = name
-        self.trainable = trainable
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.shape})"
@@ -121,7 +117,7 @@ def backward(loss: Tensor) -> None:
                 node.grad += g
             continue
         for parent, pg in zip(node._parents, node._vjp(g)):
-            if pg is None or not parent.requires_grad:
+            if not parent.requires_grad:
                 continue
             # a VJP may return its own adjoint or a view of it, so one array
             # can be pending for several parents: accumulate out of place

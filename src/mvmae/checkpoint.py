@@ -225,6 +225,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             raise r.fail(f"moment pair mismatch: {name_m} vs {name_v}")
         if name_m not in params:
             raise r.fail(f"moments for unknown parameter {name_m}")
+        if not m.shape == v.shape == params[name_m].shape:
+            shapes = f"{m.shape}, {v.shape} vs {params[name_m].shape}"
+            raise r.fail(f"moment shapes of {name_m} differ from the parameter: {shapes}")
         opt.m[name_m] = m
         opt.v[name_m] = v
 

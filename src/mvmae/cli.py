@@ -205,12 +205,10 @@ def cmd_reconstruct(args) -> int:
     centers = plan.patches.centers[plan.mask.masked_idx]
     predicted_abs = (recon.predicted_patches.data + centers[:, None, :]).reshape(-1, 3)
     write_xyz(out_dir / "reconstructed.xyz", PointCloud(predicted_abs))
+    predicted = np.clip(recon.predicted_images.data, 0.0, 1.0)
     for v in range(views):
-        write_pgm(out_dir / f"gt_view{v}.pgm", plan.target_images[v])
-        write_pgm(
-            out_dir / f"pred_view{v}.pgm",
-            np.clip(recon.predicted_images[v].data, 0.0, 1.0),
-        )
+        write_pgm(out_dir / f"gt_view{v}.pgm", recon.target_images[v])
+        write_pgm(out_dir / f"pred_view{v}.pgm", predicted[v])
     _write_manifest(
         out_dir, "reconstruct", args.checkpoint, cfg.config_hash(), args.seed, started, time.time()
     )

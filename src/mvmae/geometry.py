@@ -55,9 +55,11 @@ def normalize_unit_sphere(cloud: PointCloud) -> PointCloud:
     """Center at the origin and scale so the farthest point has norm 1.
 
     A degenerate cloud whose points are all identical collapses to
-    all-zeros rather than dividing by zero.
+    all-zeros. An axis whose coordinates are all equal is centered on that
+    value, not on their mean, whose rounding residue would scale to norm 1.
     """
-    centered = cloud.points - cloud.points.mean(axis=0)
+    flat = (cloud.points == cloud.points[0]).all(axis=0)
+    centered = cloud.points - np.where(flat, cloud.points[0], cloud.points.mean(axis=0))
     radius = float(np.linalg.norm(centered, axis=1).max())
     if radius < 1e-30:
         return replace(cloud, points=np.zeros_like(centered))

@@ -156,46 +156,43 @@ class MultiviewMae:
 
     # --- joint decoding ----------------------------------------------
 
-    def joint_decode(self, seq: Tensor, pos: Tensor) -> tuple[Tensor, list[Tensor]]:
-        """Decode an assembled sequence; split it into the point rows and
-        one row block per view."""
-        n, t = self.cfg.n, self.tokens_per_view
+    def joint_decode(self, seq: Tensor, pos: Tensor) -> tuple[Tensor, Tensor]:
+        """Decode an assembled sequence; split it into the n point rows and
+        the image rows of all views, stacked in view order."""
+        n = self.cfg.n
         x = seq
         for block in self.dec_blocks:
             x = block(ops.add(x, pos))
         x = self.dec_norm(x)
-        point_rows = ops.gather_rows(x, np.arange(n))
-        image_rows = [
-            ops.gather_rows(x, np.arange(start, start + t))
-            for start in range(n, x.shape[0], t)
-        ]
-        return point_rows, image_rows
+        return ops.gather_rows(x, np.arange(n)), ops.gather_rows(x, np.arange(n, x.shape[0]))
 
     # --- heads ---------------------------------------------------------
 
     def project_heads(
-        self, point_rows: Tensor, image_rows: list[Tensor], masked_idx: np.ndarray
-    ) -> tuple[Tensor, list[Tensor]]:
+        self, point_rows: Tensor, image_rows: Tensor, masked_idx: np.ndarray
+    ) -> tuple[Tensor, Tensor]:
+        """Masked (M, k, 3) patches and (K, H_i, W_i) depth images: each
+        image row becomes one H_i/H_t x W_i/W_t tile of its view."""
         cfg = self.cfg
         masked = ops.gather_rows(point_rows, masked_idx)
         patches = ops.reshape(self.head3d(masked), (len(masked_idx), cfg.k, 3))
-        ppr = cfg.H_i // cfg.H_t
-        ppc = cfg.W_i // cfg.W_t
-        images = []
-        for rows in image_rows:
-            flat = self.head2d(rows)
-            tiles = ops.reshape(flat, (cfg.H_t, cfg.W_t, ppr, ppc))
-            image = ops.reshape(ops.transpose(tiles, (0, 2, 1, 3)), (cfg.H_i, cfg.W_i))
-            images.append(image)
+        views = image_rows.shape[0] // self.tokens_per_view
+        tiles = ops.reshape(
+            self.head2d(image_rows),
+            (views, cfg.H_t, cfg.W_t, cfg.H_i // cfg.H_t, cfg.W_i // cfg.W_t),
+        )
+        images = ops.reshape(
+            ops.transpose(tiles, (0, 1, 3, 2, 4)), (views, cfg.H_i, cfg.W_i)
+        )
         return patches, images
 
 
 @dataclass
 class Reconstruction:
     predicted_patches: Tensor  # (M, k, 3), center-relative
-    predicted_images: list[Tensor]  # views x (H_i, W_i)
+    predicted_images: Tensor  # (K, H_i, W_i)
     target_patches: np.ndarray
-    target_images: list[np.ndarray]
+    target_images: np.ndarray  # (K, H_i, W_i)
 
 
 # --- losses ------------------------------------------------------------
@@ -213,15 +210,15 @@ def loss_3d(predicted: Tensor, target: np.ndarray) -> Tensor:
     return ops.chamfer(predicted, np.asarray(target, dtype=np.float64))
 
 
-def loss_2d(predicted: list[Tensor], target: list[np.ndarray]) -> Tensor:
-    """Mean over views of the full-image mean squared error."""
-    if len(predicted) != len(target) or not predicted:
-        raise ContractViolation("need one target per predicted view")
-    per_view = [ops.mse(img, Tensor(gt)) for img, gt in zip(predicted, target)]
-    total = per_view[0]
-    for term in per_view[1:]:
-        total = ops.add(total, term)
-    return ops.scale(total, 1.0 / len(predicted))
+def loss_2d(predicted: Tensor, target: np.ndarray) -> Tensor:
+    """Mean over views of the full-image mean squared error: every view
+    has the same pixel count, so one MSE over the (K, H_i, W_i) stack."""
+    if predicted.shape != np.shape(target) or len(predicted.shape) != 3 or not predicted.shape[0]:
+        raise ContractViolation(
+            f"need equal non-empty (views, H, W) stacks, got prediction "
+            f"{predicted.shape} vs target {np.shape(target)}"
+        )
+    return ops.mse(predicted, Tensor(target))
 
 
 def total_loss(l3d: Tensor, l2d: Tensor) -> Tensor:
@@ -246,7 +243,7 @@ class PretrainPlan:
     mask: MaskPlan
     poses: list[CameraPose]
     groupings: list[TokenGrouping]
-    target_images: list[np.ndarray]
+    target_images: np.ndarray  # (K, H_i, W_i) depth rasters, pose order
 
 
 def patchify(cloud: PointCloud, cfg: ModelConfig) -> PatchSet:
@@ -274,9 +271,9 @@ def build_pretrain_plan(cloud: PointCloud, cfg: ModelConfig, rng: Rng) -> Pretra
             group_by_image_token(visible_centers, pose, cfg.H_i, cfg.W_i, cfg.H_t, cfg.W_t)
             for pose in poses
         ],
-        target_images=[
-            rasterize_depth(cloud.points, pose, cfg.H_i, cfg.W_i) for pose in poses
-        ],
+        target_images=np.stack(
+            [rasterize_depth(cloud.points, pose, cfg.H_i, cfg.W_i) for pose in poses]
+        ),
     )
 
 

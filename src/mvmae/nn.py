@@ -81,7 +81,9 @@ class Mlp2:
 
 
 class MultiheadSelfAttention:
-    """Standard scaled dot-product self-attention over an (L, C) sequence."""
+    """Scaled dot-product self-attention over an (L, C) sequence. The key
+    projection has no bias: softmax over keys ignores the per-row constant
+    q·b_k it would add, so such a bias could never learn."""
 
     def __init__(self, reg: ParamRegistry, name: str, dim: int, heads: int):
         if dim % heads != 0:
@@ -90,7 +92,7 @@ class MultiheadSelfAttention:
         self.heads = heads
         self.head_dim = dim // heads
         self.wq = Linear(reg, f"{name}.wq", dim, dim)
-        self.wk = Linear(reg, f"{name}.wk", dim, dim)
+        self.wk = reg.normal(f"{name}.wk.weight", (dim, dim))
         self.wv = Linear(reg, f"{name}.wv", dim, dim)
         self.wo = Linear(reg, f"{name}.wo", dim, dim)
 
@@ -101,7 +103,7 @@ class MultiheadSelfAttention:
     def __call__(self, x: Tensor) -> Tensor:
         length = x.shape[0]
         q = self._split_heads(self.wq(x), length)
-        k = self._split_heads(self.wk(x), length)
+        k = self._split_heads(ops.matmul(x, self.wk), length)
         v = self._split_heads(self.wv(x), length)
         out = ops.attention(q, k, v, 1.0 / math.sqrt(self.head_dim))
         out = ops.reshape(ops.transpose(out, (1, 0, 2)), (length, self.dim))

@@ -8,6 +8,7 @@ run resumed from any checkpoint replays the remaining steps bit for bit.
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,12 +35,23 @@ def format_metrics_row(step: int, lr: float, l3d: float, l2d: float, total: floa
     return f"{step}\t{lr!r}\t{l3d!r}\t{l2d!r}\t{total!r}"
 
 
+def _metrics_rows(path: Path) -> list[str]:
+    """The rows of a metrics file below its header, each with an integer
+    step field. A last line without its newline is a row that a crash cut
+    short, and is left out."""
+    lines = path.read_text().split("\n")[:-1]
+    if not lines or lines[0] != METRICS_HEADER:
+        raise ContractViolation(f"{path} is not a metrics file (empty or foreign header)")
+    for number, line in enumerate(lines[1:], start=2):
+        step = line.split("\t", 1)[0]
+        if not step.isdecimal():
+            raise ContractViolation(f"{path}:{number}: step {step!r} is not an integer")
+    return lines[1:]
+
+
 def read_metrics(path: str | Path) -> list[dict]:
     rows = []
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != METRICS_HEADER:
-        raise ContractViolation(f"{path} is not a metrics file")
-    for line in lines[1:]:
+    for line in _metrics_rows(Path(path)):
         step, lr, l3d, l2d, total = line.split("\t")
         rows.append(
             {
@@ -72,13 +84,14 @@ class PretrainResult:
 
 
 def _truncate_metrics(path: Path, keep_below_step: int) -> None:
-    """Drop rows a crashed run wrote past its last checkpoint."""
-    lines = path.read_text().splitlines()
-    kept = [lines[0]]
-    for line in lines[1:]:
-        if int(line.split("\t", 1)[0]) < keep_below_step:
-            kept.append(line)
-    path.write_text("".join(entry + "\n" for entry in kept))
+    """Drop rows a crashed run wrote past its last checkpoint. The file is
+    replaced whole, so a crash here leaves either the old or the new rows."""
+    kept = [METRICS_HEADER] + [
+        line for line in _metrics_rows(path) if int(line.split("\t", 1)[0]) < keep_below_step
+    ]
+    scratch = path.with_name(path.name + ".tmp")
+    scratch.write_text("".join(entry + "\n" for entry in kept))
+    os.replace(scratch, path)
 
 
 def _bookkeeping_int(ckpt: Checkpoint, key: str, path) -> int:
@@ -180,7 +193,7 @@ def pretrain(
                 sum_l3d += diag["l3d"]
                 sum_l2d += diag["l2d"]
             for name, p in model.params.items():
-                if p.trainable and p.grad is not None and not np.isfinite(p.grad).all():
+                if p.grad is not None and not np.isfinite(p.grad).all():
                     raise TrainingAborted(step, f"non-finite gradient for {name}")
             adamw_step(model.params, opt, lr)
 

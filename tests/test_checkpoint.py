@@ -174,6 +174,16 @@ def test_duplicate_parameter_rejected(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("moment", ["m", "v"])
+def test_misshaped_moments_rejected(tmp_path, moment):
+    cfg, model, opt = trained_state(steps=1)
+    getattr(opt, moment)["head3d.bias"] = np.zeros((4, 12))
+    path = tmp_path / "a.ckpt"
+    save_state(path, cfg, model, opt)
+    with pytest.raises(CheckpointError, match="head3d.bias"):
+        load_checkpoint(path)
+
+
 def single_record(name: bytes, dims: tuple[int, ...], payload: bytes) -> bytes:
     w = _Writer()
     w.raw(MAGIC)

@@ -118,6 +118,44 @@ def test_pretrain_resume_without_run_seed_exit_2(tmp_path, capsys):
     assert "run_seed" in capsys.readouterr().err
 
 
+def test_pretrain_resume_with_empty_metrics_exit_2(tiny_run, tmp_path, capsys):
+    out = tmp_path / "o"
+    out.mkdir()
+    ckpt = out / "ckpt_00000004.ckpt"
+    ckpt.write_bytes((tiny_run / "ckpt_00000004.ckpt").read_bytes())
+    (out / "metrics.tsv").write_text("")
+    code = main([
+        "pretrain", "--config", "tiny", "--out", str(out), "--seed", "5",
+        "--resume", str(ckpt), "--force",
+    ])
+    assert code == 2
+    assert "metrics.tsv" in capsys.readouterr().err
+    assert not (out / "final.ckpt").exists()
+
+
+def test_pretrain_resume_with_misshaped_moments_exit_2(tmp_path, capsys):
+    cfg = micro_config()
+    cfg_path = tmp_path / "micro.json"
+    save_config(cfg_path, cfg)
+    model = MultiviewMae(cfg.model, Rng(0).derive("init"))
+    opt = AdamWState(lr=cfg.train.lr, weight_decay=cfg.train.weight_decay)
+    for name, p in model.params.items():
+        opt.m[name] = np.zeros_like(p.data)
+        opt.v[name] = np.zeros_like(p.data)
+    opt.m["head3d.bias"] = np.zeros((4, 12))
+    ckpt = tmp_path / "moments.ckpt"
+    save_checkpoint(
+        ckpt, cfg, {name: p.data for name, p in model.params.items()}, opt, 0,
+        {"run_seed": 0, "total_steps": 2},
+    )
+    code = main([
+        "pretrain", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+        "--resume", str(ckpt),
+    ])
+    assert code == 2
+    assert "head3d.bias" in capsys.readouterr().err
+
+
 def test_pretrain_nan_abort_exit_code(tmp_path, capsys):
     cfg = micro_config()
     blown = dataclasses.replace(

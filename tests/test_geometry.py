@@ -52,6 +52,12 @@ def test_normalize_single_point_collapses_to_origin():
     np.testing.assert_array_equal(c.points, [[0, 0, 0]])
 
 
+def test_normalize_identical_points_collapse_despite_mean_rounding():
+    # the mean of three copies of this coordinate is not the coordinate
+    c = normalize_unit_sphere(PointCloud(np.tile([0.0, 3.3083874143662575, 0.0], (3, 1))))
+    np.testing.assert_array_equal(c.points, np.zeros((3, 3)))
+
+
 def test_normalize_random_cloud_properties():
     rng = np.random.default_rng(0)
     c = normalize_unit_sphere(PointCloud(rng.normal(3, 2, (200, 3))))

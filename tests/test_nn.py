@@ -155,9 +155,10 @@ def test_block_param_name_inventory():
     TransformerBlock(reg, "b", 8, 2)
     names = set(reg.params())
     assert "b.attn.wq.weight" in names
+    assert "b.attn.wk.weight" in names
     assert "b.mlp.fc2.bias" in names
     assert "b.ln1.gamma" in names
-    assert len(names) == 4 + 8 + 4
+    assert len(names) == 4 + 7 + 4  # the key projection has no bias
 
 
 def test_sincos_table_shape_and_range():

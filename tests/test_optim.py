@@ -64,14 +64,6 @@ def test_step_counter_strictly_increases():
         assert state.step == expected
 
 
-def test_non_trainable_parameter_is_skipped():
-    p = Parameter(np.array([1.0]), "frozen", trainable=False)
-    state = AdamWState()
-    adamw_step({"frozen": p}, state, lr=0.1)
-    np.testing.assert_array_equal(p.data, [1.0])
-    assert "frozen" not in state.m
-
-
 def test_moment_shapes_mirror_parameters():
     p = make_param(np.ones((3, 4)))
     p.grad = np.full((3, 4), 0.1)

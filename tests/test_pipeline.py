@@ -115,6 +115,57 @@ def test_resume_discards_rows_past_checkpoint(corpus, trained, tmp_path):
     assert resumed.metrics_path.read_bytes() == full_result.metrics_path.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "step\tloss\n0\t1.0\n",
+        METRICS_HEADER + "\n0\t1\t1\t1\t2\nx\t1\t1\t1\t2\n",
+    ],
+    ids=["empty", "foreign_header", "non_integer_step"],
+)
+def test_resume_rejects_malformed_metrics(corpus, tmp_path, text):
+    cfg, clouds, _ = corpus
+    run = pretrain(cfg, clouds, tmp_path / "a", run_seed=1, stop_after_step=4)
+    (tmp_path / "a" / "metrics.tsv").write_text(text)
+    with pytest.raises(ContractViolation, match="metrics.tsv"):
+        pretrain(cfg, clouds, tmp_path / "a", run_seed=1, resume_from=run.checkpoint_path)
+
+
+def test_resume_replaces_metrics_whole(corpus, tmp_path, monkeypatch):
+    # the truncated rows go to a new file that replaces the old one, so a
+    # failure before the swap leaves the old rows in place
+    cfg, clouds, _ = corpus
+    run = pretrain(cfg, clouds, tmp_path / "a", run_seed=1, stop_after_step=6)
+    metrics = tmp_path / "a" / "metrics.tsv"
+    before = metrics.read_bytes()
+
+    def interrupted(src, dst):
+        raise OSError("interrupted")
+
+    monkeypatch.setattr("mvmae.pipeline.os.replace", interrupted)
+    with pytest.raises(OSError, match="interrupted"):
+        pretrain(
+            cfg, clouds, tmp_path / "a", run_seed=1,
+            resume_from=tmp_path / "a" / "ckpt_00000004.ckpt",
+        )
+    assert metrics.read_bytes() == before
+    assert len(read_metrics(metrics)) == 6
+
+
+def test_resume_drops_row_cut_short_by_crash(corpus, trained, tmp_path):
+    cfg, clouds, _ = corpus
+    full_result, _ = trained
+    run = pretrain(cfg, clouds, tmp_path / "c", run_seed=11, stop_after_step=11)
+    with run.metrics_path.open("a") as metrics:
+        metrics.write("1")  # the row of step 11, cut after its first byte
+    resumed = pretrain(
+        cfg, clouds, tmp_path / "c", run_seed=11,
+        resume_from=tmp_path / "c" / "ckpt_00000008.ckpt",
+    )
+    assert resumed.metrics_path.read_bytes() == full_result.metrics_path.read_bytes()
+
+
 def test_resume_rejects_other_config(corpus, tmp_path):
     cfg, clouds, _ = corpus
     run = pretrain(cfg, clouds, tmp_path / "a", run_seed=1, stop_after_step=4)
