@@ -29,6 +29,7 @@ import numpy as np
 from .autodiff.optim import AdamWState
 from .config import Config, config_from_dict
 from .errors import CheckpointError
+from .fileio import read_input, write_atomic
 
 MAGIC = b"MVMAE\x00"
 CHECKPOINT_VERSION = 1
@@ -177,14 +178,11 @@ def save_checkpoint(
 
     w.u64(step)
     w.sized(_canonical(rng_state))
-    Path(path).write_bytes(w.blob())
+    write_atomic(path, w.blob())
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    path = Path(path)
-    if not path.exists():
-        raise CheckpointError(f"checkpoint not found: {path}")
-    r = _Reader(path.read_bytes())
+    r = _Reader(read_input(path, CheckpointError, "checkpoint", binary=True))
 
     if r.take(len(MAGIC)) != MAGIC:
         r.offset = 0

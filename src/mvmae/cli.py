@@ -20,12 +20,8 @@ from . import __version__
 from .autodiff import no_grad
 from .config import Config, preset_or_file
 from .data import make_dataset
-from .errors import (
-    CheckpointError,
-    ConfigError,
-    ContractViolation,
-    TrainingAborted,
-)
+from .errors import CheckpointError, ConfigError, ContractViolation, TrainingAborted
+from .fileio import write_atomic
 from .geometry import PointCloud, load_cloud, write_xyz
 from .gradcheck import GRADCHECK_TOLERANCE, run_gradcheck
 from .model import MultiviewMae, build_pretrain_plan, loss_from_plan
@@ -46,17 +42,6 @@ EXIT_CONFIG = 2
 EXIT_NAN_ABORT = 3
 
 _GRADCHECK_WARN_SCALARS = 50_000
-
-
-def _fail(message: str, code: int = EXIT_CONFIG) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
-
-
-def _load_cloud(path: str) -> PointCloud:
-    if not Path(path).exists():
-        raise ConfigError(f"input cloud not found: {path}")
-    return load_cloud(path)
 
 
 # --- run manifests -------------------------------------------------------
@@ -93,8 +78,8 @@ def _write_manifest(
         "started_at": started,
         "finished_at": finished,
     }
-    _manifest_path(out_dir).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    write_atomic(
+        _manifest_path(out_dir), json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     )
 
 
@@ -102,34 +87,22 @@ def _write_manifest(
 
 
 def cmd_pretrain(args) -> int:
-    try:
-        cfg = preset_or_file(args.config)
-    except ConfigError as exc:
-        return _fail(str(exc))
+    cfg = preset_or_file(args.config)
     out_dir = Path(args.out)
-    try:
-        _claim_out_dir(out_dir, args.force)
-    except ConfigError as exc:
-        return _fail(str(exc))
+    _claim_out_dir(out_dir, args.force)
     started = time.time()
     _write_manifest(
         out_dir, "pretrain", args.config, cfg.config_hash(), args.seed, started, None
     )
-    try:
-        clouds, _ = make_dataset(cfg.data)
-        result = pretrain(
-            cfg,
-            clouds,
-            out_dir,
-            run_seed=args.seed,
-            epochs=args.epochs,
-            resume_from=args.resume,
-        )
-    except TrainingAborted as exc:
-        print(f"aborted at step {exc.step}: {exc}", file=sys.stderr)
-        return EXIT_NAN_ABORT
-    except (ConfigError, CheckpointError, ContractViolation) as exc:
-        return _fail(str(exc))
+    clouds, _ = make_dataset(cfg.data)
+    result = pretrain(
+        cfg,
+        clouds,
+        out_dir,
+        run_seed=args.seed,
+        epochs=args.epochs,
+        resume_from=args.resume,
+    )
     _write_manifest(
         out_dir, "pretrain", args.config, cfg.config_hash(), args.seed, started, time.time()
     )
@@ -141,26 +114,21 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_render(args) -> int:
+    cloud = load_cloud(args.input)
     try:
-        cloud = _load_cloud(args.input)
         parts = [float(x) for x in args.pose.split(",")]
-        if len(parts) != 4:
-            raise ConfigError(f'pose must be "az,el,radius,fov", got {args.pose!r}')
         h_txt, _, w_txt = args.size.partition("x")
         height, width = int(h_txt), int(w_txt)
-        if height < 1 or width < 1:
-            raise ConfigError(f"image size must be positive, got {args.size!r}")
-        pose = CameraPose(
-            azimuth_deg=parts[0],
-            elevation_deg=parts[1],
-            radius=parts[2],
-            fov_deg=parts[3],
-        )
-    except (ConfigError, ContractViolation, ValueError) as exc:
-        return _fail(str(exc))
+    except ValueError as exc:
+        raise ConfigError(f"bad --pose {args.pose!r} or --size {args.size!r}: {exc}") from None
+    if len(parts) != 4:
+        raise ConfigError(f'pose must be "az,el,radius,fov", got {args.pose!r}')
+    if height < 1 or width < 1:
+        raise ConfigError(f"image size must be positive, got {args.size!r}")
+    pose = CameraPose(*parts)  # az, el, radius, fov: the field order
     out = Path(args.out)
     if out.exists() and not args.force:
-        return _fail(f"{out} exists; pass --force to overwrite")
+        raise ConfigError(f"{out} exists; pass --force to overwrite")
     depth = rasterize_depth(cloud.points, pose, height, width)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_pgm(out, depth)
@@ -172,33 +140,23 @@ def cmd_render(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    try:
-        model, ckpt = load_pretrained(args.checkpoint)
-        cloud = _load_cloud(args.input)
-    except (CheckpointError, ConfigError, ContractViolation) as exc:
-        return _fail(str(exc))
+    model, ckpt = load_pretrained(args.checkpoint)
+    cloud = load_cloud(args.input)
     cfg = ckpt.config
     views = args.views if args.views is not None else cfg.model.K
     if not 1 <= views <= cfg.model.V:
-        return _fail(f"views {views} outside [1, V={cfg.model.V}]")
+        raise ConfigError(f"views {views} outside [1, V={cfg.model.V}]")
     model_cfg = dataclasses.replace(cfg.model, K=views)
     out_dir = Path(args.out)
-    try:
-        _claim_out_dir(out_dir, args.force)
-    except ConfigError as exc:
-        return _fail(str(exc))
+    _claim_out_dir(out_dir, args.force)
     started = time.time()
     _write_manifest(
         out_dir, "reconstruct", args.checkpoint, cfg.config_hash(), args.seed, started, None
     )
 
     plan = build_pretrain_plan(cloud, model_cfg, Rng(args.seed).derive("reconstruct"))
-    try:
-        with no_grad():
-            _, recon, diag = loss_from_plan(model, plan)
-    except TrainingAborted as exc:
-        print(f"aborted: {exc}", file=sys.stderr)
-        return EXIT_NAN_ABORT
+    with no_grad():
+        _, recon, diag = loss_from_plan(model, plan)
 
     visible_abs = plan.patches.absolute()[plan.mask.visible_idx].reshape(-1, 3)
     write_xyz(out_dir / "masked_input.xyz", PointCloud(visible_abs))
@@ -232,57 +190,45 @@ def _report_dict(report) -> dict:
 
 
 def cmd_probe(args) -> int:
-    try:
-        model, ckpt = load_pretrained(args.checkpoint)
-    except (CheckpointError, ConfigError) as exc:
-        return _fail(str(exc))
+    model, ckpt = load_pretrained(args.checkpoint)
     clouds, labels = make_dataset(ckpt.config.data)
     rng = Rng(args.seed)
-    try:
-        features = extract_features(model, clouds)
-        if args.mode == "linear":
-            report = probe_features(features, labels, rng.derive("probe"))
-            payload = {"mode": "linear", **_report_dict(report)}
-        else:
-            reports = fewshot_trials(
-                features,
-                labels,
-                args.n_way,
-                args.m_shot,
-                args.trials,
-                rng.derive("fewshot"),
-            )
-            mean, std = summarize_accuracy(reports)
-            payload = {
-                "mode": "fewshot",
-                "n_way": args.n_way,
-                "m_shot": args.m_shot,
-                "trials": args.trials,
-                "mean": mean,
-                "std": std,
-                "reports": [_report_dict(r) for r in reports],
-            }
-    except ContractViolation as exc:
-        return _fail(str(exc))
+    features = extract_features(model, clouds)
+    if args.mode == "linear":
+        report = probe_features(features, labels, rng.derive("probe"))
+        payload = {"mode": "linear", **_report_dict(report)}
+    else:
+        reports = fewshot_trials(
+            features,
+            labels,
+            args.n_way,
+            args.m_shot,
+            args.trials,
+            rng.derive("fewshot"),
+        )
+        mean, std = summarize_accuracy(reports)
+        payload = {
+            "mode": "fewshot",
+            "n_way": args.n_way,
+            "m_shot": args.m_shot,
+            "trials": args.trials,
+            "mean": mean,
+            "std": std,
+            "reports": [_report_dict(r) for r in reports],
+        }
     print(json.dumps(payload, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_gradcheck(args) -> int:
-    try:
-        cfg = preset_or_file(args.config)
-    except ConfigError as exc:
-        return _fail(str(exc))
+    cfg = preset_or_file(args.config)
     scalars = _estimate_scalars(cfg)
     if scalars > _GRADCHECK_WARN_SCALARS:
         print(
             f"warning: {scalars} scalars to perturb; this will be slow",
             file=sys.stderr,
         )
-    try:
-        result = run_gradcheck(cfg, args.seed, corrupt_param=args.corrupt_param)
-    except ContractViolation as exc:
-        return _fail(str(exc))
+    result = run_gradcheck(cfg, args.seed, corrupt_param=args.corrupt_param)
     status = "PASS" if result.passed else "FAIL"
     print(
         f"{status}: worst {result.worst_name} "
@@ -356,8 +302,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand. The exit-code policy lives here alone: commands
+    raise the package's typed errors and this maps each to its code."""
     args = build_parser().parse_args(argv)
-    return args.run(args)
+    try:
+        return args.run(args)
+    except TrainingAborted as exc:
+        where = f" at step {exc.step}" if exc.step >= 0 else ""
+        print(f"aborted{where}: {exc}", file=sys.stderr)
+        return EXIT_NAN_ABORT
+    except (ConfigError, CheckpointError, ContractViolation) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .errors import ConfigError
+from .fileio import read_input
 
 CONFIG_VERSION = 1
 
@@ -117,11 +118,8 @@ def config_from_dict(raw: dict) -> Config:
 
 
 def load_config(path: str | Path) -> Config:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(read_input(path, ConfigError, "config file"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractViolation
+from .fileio import read_input
 from .rng import Rng
 
 __all__ = [
@@ -155,7 +156,7 @@ def augment(cloud: PointCloud, rng: Rng) -> PointCloud:
 def read_xyz(path: str | Path) -> PointCloud:
     """One "x y z" triple per line of finite numbers; blank lines ignored."""
     rows = []
-    for line in Path(path).read_text().splitlines():
+    for line in read_input(path, ContractViolation, "input cloud").splitlines():
         parts = line.split()
         if not parts:
             continue
@@ -184,7 +185,7 @@ def read_off(path: str | Path) -> PointCloud:
     ignored. Tolerates the count header glued to the OFF tag (the common
     ModelNet quirk)."""
     tokens: list[str] = []
-    for line in Path(path).read_text().splitlines():
+    for line in read_input(path, ContractViolation, "input cloud").splitlines():
         line = line.split("#", 1)[0].strip()
         if line:
             tokens.extend(line.split())

@@ -8,7 +8,6 @@ run resumed from any checkpoint replays the remaining steps bit for bit.
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,6 +18,7 @@ from .autodiff.optim import AdamWState, adamw_step, cosine_lr
 from .checkpoint import Checkpoint, load_checkpoint, restore_params, save_checkpoint
 from .config import Config
 from .errors import CheckpointError, ContractViolation, TrainingAborted
+from .fileio import read_input, write_atomic
 from .geometry import PointCloud, augment
 from .model import MultiviewMae, encoder_features, forward_pretrain
 from .rng import Rng
@@ -35,34 +35,35 @@ def format_metrics_row(step: int, lr: float, l3d: float, l2d: float, total: floa
     return f"{step}\t{lr!r}\t{l3d!r}\t{l2d!r}\t{total!r}"
 
 
-def _metrics_rows(path: Path) -> list[str]:
-    """The rows of a metrics file below its header, each with an integer
-    step field. A last line without its newline is a row that a crash cut
-    short, and is left out."""
-    lines = path.read_text().split("\n")[:-1]
+def _metrics_rows(path: Path) -> list[list[str]]:
+    """The rows of a metrics file below its header, split into fields and
+    checked: an integer step, then four numbers. A last line without its
+    newline is a row that a crash cut short, and is left out."""
+    lines = read_input(path, ContractViolation, "metrics file").split("\n")[:-1]
     if not lines or lines[0] != METRICS_HEADER:
         raise ContractViolation(f"{path} is not a metrics file (empty or foreign header)")
+    rows = []
     for number, line in enumerate(lines[1:], start=2):
-        step = line.split("\t", 1)[0]
-        if not step.isdecimal():
-            raise ContractViolation(f"{path}:{number}: step {step!r} is not an integer")
-    return lines[1:]
+        fields = line.split("\t")
+        try:
+            if len(fields) != 5 or not fields[0].isdecimal():
+                raise ValueError
+            for value in fields[1:]:
+                float(value)
+        except ValueError:
+            raise ContractViolation(
+                f"{path}:{number}: want an integer step and four numbers, got {line!r}"
+            ) from None
+        rows.append(fields)
+    return rows
 
 
 def read_metrics(path: str | Path) -> list[dict]:
-    rows = []
-    for line in _metrics_rows(Path(path)):
-        step, lr, l3d, l2d, total = line.split("\t")
-        rows.append(
-            {
-                "step": int(step),
-                "lr": float(lr),
-                "l3d": float(l3d),
-                "l2d": float(l2d),
-                "total": float(total),
-            }
-        )
-    return rows
+    return [
+        {"step": int(step), "lr": float(lr), "l3d": float(l3d),
+         "l2d": float(l2d), "total": float(total)}
+        for step, lr, l3d, l2d, total in _metrics_rows(Path(path))
+    ]
 
 
 def param_fingerprint(params: dict) -> str:
@@ -87,11 +88,9 @@ def _truncate_metrics(path: Path, keep_below_step: int) -> None:
     """Drop rows a crashed run wrote past its last checkpoint. The file is
     replaced whole, so a crash here leaves either the old or the new rows."""
     kept = [METRICS_HEADER] + [
-        line for line in _metrics_rows(path) if int(line.split("\t", 1)[0]) < keep_below_step
+        "\t".join(fields) for fields in _metrics_rows(path) if int(fields[0]) < keep_below_step
     ]
-    scratch = path.with_name(path.name + ".tmp")
-    scratch.write_text("".join(entry + "\n" for entry in kept))
-    os.replace(scratch, path)
+    write_atomic(path, "".join(entry + "\n" for entry in kept))
 
 
 def _bookkeeping_int(ckpt: Checkpoint, key: str, path) -> int:

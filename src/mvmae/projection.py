@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ContractViolation
+from .fileio import read_input
 
 CLIP_MARGIN = 1.05  # near/far = radius -/+ this margin
 
@@ -27,9 +28,14 @@ class CameraPose:
     fov_deg: float
 
     def __post_init__(self):
-        if not self.radius > 1.0:
+        if not (math.isfinite(self.azimuth_deg) and math.isfinite(self.elevation_deg)):
             raise ContractViolation(
-                f"camera radius {self.radius} must exceed the unit sphere"
+                f"camera angles must be finite, got azimuth {self.azimuth_deg} "
+                f"and elevation {self.elevation_deg}"
+            )
+        if not 1.0 < self.radius < math.inf:
+            raise ContractViolation(
+                f"camera radius {self.radius} must be finite and exceed the unit sphere"
             )
         if not 0.0 < self.fov_deg < 180.0:
             raise ContractViolation(f"fov {self.fov_deg} outside (0, 180)")
@@ -197,7 +203,7 @@ def write_pgm(path: str | Path, values: np.ndarray) -> None:
 
 def read_pgm(path: str | Path) -> np.ndarray:
     """Inverse of write_pgm; returns floats in [0, 1]."""
-    blob = Path(path).read_bytes()
+    blob = read_input(path, ContractViolation, "PGM file", binary=True)
     tokens: list[bytes] = []
     i = 0
     while len(tokens) < 4:

@@ -1,10 +1,14 @@
 import dataclasses
 import json
 import hashlib
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mvmae
 from mvmae.checkpoint import save_checkpoint
 from mvmae.autodiff.optim import AdamWState
 from mvmae.cli import main
@@ -130,6 +134,23 @@ def test_pretrain_resume_with_empty_metrics_exit_2(tiny_run, tmp_path, capsys):
     ])
     assert code == 2
     assert "metrics.tsv" in capsys.readouterr().err
+    assert not (out / "final.ckpt").exists()
+
+
+def test_pretrain_resume_with_malformed_metrics_row_exit_2(tiny_run, tmp_path, capsys):
+    out = tmp_path / "o"
+    out.mkdir()
+    ckpt = out / "ckpt_00000004.ckpt"
+    ckpt.write_bytes((tiny_run / "ckpt_00000004.ckpt").read_bytes())
+    lines = (tiny_run / "metrics.tsv").read_text().split("\n")
+    lines[3] = "2\t0.1"  # the row of step 2
+    (out / "metrics.tsv").write_text("\n".join(lines))
+    code = main([
+        "pretrain", "--config", "tiny", "--out", str(out), "--seed", "5",
+        "--resume", str(ckpt), "--force",
+    ])
+    assert code == 2
+    assert "metrics.tsv:4" in capsys.readouterr().err
     assert not (out / "final.ckpt").exists()
 
 
@@ -426,6 +447,60 @@ def test_gradcheck_unknown_corrupt_param(tmp_path, capsys):
         "gradcheck", "--config", str(cfg_path), "--corrupt-param", "nope",
     ])
     assert code == 2
+
+
+# --- exit-code policy ------------------------------------------------------
+
+
+@pytest.fixture()
+def bad_inputs(tmp_path):
+    """Paths for the input cases: a directory, a non-UTF-8 cloud, a good
+    cloud, an untrained checkpoint, and one whose config asks for six classes."""
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "binary.xyz").write_bytes(b"\xff\xfe 0 0\n")
+    (tmp_path / "cloud.xyz").write_text("0 0 0\n")
+    untrained_checkpoint(tmp_path / "micro.ckpt", micro_config())
+    six = dataclasses.replace(
+        micro_config(), data=DataConfig(n_points=16, n_classes=6, instances_per_class=2)
+    )
+    untrained_checkpoint(tmp_path / "six.ckpt", six)
+    return tmp_path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "render --input {d}/cloud.xyz --pose inf,30,2.2,50 --out {d}/o.pgm",
+        "render --input {d}/dir --out {d}/o.pgm",
+        "reconstruct --input {d}/dir --checkpoint {d}/micro.ckpt --out {d}/o",
+        "reconstruct --input {d}/cloud.xyz --checkpoint {d}/dir --out {d}/o",
+        "probe --checkpoint {d}/dir",
+        "pretrain --config {d}/dir --out {d}/o",
+        "reconstruct --input {d}/binary.xyz --checkpoint {d}/micro.ckpt --out {d}/o",
+        "probe --checkpoint {d}/six.ckpt",
+    ],
+    ids=[
+        "render_inf_pose", "render_dir_input", "reconstruct_dir_input",
+        "reconstruct_dir_checkpoint", "probe_dir_checkpoint", "pretrain_dir_config",
+        "reconstruct_non_utf8_input", "probe_six_classes",
+    ],
+)
+def test_bad_input_exit_2(bad_inputs, capsys, argv):
+    code = main(argv.format(d=bad_inputs).split())
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_entry_point_exit_2_without_traceback(tmp_path):
+    src = str(Path(mvmae.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "mvmae.cli", "render", "--input", str(tmp_path),
+         "--out", str(tmp_path / "o.pgm")],
+        capture_output=True, text=True, cwd=src,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_version_flag(capsys):

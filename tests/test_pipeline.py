@@ -1,8 +1,15 @@
 import dataclasses
+import errno
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mvmae
+from mvmae import fileio
 from mvmae.autodiff.optim import cosine_lr
 from mvmae.checkpoint import load_checkpoint, save_checkpoint
 from mvmae.config import tiny_config
@@ -143,7 +150,7 @@ def test_resume_replaces_metrics_whole(corpus, tmp_path, monkeypatch):
     def interrupted(src, dst):
         raise OSError("interrupted")
 
-    monkeypatch.setattr("mvmae.pipeline.os.replace", interrupted)
+    monkeypatch.setattr("mvmae.fileio.os.replace", interrupted)
     with pytest.raises(OSError, match="interrupted"):
         pretrain(
             cfg, clouds, tmp_path / "a", run_seed=1,
@@ -151,6 +158,86 @@ def test_resume_replaces_metrics_whole(corpus, tmp_path, monkeypatch):
         )
     assert metrics.read_bytes() == before
     assert len(read_metrics(metrics)) == 6
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["2\t0.1", "2\t0.1\t1\tx\t2", "2\t0.1\t1\t1\t2\t3"],
+    ids=["short", "non_numeric_value", "extra_field"],
+)
+def test_malformed_metrics_row_rejected(corpus, tmp_path, row):
+    cfg, clouds, _ = corpus
+    run = pretrain(cfg, clouds, tmp_path / "a", run_seed=1, stop_after_step=4)
+    lines = run.metrics_path.read_text().split("\n")
+    lines[3] = row  # the row of step 2, file line 4
+    run.metrics_path.write_text("\n".join(lines))
+    with pytest.raises(ContractViolation, match="metrics.tsv:4"):
+        read_metrics(run.metrics_path)
+    with pytest.raises(ContractViolation, match="metrics.tsv:4"):
+        pretrain(cfg, clouds, tmp_path / "a", run_seed=1, resume_from=run.checkpoint_path)
+
+
+def test_failed_checkpoint_write_keeps_previous(corpus, trained, tmp_path, monkeypatch):
+    cfg, clouds, _ = corpus
+    full_result, full_dir = trained
+    run = pretrain(cfg, clouds, tmp_path / "p", run_seed=11, stop_after_step=8)
+    before = run.checkpoint_path.read_bytes()
+    real_open = open
+
+    class HalfWrite:
+        """A file whose write stores half its bytes, then fails."""
+
+        def __init__(self, *args):
+            self.fh = real_open(*args)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(fileio, "open", HalfWrite, raising=False)
+    ckpt = load_checkpoint(run.checkpoint_path)
+    with pytest.raises(OSError, match="No space"):
+        save_checkpoint(
+            run.checkpoint_path, cfg, ckpt.params, ckpt.opt, ckpt.step + 1, ckpt.rng_state
+        )
+    monkeypatch.undo()
+    assert run.checkpoint_path.read_bytes() == before
+    resumed = pretrain(cfg, clouds, tmp_path / "p", run_seed=11, resume_from=run.checkpoint_path)
+    assert resumed.metrics_path.read_bytes() == full_result.metrics_path.read_bytes()
+    assert resumed.checkpoint_path.read_bytes() == (full_dir / "final.ckpt").read_bytes()
+
+
+BLAS_THREADS_RUN = """
+import sys
+from mvmae.config import desk_config
+from mvmae.data import make_dataset
+from mvmae.pipeline import pretrain
+cfg = desk_config()
+pretrain(cfg, make_dataset(cfg.data)[0][:64], sys.argv[1], run_seed=3, stop_after_step=3)
+"""
+
+
+def test_blas_thread_count_keeps_bytes(tmp_path):
+    # the substrate is single-threaded by design, so the BLAS thread count
+    # must not reach the numbers: a 3-step desk run writes the same bytes
+    src = str(Path(mvmae.__file__).parents[1])
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS=threads,
+            PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        )
+        subprocess.run([sys.executable, "-c", BLAS_THREADS_RUN, str(out)], env=env, check=True)
+        written.append([(out / name).read_bytes() for name in ("metrics.tsv", "ckpt_00000003.ckpt")])
+    assert written[0] == written[1]
 
 
 def test_resume_drops_row_cut_short_by_crash(corpus, trained, tmp_path):

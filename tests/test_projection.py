@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,21 @@ def test_pose_invariants():
         CameraPose(0.0, 30.0, 2.2, 0.0)
     with pytest.raises(ContractViolation):
         CameraPose(0.0, 30.0, 2.2, 180.0)
+
+
+@pytest.mark.parametrize(
+    "pose",
+    [
+        (math.inf, 30.0, 2.2, 50.0),
+        (0.0, -math.inf, 2.2, 50.0),
+        (math.nan, 30.0, 2.2, 50.0),
+        (0.0, math.nan, 2.2, 50.0),
+        (0.0, 30.0, math.inf, 50.0),
+    ],
+)
+def test_pose_rejects_non_finite(pose):
+    with pytest.raises(ContractViolation, match="finite"):
+        CameraPose(*pose)
 
 
 def test_origin_projects_to_center():
