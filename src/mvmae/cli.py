@@ -1,13 +1,14 @@
 """Command-line driver: pretraining, depth rendering, reconstruction
 dumps, frozen-encoder probes, and the gradient-check harness.
 
-Exit codes: 0 success, 1 failed gradient check, 2 configuration or
-input error, 3 a non-finite loss (pretrain or reconstruct).
+Exit codes: 0 success, 1 failed gradient check, 2 configuration, input
+or output error, 3 a non-finite loss (pretrain or reconstruct).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -47,40 +48,31 @@ _GRADCHECK_WARN_SCALARS = 50_000
 # --- run manifests -------------------------------------------------------
 
 
-def _manifest_path(out_dir: Path) -> Path:
-    return out_dir / "manifest.json"
-
-
-def _claim_out_dir(out_dir: Path, force: bool) -> None:
-    if _manifest_path(out_dir).exists() and not force:
+@contextlib.contextmanager
+def _run_manifest(args, config_path: str, config_hash: str):
+    """Claim `--out` for one run and yield it. A directory that already
+    holds a manifest is refused without --force; the manifest is written
+    when the run starts and again, with `finished_at`, when it succeeds."""
+    out_dir = Path(args.out)
+    path = out_dir / "manifest.json"
+    if path.exists() and not args.force:
         raise ConfigError(
             f"{out_dir} already holds a run manifest; pass --force to reuse it"
         )
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-
-def _write_manifest(
-    out_dir: Path,
-    command: str,
-    config_path: str | None,
-    config_hash: str | None,
-    seed: int | None,
-    started: float,
-    finished: float | None,
-) -> None:
     manifest = {
-        "command": command,
+        "command": args.command,
         "config_path": config_path,
         "config_hash": config_hash,
-        "seed": seed,
+        "seed": args.seed,
         "tool_version": __version__,
         "out_dir": str(out_dir),
-        "started_at": started,
-        "finished_at": finished,
+        "started_at": time.time(),
+        "finished_at": None,
     }
-    write_atomic(
-        _manifest_path(out_dir), json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
+    write_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    yield out_dir
+    manifest["finished_at"] = time.time()
+    write_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 # --- subcommands ----------------------------------------------------------
@@ -88,24 +80,16 @@ def _write_manifest(
 
 def cmd_pretrain(args) -> int:
     cfg = preset_or_file(args.config)
-    out_dir = Path(args.out)
-    _claim_out_dir(out_dir, args.force)
-    started = time.time()
-    _write_manifest(
-        out_dir, "pretrain", args.config, cfg.config_hash(), args.seed, started, None
-    )
-    clouds, _ = make_dataset(cfg.data)
-    result = pretrain(
-        cfg,
-        clouds,
-        out_dir,
-        run_seed=args.seed,
-        epochs=args.epochs,
-        resume_from=args.resume,
-    )
-    _write_manifest(
-        out_dir, "pretrain", args.config, cfg.config_hash(), args.seed, started, time.time()
-    )
+    with _run_manifest(args, args.config, cfg.config_hash()) as out_dir:
+        clouds, _ = make_dataset(cfg.data)
+        result = pretrain(
+            cfg,
+            clouds,
+            out_dir,
+            run_seed=args.seed,
+            epochs=args.epochs,
+            resume_from=args.resume,
+        )
     print(
         f"pretrained {result.steps_run}/{result.total_steps} steps; "
         f"final checkpoint {result.checkpoint_path}"
@@ -130,7 +114,6 @@ def cmd_render(args) -> int:
     if out.exists() and not args.force:
         raise ConfigError(f"{out} exists; pass --force to overwrite")
     depth = rasterize_depth(cloud.points, pose, height, width)
-    out.parent.mkdir(parents=True, exist_ok=True)
     write_pgm(out, depth)
     print(
         f"wrote {out} ({height}x{width}, "
@@ -147,29 +130,20 @@ def cmd_reconstruct(args) -> int:
     if not 1 <= views <= cfg.model.V:
         raise ConfigError(f"views {views} outside [1, V={cfg.model.V}]")
     model_cfg = dataclasses.replace(cfg.model, K=views)
-    out_dir = Path(args.out)
-    _claim_out_dir(out_dir, args.force)
-    started = time.time()
-    _write_manifest(
-        out_dir, "reconstruct", args.checkpoint, cfg.config_hash(), args.seed, started, None
-    )
+    with _run_manifest(args, args.checkpoint, cfg.config_hash()) as out_dir:
+        plan = build_pretrain_plan(cloud, model_cfg, Rng(args.seed).derive("reconstruct"))
+        with no_grad():
+            _, recon, diag = loss_from_plan(model, plan)
 
-    plan = build_pretrain_plan(cloud, model_cfg, Rng(args.seed).derive("reconstruct"))
-    with no_grad():
-        _, recon, diag = loss_from_plan(model, plan)
-
-    visible_abs = plan.patches.absolute()[plan.mask.visible_idx].reshape(-1, 3)
-    write_xyz(out_dir / "masked_input.xyz", PointCloud(visible_abs))
-    centers = plan.patches.centers[plan.mask.masked_idx]
-    predicted_abs = (recon.predicted_patches.data + centers[:, None, :]).reshape(-1, 3)
-    write_xyz(out_dir / "reconstructed.xyz", PointCloud(predicted_abs))
-    predicted = np.clip(recon.predicted_images.data, 0.0, 1.0)
-    for v in range(views):
-        write_pgm(out_dir / f"gt_view{v}.pgm", recon.target_images[v])
-        write_pgm(out_dir / f"pred_view{v}.pgm", predicted[v])
-    _write_manifest(
-        out_dir, "reconstruct", args.checkpoint, cfg.config_hash(), args.seed, started, time.time()
-    )
+        visible_abs = plan.patches.absolute()[plan.mask.visible_idx].reshape(-1, 3)
+        write_xyz(out_dir / "masked_input.xyz", PointCloud(visible_abs))
+        centers = plan.patches.centers[plan.mask.masked_idx]
+        predicted_abs = (recon.predicted_patches.data + centers[:, None, :]).reshape(-1, 3)
+        write_xyz(out_dir / "reconstructed.xyz", PointCloud(predicted_abs))
+        predicted = np.clip(recon.predicted_images.data, 0.0, 1.0)
+        for v in range(views):
+            write_pgm(out_dir / f"gt_view{v}.pgm", recon.target_images[v])
+            write_pgm(out_dir / f"pred_view{v}.pgm", predicted[v])
     print(
         f"wrote 2 clouds and {2 * views} depth images to {out_dir} "
         f"(l3d={diag['l3d']:.6f}, l2d={diag['l2d']:.6f})"
@@ -303,7 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand. The exit-code policy lives here alone: commands
-    raise the package's typed errors and this maps each to its code."""
+    raise the package's typed errors and this maps each to its code.
+    Inputs are read through `fileio.read_input`, which raises a typed
+    error, so an OSError that gets here comes from writing an output."""
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
@@ -313,6 +289,9 @@ def main(argv=None) -> int:
         return EXIT_NAN_ABORT
     except (ConfigError, CheckpointError, ContractViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -127,10 +127,6 @@ def load_config(path: str | Path) -> Config:
     return config_from_dict(raw)
 
 
-def save_config(path: str | Path, cfg: Config) -> None:
-    Path(path).write_text(json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n")
-
-
 def tiny_config() -> Config:
     """Smallest config that exercises every code path; sized so the full
     finite-difference gradient check stays under a minute."""
@@ -177,5 +173,5 @@ def preset_or_file(spec: str | Path) -> Config:
 __all__ = [
     "CONFIG_VERSION", "Config", "DataConfig", "ModelConfig", "TrainConfig",
     "config_from_dict", "desk_config", "load_config", "paper_config",
-    "preset_or_file", "replace", "save_config", "tiny_config",
+    "preset_or_file", "replace", "tiny_config",
 ]

@@ -4,6 +4,7 @@ whole."""
 
 from __future__ import annotations
 
+import contextlib
 import os
 from pathlib import Path
 
@@ -23,12 +24,19 @@ def read_input(path: str | Path, error: type[Exception], what: str, binary: bool
 
 
 def write_atomic(path: str | Path, data: bytes | str) -> None:
-    """Write a temp file beside `path`, fsync it, then rename it over
-    `path`, so a crash at any instant leaves the old file or the new one."""
+    """Create the parent directory, write a temp file beside `path`, fsync
+    it, then rename it over `path`, so a crash at any instant leaves the old
+    file or the new one. A failed write removes the temp file and re-raises."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     scratch = path.with_name(path.name + ".tmp")
-    with open(scratch, "wb") as fh:
-        fh.write(data.encode("utf-8") if isinstance(data, str) else data)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(scratch, path)
+    try:
+        with open(scratch, "wb") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(scratch, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            scratch.unlink()
+        raise

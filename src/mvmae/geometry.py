@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractViolation
-from .fileio import read_input
+from .fileio import read_input, write_atomic
 from .rng import Rng
 
 __all__ = [
@@ -177,7 +177,7 @@ def write_xyz(path: str | Path, cloud: PointCloud) -> None:
     lines = [
         f"{float(x)!r} {float(y)!r} {float(z)!r}" for x, y, z in cloud.points
     ]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_off(path: str | Path) -> PointCloud:

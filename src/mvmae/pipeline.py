@@ -17,7 +17,7 @@ from .autodiff import backward, ops
 from .autodiff.optim import AdamWState, adamw_step, cosine_lr
 from .checkpoint import Checkpoint, load_checkpoint, restore_params, save_checkpoint
 from .config import Config
-from .errors import CheckpointError, ContractViolation, TrainingAborted
+from .errors import CheckpointError, ConfigError, ContractViolation, TrainingAborted
 from .fileio import read_input, write_atomic
 from .geometry import PointCloud, augment
 from .model import MultiviewMae, encoder_features, forward_pretrain
@@ -84,15 +84,6 @@ class PretrainResult:
     total_steps: int
 
 
-def _truncate_metrics(path: Path, keep_below_step: int) -> None:
-    """Drop rows a crashed run wrote past its last checkpoint. The file is
-    replaced whole, so a crash here leaves either the old or the new rows."""
-    kept = [METRICS_HEADER] + [
-        "\t".join(fields) for fields in _metrics_rows(path) if int(fields[0]) < keep_below_step
-    ]
-    write_atomic(path, "".join(entry + "\n" for entry in kept))
-
-
 def _bookkeeping_int(ckpt: Checkpoint, key: str, path) -> int:
     value = ckpt.rng_state.get(key)
     if not isinstance(value, int) or isinstance(value, bool):
@@ -111,48 +102,54 @@ def pretrain(
 ) -> PretrainResult:
     """Run (or continue) masked multi-view pretraining.
 
-    Writes an append-only metrics TSV and periodic binary checkpoints
-    under out_dir. Raises TrainingAborted with the offending step when
-    the loss or a gradient goes non-finite, before that step's update.
+    Writes a metrics TSV (replaced whole at the start, then appended one
+    row per step) and periodic binary checkpoints under out_dir. Raises
+    TrainingAborted with the offending step when the loss or a gradient
+    goes non-finite, before that step's update.
     """
     if not clouds:
         raise ContractViolation("pretraining needs a non-empty dataset")
     cfg.validate()
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    metrics_path = out_dir / "metrics.tsv"
-
     epochs = cfg.train.epochs if epochs is None else epochs
+    if epochs < 1:
+        raise ConfigError(f"epochs must be at least 1, got {epochs}")
+    out_dir = Path(out_dir)
+    metrics_path = out_dir / "metrics.tsv"
     batch = cfg.train.batch_size
     steps_per_epoch = -(-len(clouds) // batch)
     total_steps = epochs * steps_per_epoch
 
+    model = MultiviewMae(cfg.model, Rng(run_seed).derive("init"))
+    opt = AdamWState(lr=cfg.train.lr, weight_decay=cfg.train.weight_decay)
     start_step = 0
+    metrics_lines = [METRICS_HEADER]
     if resume_from is not None:
         ckpt = load_checkpoint(resume_from)
         if ckpt.config.config_hash() != cfg.config_hash():
             raise CheckpointError(
                 "checkpoint config does not match the requested config"
             )
-        run_seed = _bookkeeping_int(ckpt, "run_seed", resume_from)
+        saved_seed = _bookkeeping_int(ckpt, "run_seed", resume_from)
+        if saved_seed != run_seed:
+            raise CheckpointError(
+                f"{resume_from}: checkpoint belongs to a run with seed {saved_seed}, "
+                f"this run has seed {run_seed} (different --seed?)"
+            )
         saved_total = _bookkeeping_int(ckpt, "total_steps", resume_from)
         if saved_total != total_steps:
             raise CheckpointError(
                 f"{resume_from}: checkpoint belongs to a {saved_total}-step run, "
                 f"this run has {total_steps} steps (different --epochs?)"
             )
-        model = MultiviewMae(cfg.model, Rng(run_seed).derive("init"))
         restore_params(model.params, ckpt)
         opt = ckpt.opt
         start_step = ckpt.step
-        if metrics_path.exists():
-            _truncate_metrics(metrics_path, start_step)
-        else:
-            metrics_path.write_text(METRICS_HEADER + "\n")
-    else:
-        model = MultiviewMae(cfg.model, Rng(run_seed).derive("init"))
-        opt = AdamWState(lr=cfg.train.lr, weight_decay=cfg.train.weight_decay)
-        metrics_path.write_text(METRICS_HEADER + "\n")
+        if metrics_path.exists():  # drop rows a crashed run wrote past its checkpoint
+            metrics_lines += [
+                "\t".join(fields) for fields in _metrics_rows(metrics_path)
+                if int(fields[0]) < start_step
+            ]
+    write_atomic(metrics_path, "".join(line + "\n" for line in metrics_lines))
 
     bookkeeping = {"run_seed": run_seed, "total_steps": total_steps}
     root = Rng(run_seed)

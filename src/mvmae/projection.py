@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ContractViolation
-from .fileio import read_input
+from .fileio import read_input, write_atomic
 
 CLIP_MARGIN = 1.05  # near/far = radius -/+ this margin
 
@@ -196,9 +196,7 @@ def write_pgm(path: str | Path, values: np.ndarray) -> None:
         raise ContractViolation("depth values outside [0, 1] or not finite")
     h, w = values.shape
     quantized = np.rint(values * 65535.0).astype(">u2")
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n65535\n".encode("ascii"))
-        fh.write(quantized.tobytes())
+    write_atomic(path, f"P5\n{w} {h}\n65535\n".encode("ascii") + quantized.tobytes())
 
 
 def read_pgm(path: str | Path) -> np.ndarray:

@@ -12,7 +12,7 @@ import mvmae
 from mvmae.checkpoint import save_checkpoint
 from mvmae.autodiff.optim import AdamWState
 from mvmae.cli import main
-from mvmae.config import Config, DataConfig, ModelConfig, TrainConfig, save_config, tiny_config
+from mvmae.config import Config, DataConfig, ModelConfig, TrainConfig, tiny_config
 from mvmae.model import MultiviewMae
 from mvmae.pipeline import read_metrics
 from mvmae.projection import read_pgm
@@ -108,10 +108,32 @@ def test_pretrain_resume_with_other_epochs_exit_2(tiny_run, tmp_path, capsys):
     assert not (tmp_path / "o" / "final.ckpt").exists()
 
 
+def test_pretrain_resume_with_other_seed_exit_2(tiny_run, tmp_path, capsys):
+    # tiny_run trained with --seed 5; a resume without --seed asks for seed 0
+    code = main([
+        "pretrain", "--config", "tiny", "--out", str(tmp_path / "o"),
+        "--resume", str(tiny_run / "ckpt_00000004.ckpt"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "seed 5" in err and "seed 0" in err
+    assert not (tmp_path / "o" / "final.ckpt").exists()
+
+
+@pytest.mark.parametrize("epochs", ["0", "-2"])
+def test_pretrain_epochs_below_one_exit_2(tmp_path, capsys, epochs):
+    code = main([
+        "pretrain", "--config", "tiny", "--out", str(tmp_path / "o"), f"--epochs={epochs}",
+    ])
+    assert code == 2
+    assert "epochs" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "final.ckpt").exists()
+
+
 def test_pretrain_resume_without_run_seed_exit_2(tmp_path, capsys):
     cfg = micro_config()
     cfg_path = tmp_path / "micro.json"
-    save_config(cfg_path, cfg)
+    cfg_path.write_text(cfg.canonical_json())
     ckpt = tmp_path / "no_seed.ckpt"
     untrained_checkpoint(ckpt, cfg, {"seed": 1})
     code = main([
@@ -157,7 +179,7 @@ def test_pretrain_resume_with_malformed_metrics_row_exit_2(tiny_run, tmp_path, c
 def test_pretrain_resume_with_misshaped_moments_exit_2(tmp_path, capsys):
     cfg = micro_config()
     cfg_path = tmp_path / "micro.json"
-    save_config(cfg_path, cfg)
+    cfg_path.write_text(cfg.canonical_json())
     model = MultiviewMae(cfg.model, Rng(0).derive("init"))
     opt = AdamWState(lr=cfg.train.lr, weight_decay=cfg.train.weight_decay)
     for name, p in model.params.items():
@@ -183,7 +205,7 @@ def test_pretrain_nan_abort_exit_code(tmp_path, capsys):
         cfg, train=dataclasses.replace(cfg.train, lr=1e9, epochs=30)
     )
     cfg_path = tmp_path / "blown.json"
-    save_config(cfg_path, blown)
+    cfg_path.write_text(blown.canonical_json())
     with np.errstate(all="ignore"):
         code = main(
             ["pretrain", "--config", str(cfg_path), "--out", str(tmp_path / "o")]
@@ -420,7 +442,7 @@ def test_probe_insufficient_data_exit_2(tiny_run, capsys):
 
 def test_gradcheck_micro_pass(tmp_path, capsys):
     cfg_path = tmp_path / "micro.json"
-    save_config(cfg_path, micro_config())
+    cfg_path.write_text(micro_config().canonical_json())
     code = main(["gradcheck", "--config", str(cfg_path), "--seed", "3"])
     out = capsys.readouterr().out
     assert code == 0
@@ -429,7 +451,7 @@ def test_gradcheck_micro_pass(tmp_path, capsys):
 
 def test_gradcheck_corrupted_gradient_fails(tmp_path, capsys):
     cfg_path = tmp_path / "micro.json"
-    save_config(cfg_path, micro_config())
+    cfg_path.write_text(micro_config().canonical_json())
     code = main([
         "gradcheck", "--config", str(cfg_path), "--seed", "3",
         "--corrupt-param", "head3d.bias",
@@ -442,7 +464,7 @@ def test_gradcheck_corrupted_gradient_fails(tmp_path, capsys):
 
 def test_gradcheck_unknown_corrupt_param(tmp_path, capsys):
     cfg_path = tmp_path / "micro.json"
-    save_config(cfg_path, micro_config())
+    cfg_path.write_text(micro_config().canonical_json())
     code = main([
         "gradcheck", "--config", str(cfg_path), "--corrupt-param", "nope",
     ])
@@ -489,6 +511,24 @@ def test_bad_input_exit_2(bad_inputs, capsys, argv):
     code = main(argv.format(d=bad_inputs).split())
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "pretrain --config tiny --out {d}/afile/run",
+        "reconstruct --input {d}/cloud.xyz --checkpoint {d}/micro.ckpt --out {d}/afile",
+        "render --input {d}/cloud.xyz --out {d}/afile/x.pgm",
+    ],
+    ids=["pretrain", "reconstruct", "render"],
+)
+def test_unwritable_output_exit_2(bad_inputs, capsys, argv):
+    (bad_inputs / "afile").write_text("a regular file\n")
+    code = main(argv.format(d=bad_inputs).split())
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_entry_point_exit_2_without_traceback(tmp_path):
