@@ -1,11 +1,15 @@
 """Forward ops with hand-written vector-Jacobian products.
 
-The op set is closed and small: matmul, elementwise arithmetic with
-broadcasting, shape ops, row gather (its adjoint is scatter-add),
-reductions (sum/mean/max), layer normalization, GELU, and three fused
-ops for the hot spots of a training step: scaled dot-product attention,
-segment max+mean pooling, and the patch Chamfer loss. That is
-sufficient for the whole encoder/decoder and every loss.
+The op set is closed and small: matmul and the fused affine map
+`linear`, elementwise arithmetic with broadcasting, shape ops, row
+gather (its adjoint is scatter-add), sum and max reductions, layer
+normalization with its scale and shift (`layer_norm_affine`), GELU, and
+four fused ops for the hot spots of a training step: scaled dot-product
+attention, segment max+mean pooling, the patch Chamfer loss and the mean
+squared error. That is sufficient for the whole encoder/decoder and
+every loss. `mul` and `sum_` have no caller in the model any more; they
+stay because the benchmark's tests and the gradient tests build losses
+from them.
 """
 
 from __future__ import annotations
@@ -47,16 +51,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return make_node(out, (a, b), vjp)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data - b.data
-
-    def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
-
-    return make_node(out, (a, b), vjp)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data * b.data
@@ -79,6 +73,13 @@ def scale(a: Tensor, c: float) -> Tensor:
     return make_node(out, (a,), vjp)
 
 
+def _matmul_grads(a: np.ndarray, b: np.ndarray, g: np.ndarray):
+    """Adjoints of a @ b for a 2-d b; the weight grad accumulates over
+    every leading axis of a."""
+    gb = a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+    return g @ b.T, gb
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """(..., d_in) @ (d_in, d_out): a linear map applied over every leading
     axis of the left operand."""
@@ -87,11 +88,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data @ b.data
 
     def vjp(g):
-        # weight grad accumulates over all leading axes
-        gb = a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-        return g @ b.data.T, gb
+        return _matmul_grads(a.data, b.data, g)
 
     return make_node(out, (a, b), vjp)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b over every leading axis of x, as one node: the same bytes
+    as matmul followed by add."""
+    if w.data.ndim != 2 or b.data.shape != w.data.shape[1:]:
+        raise ContractViolation(
+            f"linear needs a 2-d weight and a matching bias, got {w.data.shape} "
+            f"and {b.data.shape}"
+        )
+    out = x.data @ w.data
+    out += b.data
+
+    def vjp(g):
+        return (*_matmul_grads(x.data, w.data, g), _unbroadcast(g, b.data.shape))
+
+    return make_node(out, (x, w, b), vjp)
 
 
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
@@ -153,22 +169,6 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.data.shape),)
-
-    return make_node(out, (a,), vjp)
-
-
-def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    axis = _norm_axis(axis, a.data.ndim)
-    out = a.data.mean(axis=axis, keepdims=keepdims)
-    if axis is None:
-        count = a.data.size
-    else:
-        count = int(np.prod([a.data.shape[ax] for ax in axis]))
-
-    def vjp(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.data.shape) / count,)
 
     return make_node(out, (a,), vjp)
 
@@ -250,9 +250,16 @@ def chamfer(pred: Tensor, target: np.ndarray) -> Tensor:
     distance to the nearest point on the other side, summed over both
     sides. Subgradients go to the first nearest point."""
     p = pred.data
-    diff = p[:, :, None, :] - target[:, None, :, :]
-    diff *= diff
-    d2 = diff.sum(axis=-1)
+    # d2 summed one coordinate at a time on (M, A, B) planes: x, then y,
+    # then z, the order of a sum over a trailing axis of 3
+    d2 = None
+    for pc, tc in zip(np.moveaxis(p, -1, 0), np.moveaxis(target, -1, 0)):
+        d = pc[:, :, None] - tc[:, None, :]
+        d *= d
+        if d2 is None:
+            d2 = d
+        else:
+            d2 += d
     m, a, b = d2.shape
     near_q = d2.argmin(axis=2)  # (M, A): nearest target point of each p
     near_p = d2.argmin(axis=1)  # (M, B): nearest predicted point of each q
@@ -270,20 +277,26 @@ def chamfer(pred: Tensor, target: np.ndarray) -> Tensor:
     return make_node(out, (pred,), vjp)
 
 
-def layer_norm(a: Tensor, eps: float = 1e-6) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance (no affine)."""
-    mu = a.data.mean(axis=-1, keepdims=True)
-    xc = a.data - mu
+def layer_norm_affine(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then scale by
+    gamma and shift by beta, as one node: the same bytes as a bare
+    normalization followed by mul and add."""
+    mu = x.data.mean(axis=-1, keepdims=True)
+    xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xn = xc * inv
+    out = xn * gamma.data
+    out += beta.data
 
     def vjp(g):
-        gm = g.mean(axis=-1, keepdims=True)
-        gxn = (g * xn).mean(axis=-1, keepdims=True)
-        return (inv * (g - gm - xn * gxn),)
+        gxn = g * gamma.data
+        gm = gxn.mean(axis=-1, keepdims=True)
+        gdot = (gxn * xn).mean(axis=-1, keepdims=True)
+        gx = inv * (gxn - gm - xn * gdot)
+        return gx, _unbroadcast(g * xn, gamma.data.shape), _unbroadcast(g, beta.data.shape)
 
-    return make_node(xn, (a,), vjp)
+    return make_node(out, (x, gamma, beta), vjp)
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -305,5 +318,13 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
         raise ContractViolation(
             f"mse shape mismatch: {a.data.shape} vs {b.data.shape}"
         )
-    d = sub(a, b)
-    return mean(mul(d, d))
+    d = a.data - b.data
+    out = (d * d).mean()
+
+    def vjp(g):
+        # d * d reaches d twice: two equal adjoints, added
+        t = (g / d.size) * d
+        ga = t + t
+        return ga, -ga
+
+    return make_node(out, (a, b), vjp)

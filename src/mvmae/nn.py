@@ -1,8 +1,9 @@
 """Transformer building blocks on the in-house autodiff substrate.
 
-Everything here is expressed in the closed forward-op set (matmul, add,
-mul, reshape, transpose, fused attention, layer norm, GELU, reductions)
-so the finite-difference gradient gate covers the whole network.
+Everything here is expressed in the closed forward-op set (the fused
+affine ops linear and layer_norm_affine, matmul, add, reshape,
+transpose, fused attention, GELU) so the finite-difference gradient gate
+covers the whole network.
 Parameters are created through a registry that derives one rng stream
 per parameter name, making initialization independent of construction
 order.
@@ -55,7 +56,7 @@ class Linear:
         self.bias = reg.zeros(f"{name}.bias", (d_out,))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ops.add(ops.matmul(x, self.weight), self.bias)
+        return ops.linear(x, self.weight, self.bias)
 
 
 class LayerNormAffine:
@@ -66,7 +67,7 @@ class LayerNormAffine:
         self.beta = reg.zeros(f"{name}.beta", (dim,))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ops.add(ops.mul(ops.layer_norm(x), self.gamma), self.beta)
+        return ops.layer_norm_affine(x, self.gamma, self.beta)
 
 
 class Mlp2:

@@ -224,6 +224,8 @@ def read_pgm(path: str | Path) -> np.ndarray:
         w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     except ValueError:
         raise ContractViolation(f"non-numeric PGM header in {path}") from None
+    if w < 1 or h < 1:
+        raise ContractViolation(f"PGM size {w}x{h} in {path} is not positive")
     if maxval != 65535:
         raise ContractViolation(f"expected 16-bit PGM, maxval {maxval}")
     raster = blob[i : i + 2 * w * h]

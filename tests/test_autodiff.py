@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvmae.autodiff import Parameter, Tensor, backward, no_grad, ops
+from mvmae.autodiff.tensor import make_node
 from mvmae.errors import ContractViolation
 
 from oracles import finite_difference, grad_rel_error
@@ -49,6 +50,9 @@ T463 = RNG.standard_normal((4, 6, 3))
 SEG_IDX = [0, 2, 1, 2, 3, 4, 0]
 SEG_STARTS = [0, 3, 5]
 A54 = RNG.standard_normal((5, 4))
+VEC3 = RNG.standard_normal(3)
+BETA4 = RNG.standard_normal(4)
+B34 = RNG.standard_normal((3, 4))
 
 
 @pytest.mark.parametrize(
@@ -56,8 +60,8 @@ A54 = RNG.standard_normal((5, 4))
     [
         ("add_bcast", lambda t: ops.add(t, Tensor(VEC4)), A34),
         ("add_bcast_rev", lambda t: ops.add(Tensor(A34), ops.reshape(t, (1, 4))), VEC4),
-        ("sub", lambda t: ops.sub(t, Tensor(A34)), A34),
-        ("sub_rhs", lambda t: ops.sub(Tensor(A34), t), A34),
+        ("linear_x", lambda t: ops.linear(t, Tensor(A34), Tensor(VEC4)), A23),
+        ("linear_w", lambda t: ops.linear(Tensor(A23), t, Tensor(VEC4)), A34),
         ("mul_bcast", lambda t: ops.mul(t, Tensor(VEC4)), A34),
         ("scale", lambda t: ops.scale(t, -2.5), A34),
         ("matmul_l", lambda t: ops.matmul(t, Tensor(A34)), A23),
@@ -75,17 +79,26 @@ A54 = RNG.standard_normal((5, 4))
         ("sum_all", lambda t: ops.sum_(t), A234),
         ("sum_axis", lambda t: ops.sum_(t, axis=1), A234),
         ("sum_keep", lambda t: ops.sum_(t, axis=(0, 2), keepdims=True), A234),
-        ("mean_all", lambda t: ops.mean(t), A234),
-        ("mean_axis", lambda t: ops.mean(t, axis=2), A234),
+        ("linear_b", lambda t: ops.linear(Tensor(A23), Tensor(A34), t), VEC4),
+        # PatchEmbed's layout: (groups, points per group, d_in)
+        ("linear_x3d", lambda t: ops.linear(t, Tensor(A34.T), Tensor(VEC3)), A234),
         ("max", lambda t: ops.max_(t, axis=1), A234),
         ("chamfer", lambda t: ops.chamfer(t, T463), P453),
         ("attention_q", lambda t: ops.attention(t, Tensor(K253), Tensor(V253), 0.7), Q253),
-        ("layer_norm", lambda t: ops.layer_norm(t), A34),
+        ("layer_norm_affine_x",
+         lambda t: ops.layer_norm_affine(t, Tensor(VEC4), Tensor(BETA4)), A34),
         ("gelu", lambda t: ops.gelu(t), A34),
-        ("mse", lambda t: ops.mse(t, Tensor(A34)), A34),
+        ("mse", lambda t: ops.mse(t, Tensor(A34)), B34),
         ("attention_k", lambda t: ops.attention(Tensor(Q253), t, Tensor(V253), 0.7), K253),
         ("attention_v", lambda t: ops.attention(Tensor(Q253), Tensor(K253), t, 0.7), V253),
         ("segment_pool", lambda t: ops.segment_pool(t, SEG_IDX, SEG_STARTS), A54),
+        ("linear_w3d", lambda t: ops.linear(Tensor(A234), t, Tensor(VEC3)), A34.T),
+        ("linear_b3d", lambda t: ops.linear(Tensor(A234), Tensor(A34.T), t), VEC3),
+        ("layer_norm_affine_gamma",
+         lambda t: ops.layer_norm_affine(Tensor(A34), t, Tensor(BETA4)), VEC4),
+        ("layer_norm_affine_beta",
+         lambda t: ops.layer_norm_affine(Tensor(A34), Tensor(VEC4), t), BETA4),
+        ("mse_rhs", lambda t: ops.mse(Tensor(A34), t), B34),
     ],
 )
 def test_op_gradients_match_finite_differences(name, build, x0):
@@ -133,6 +146,13 @@ def test_matmul_rejects_3d_right_operand():
         ops.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 4, 5))))
 
 
+def test_linear_rejects_bad_weight_or_bias():
+    x = Tensor(np.ones((2, 4)))
+    for w, b in ((np.ones((2, 4, 5)), np.ones(5)), (np.ones((4, 5)), np.ones(4))):
+        with pytest.raises(ContractViolation, match="linear needs"):
+            ops.linear(x, Tensor(w), Tensor(b))
+
+
 def test_softmax_rows_sum_to_one():
     # attention against all-ones values returns each softmax row's sum
     rng = np.random.default_rng(7)
@@ -158,6 +178,10 @@ def test_vjps_leave_incoming_adjoint_untouched():
         (lambda t: ops.attention(t, t, t, 0.3), rng.standard_normal((2, 5, 3))),
         (lambda t: ops.segment_pool(t, SEG_IDX, SEG_STARTS), rng.standard_normal((5, 4))),
         (lambda t: ops.chamfer(t, T463), rng.standard_normal((4, 5, 3))),
+        (lambda t: ops.linear(t, t, Tensor(VEC3)), rng.standard_normal((3, 3))),
+        (lambda t: ops.layer_norm_affine(t, ops.reshape(t, (4,)), ops.reshape(t, (4,))),
+         rng.standard_normal((1, 4))),
+        (lambda t: ops.mse(t, ops.scale(t, 0.5)), rng.standard_normal((3, 4))),
     ]
     for build, x in cases:
         out = build(Tensor(x, requires_grad=True))
@@ -167,11 +191,108 @@ def test_vjps_leave_incoming_adjoint_untouched():
         np.testing.assert_array_equal(g, before)
 
 
+# --- fused ops against the compositions they replaced -----------------------
+
+
+def layer_norm_node(a, eps=1e-6):
+    """The bare normalization node that layer_norm_affine absorbed."""
+    mu = a.data.mean(axis=-1, keepdims=True)
+    xc = a.data - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xn = xc * inv
+
+    def vjp(g):
+        gm = g.mean(axis=-1, keepdims=True)
+        gxn = (g * xn).mean(axis=-1, keepdims=True)
+        return (inv * (g - gm - xn * gxn),)
+
+    return make_node(xn, (a,), vjp)
+
+
+def mean_node(a):
+    """The all-element mean node that mse absorbed."""
+
+    def vjp(g):
+        return (np.broadcast_to(g, a.data.shape) / a.data.size,)
+
+    return make_node(a.data.mean(), (a,), vjp)
+
+
+def chamfer_by_diff(pred, target):
+    """chamfer with d2 summed over an (M, A, B, 3) difference array."""
+    p = pred.data
+    diff = p[:, :, None, :] - target[:, None, :, :]
+    diff *= diff
+    d2 = diff.sum(axis=-1)
+    m, a, b = d2.shape
+    near_q, near_p = d2.argmin(axis=2), d2.argmin(axis=1)
+    out = (d2.min(axis=2).mean(axis=1) + d2.min(axis=1).mean(axis=1)).mean()
+    patch = np.arange(m)[:, None]
+
+    def vjp(g):
+        gp = 2.0 * ((g / m / a) * (p - target[patch, near_q]))
+        scatter = 2.0 * ((g / m / b) * (p[patch, near_p] - target))
+        np.add.at(gp, (patch, near_p), scatter)
+        return (gp,)
+
+    return make_node(out, (pred,), vjp)
+
+
+def mse_by_composition(a, b):
+    d = ops.add(a, ops.scale(b, -1.0))  # the bytes of a - b, and of its adjoint
+    return mean_node(ops.mul(d, d))
+
+
+@pytest.mark.parametrize(
+    "fused,composed,shapes",
+    [
+        (ops.linear, lambda x, w, b: ops.add(ops.matmul(x, w), b), [(17, 8), (8, 12), (12,)]),
+        (ops.linear, lambda x, w, b: ops.add(ops.matmul(x, w), b), [(5, 7, 3), (3, 6), (6,)]),
+        (
+            ops.layer_norm_affine,
+            lambda x, gamma, beta: ops.add(ops.mul(layer_norm_node(x), gamma), beta),
+            [(17, 8), (8,), (8,)],
+        ),
+        (ops.mse, mse_by_composition, [(3, 6, 5), (3, 6, 5)]),
+    ],
+)
+def test_fused_op_matches_composition_byte_for_byte(fused, composed, shapes):
+    rng = np.random.default_rng(13)
+    arrays = [rng.standard_normal(shape) * 3 for shape in shapes]
+    results = []
+    for build in (fused, composed):
+        leaves = [Parameter(a.copy(), f"p{i}") for i, a in enumerate(arrays)]
+        out = build(*leaves)
+        probe = np.random.default_rng(14).standard_normal(out.shape)
+        backward(ops.sum_(ops.mul(out, Tensor(probe))))
+        results.append([out.data] + [leaf.grad for leaf in leaves])
+    for got, want in zip(*results):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_chamfer_matches_difference_array_form_byte_for_byte():
+    # one patch per call: a batch mean would round most d2 differences away
+    rng = np.random.default_rng(13)
+    for _ in range(32):
+        p0, target = rng.standard_normal((1, 32, 3)) * 3, rng.standard_normal((1, 32, 3))
+        results = []
+        for build in (ops.chamfer, chamfer_by_diff):
+            p = Parameter(p0.copy(), "p")
+            out = build(p, target)
+            backward(out)
+            results.append((out.data, p.grad))
+        (fused, fused_grad), (by_diff, by_diff_grad) = results
+        np.testing.assert_array_equal(fused, by_diff)
+        np.testing.assert_array_equal(fused_grad, by_diff_grad)
+
+
 # --- segment pooling --------------------------------------------------------
 
 
 def segment_pool_by_loop(a, idx, starts):
-    """gather_rows + max_ + mean per segment, the unfused composition."""
+    """gather_rows + max_ + mean (sum, scaled) per segment, the unfused
+    composition."""
     bounds = list(starts) + [len(idx)]
     rows = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -179,7 +300,7 @@ def segment_pool_by_loop(a, idx, starts):
         rows.append(
             ops.add(
                 ops.max_(members, axis=0, keepdims=True),
-                ops.mean(members, axis=0, keepdims=True),
+                ops.scale(ops.sum_(members, axis=0, keepdims=True), 1.0 / (hi - lo)),
             )
         )
     return ops.concat(rows, axis=0)
@@ -260,7 +381,7 @@ def test_chamfer_tie_routes_to_first_nearest_point():
 def test_layer_norm_moments():
     rng = np.random.default_rng(8)
     x = Tensor(rng.standard_normal((40, 64)) * 5 + 3)
-    y = ops.layer_norm(x, eps=1e-12).data
+    y = ops.layer_norm_affine(x, Tensor(np.ones(64)), Tensor(np.zeros(64)), eps=1e-12).data
     assert np.max(np.abs(y.mean(axis=-1))) < 1e-9
     assert np.max(np.abs(y.var(axis=-1) - 1.0)) < 1e-6
 
@@ -270,7 +391,7 @@ def test_forward_and_backward_deterministic():
         rng = np.random.default_rng(3)
         x = Parameter(rng.standard_normal((8, 8)), "x")
         h = ops.gelu(ops.matmul(x, Tensor(rng.standard_normal((8, 8)))))
-        loss = ops.mean(ops.mul(h, h))
+        loss = ops.mse(h, Tensor(np.zeros((8, 8))))
         backward(loss)
         return loss.data.copy(), x.grad.copy()
 
@@ -292,5 +413,6 @@ def test_forward_ops_stay_finite():
     x = Tensor(rng.standard_normal((30, 30)) * 100)
     x3 = ops.reshape(x, (1, 30, 30))
     att = ops.attention(x3, x3, x3, 1.0)
-    for out in (att, ops.gelu(x), ops.layer_norm(x)):
+    norm = ops.layer_norm_affine(x, Tensor(np.ones(30)), Tensor(np.zeros(30)))
+    for out in (att, ops.gelu(x), norm):
         assert np.all(np.isfinite(out.data))

@@ -566,7 +566,7 @@ def test_desk_graph_size_does_not_grow_with_fused_tokens():
     assert len(set(groups)) == len(groups)
     assert groups[-1] == (0, 0, 0)
     assert len(set(counts)) == 1, counts
-    assert counts[0] == 364
+    assert counts[0] == 292
 
 
 # --- downstream features ------------------------------------------------

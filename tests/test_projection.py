@@ -277,8 +277,12 @@ def test_pgm_rejects_bad_inputs(tmp_path):
     path.write_bytes(b"P6" + blob[2:])
     with pytest.raises(ContractViolation):
         read_pgm(path)
-    # 8-bit maxval, then non-numeric header fields
-    for header in (b"P5\n2 2\n255\n", b"P5\nx 2\n65535\n", b"P5\n2 2\n6553five\n"):
+    # 8-bit maxval, non-numeric header fields, then sizes below 1 (negative
+    # sizes whose product matches the raster, and an empty width)
+    for header in (
+        b"P5\n2 2\n255\n", b"P5\nx 2\n65535\n", b"P5\n2 2\n6553five\n",
+        b"P5\n-1 -2\n65535\n", b"P5\n0 5\n65535\n",
+    ):
         path.write_bytes(header + bytes(8))
         with pytest.raises(ContractViolation):
             read_pgm(path)
