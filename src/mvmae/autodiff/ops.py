@@ -202,7 +202,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, c: float) -> Tensor:
     def vjp(g):
         gv = s.swapaxes(-1, -2) @ g
         gs = g @ v.data.swapaxes(-1, -2)
-        gs -= (gs * s).sum(axis=-1, keepdims=True)
+        # rowsum(gs * s) is rowsum(g * out): an (L, D) product, not (L, L)
+        gs -= (g * out).sum(axis=-1, keepdims=True)
         gs *= s
         gs *= c
         return gs @ k.data, gs.swapaxes(-1, -2) @ q.data, gv

@@ -130,8 +130,15 @@ class _Reader:
             raise self.fail(f"unknown dtype tag {tag} for {name}")
         rank = self.u32()
         shape = tuple(self.u64() for _ in range(rank))
-        # exact integer product: a numpy int64 product can wrap on huge dims
-        buf = self.take(math.prod(shape) * 8)
+        # exact integer product (a numpy int64 product can wrap on huge
+        # dims), checked before it grows past the bytes left
+        left = len(self.data) - self.offset
+        count = 0 if 0 in shape else 1
+        for n in shape:
+            count *= n
+            if count * 8 > left:
+                raise self.fail(f"truncated: {name} ({rank} dims) needs more than {left} bytes")
+        buf = self.take(count * 8)
         values = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
         return name, values
 

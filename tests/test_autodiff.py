@@ -172,6 +172,21 @@ def test_attention_matches_unfused_composition():
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
 
 
+def test_attention_row_term_from_output_matches_map_form():
+    # the softmax adjoint's row term, rowsum(g * out), against rowsum(gs * s)
+    rng = np.random.default_rng(12)
+    q, k, v, g = (rng.standard_normal((4, 256, 16)) for _ in range(4))
+    c = 0.25
+    got = ops.attention(Tensor(q, requires_grad=True), Tensor(k), Tensor(v), c)._vjp(g)
+    s = c * (q @ k.swapaxes(-1, -2))
+    s = np.exp(s - s.max(axis=-1, keepdims=True))
+    s /= s.sum(axis=-1, keepdims=True)
+    gs = g @ v.swapaxes(-1, -2)
+    gs = c * s * (gs - (gs * s).sum(axis=-1, keepdims=True))
+    want = (gs @ k, gs.swapaxes(-1, -2) @ q, s.swapaxes(-1, -2) @ g)
+    for a, b in zip(got, want):
+        assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
+
 def test_vjps_leave_incoming_adjoint_untouched():
     rng = np.random.default_rng(11)
     cases = [

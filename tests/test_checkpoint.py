@@ -208,6 +208,14 @@ def test_huge_dims_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def test_dims_whose_product_has_thousands_of_digits_rejected(tmp_path):
+    # a product past 4300 digits cannot even be formatted into a message
+    path = tmp_path / "digits.ckpt"
+    path.write_bytes(single_record(b"p", (2**64 - 1,) * 600, bytes(64)))
+    with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(path)
+
+
 def test_non_utf8_name_rejected(tmp_path):
     path = tmp_path / "name.ckpt"
     path.write_bytes(single_record(b"\xff\xfe", (1,), bytes(8)))
