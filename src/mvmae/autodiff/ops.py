@@ -251,17 +251,14 @@ def chamfer(pred: Tensor, target: np.ndarray) -> Tensor:
     distance to the nearest point on the other side, summed over both
     sides. Subgradients go to the first nearest point."""
     p = pred.data
-    # d2 summed one coordinate at a time on (M, A, B) planes: x, then y,
-    # then z, the order of a sum over a trailing axis of 3
-    d2 = None
+    m, a, b = p.shape[0], p.shape[1], target.shape[1]
+    # summed one coordinate at a time on (M, A, B) planes: x, then y, then
+    # z, the order of a sum over a trailing axis of 3
+    d2 = np.zeros((m, a, b))
     for pc, tc in zip(np.moveaxis(p, -1, 0), np.moveaxis(target, -1, 0)):
         d = pc[:, :, None] - tc[:, None, :]
         d *= d
-        if d2 is None:
-            d2 = d
-        else:
-            d2 += d
-    m, a, b = d2.shape
+        d2 += d
     near_q = d2.argmin(axis=2)  # (M, A): nearest target point of each p
     near_p = d2.argmin(axis=1)  # (M, B): nearest predicted point of each q
     side_p = d2.min(axis=2).mean(axis=1)

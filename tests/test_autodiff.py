@@ -187,6 +187,7 @@ def test_attention_row_term_from_output_matches_map_form():
     for a, b in zip(got, want):
         assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
 
+
 def test_vjps_leave_incoming_adjoint_untouched():
     rng = np.random.default_rng(11)
     cases = [
