@@ -19,7 +19,6 @@ save -> load -> save reproduces the file byte for byte.
 from __future__ import annotations
 
 import json
-import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
