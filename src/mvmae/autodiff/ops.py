@@ -4,12 +4,13 @@ The op set is closed and small: matmul and the fused affine map
 `linear`, elementwise arithmetic with broadcasting, shape ops, row
 gather (its adjoint is scatter-add), sum and max reductions, layer
 normalization with its scale and shift (`layer_norm_affine`), GELU, and
-four fused ops for the hot spots of a training step: scaled dot-product
-attention, segment max+mean pooling, the patch Chamfer loss and the mean
-squared error. That is sufficient for the whole encoder/decoder and
-every loss. `mul` and `sum_` have no caller in the model any more; they
-stay because the benchmark's tests and the gradient tests build losses
-from them.
+four fused ops for the hot spots of a training step: multi-head scaled
+dot-product attention on (L, heads * D) projections (heads split and
+merged inside the node), segment max+mean pooling, the patch Chamfer
+loss and the mean squared error. That is sufficient for the whole
+encoder/decoder and every loss. `mul` and `sum_` have no caller in the
+model any more; they stay because the benchmark's tests and the gradient
+tests build losses from them.
 """
 
 from __future__ import annotations
@@ -189,26 +190,45 @@ def max_(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     return make_node(out, (a,), vjp)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, c: float) -> Tensor:
-    """softmax(c * q k^T) v over the last two axes of (..., L, D) operands,
-    as one node that keeps only the attention map for its adjoint."""
-    s = q.data @ k.data.swapaxes(-1, -2)
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """softmax(q k^T / sqrt(D)) v per head over (L, heads * D) operands, as
+    one node that splits and merges the heads itself and keeps only the
+    attention maps for its adjoint."""
+    shape = q.data.shape
+    equal = {k.data.shape, v.data.shape} == {shape}
+    if len(shape) != 2 or not equal or heads < 1 or shape[1] % heads:
+        raise ContractViolation(
+            f"attention needs equal 2-d q, k, v with a width divisible by {heads} "
+            f"heads, got {shape}, {k.data.shape}, {v.data.shape}"
+        )
+    length, width = shape
+    d = width // heads
+    c = 1.0 / np.sqrt(d)
+    qh, kh, vh = (
+        np.ascontiguousarray(a.data.reshape(length, heads, d).transpose(1, 0, 2))
+        for a in (q, k, v)
+    )
+    s = qh @ kh.swapaxes(-1, -2)
     s *= c
     s -= s.max(axis=-1, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
-    out = s @ v.data
+    out = s @ vh
+
+    def merge(a):  # (heads, L, D) -> (L, heads * D)
+        return a.transpose(1, 0, 2).reshape(length, width)
 
     def vjp(g):
+        g = g.reshape(length, heads, d).transpose(1, 0, 2)  # a strided view, no copy
         gv = s.swapaxes(-1, -2) @ g
-        gs = g @ v.data.swapaxes(-1, -2)
+        gs = g @ vh.swapaxes(-1, -2)
         # rowsum(gs * s) is rowsum(g * out): an (L, D) product, not (L, L)
         gs -= (g * out).sum(axis=-1, keepdims=True)
         gs *= s
         gs *= c
-        return gs @ k.data, gs.swapaxes(-1, -2) @ q.data, gv
+        return merge(gs @ kh), merge(gs.swapaxes(-1, -2) @ qh), merge(gv)
 
-    return make_node(out, (q, k, v), vjp)
+    return make_node(merge(out), (q, k, v), vjp)
 
 
 def segment_pool(a: Tensor, idx, starts) -> Tensor:

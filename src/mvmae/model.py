@@ -124,58 +124,46 @@ class MultiviewMae:
         if fused.shape[0] != len(slots):
             raise ContractViolation("one fused row per non-empty image token required")
 
+        # one row bank, one gather: a point slot holds its encoder output or
+        # the point mask token; an image slot (views stacked) holds its fused
+        # token, or the image mask token when no visible center is in it
+        bank = ops.concat([encoded, self.mask_token_point, fused, self.mask_token_image], axis=0)
+        n, n_visible = self.cfg.n, len(plan_mask.visible_idx)
+        source = np.full(n + len(poses) * t_per_view, n_visible + 1 + len(slots), dtype=np.intp)
+        source[plan_mask.visible_idx] = np.arange(n_visible)
+        source[plan_mask.masked_idx] = n_visible
+        source[n + slots] = n_visible + 1 + np.arange(len(slots))
+
         modality_point = self.modality_mlp(Tensor(POINT_MODALITY))
         modality_image = self.modality_mlp(Tensor(IMAGE_MODALITY))
-
-        # point segment: visible slots carry encoder outputs, masked slots
-        # the learnable point mask token; Eq-style padding then embeddings
-        slot_source = np.empty(self.cfg.n, dtype=np.int64)
-        slot_source[plan_mask.visible_idx] = np.arange(len(plan_mask.visible_idx))
-        slot_source[plan_mask.masked_idx] = len(plan_mask.visible_idx) + np.arange(
-            len(plan_mask.masked_idx)
-        )
-        mask_rows = ops.gather_rows(
-            self.mask_token_point, np.zeros(len(plan_mask.masked_idx), dtype=np.int64)
-        )
-        point_seq = ops.gather_rows(ops.concat([encoded, mask_rows], axis=0), slot_source)
-        point_seq = ops.add(point_seq, ops.add(pos_all, modality_point))
-
-        # image segment, views stacked: a slot holds its fused token, or the
-        # image mask token (the last bank row) when no visible center is in it
-        source = np.full(len(poses) * t_per_view, len(slots), dtype=np.int64)
-        source[slots] = np.arange(len(slots))
-        bank = ops.concat([fused, self.mask_token_image], axis=0)
         pose_vec = self.pose_mlp(Tensor(np.stack([pose.feature() for pose in poses])))
         view_pos = ops.add(self.sincos, ops.reshape(pose_vec, (len(poses), 1, self.cfg.C)))
-        view_pos = ops.reshape(view_pos, (len(source), self.cfg.C))
-        image_seq = ops.add(ops.gather_rows(bank, source), ops.add(view_pos, modality_image))
-
-        seq = ops.concat([point_seq, image_seq], axis=0)
+        view_pos = ops.reshape(view_pos, (len(poses) * t_per_view, self.cfg.C))
+        embeddings = [ops.add(pos_all, modality_point), ops.add(view_pos, modality_image)]
+        seq = ops.add(ops.gather_rows(bank, source), ops.concat(embeddings, axis=0))
         pos = ops.concat([pos_all, view_pos], axis=0)
         return seq, pos
 
     # --- joint decoding ----------------------------------------------
 
-    def joint_decode(self, seq: Tensor, pos: Tensor) -> tuple[Tensor, Tensor]:
-        """Decode an assembled sequence; split it into the n point rows and
-        the image rows of all views, stacked in view order."""
-        n = self.cfg.n
+    def joint_decode(self, seq: Tensor, pos: Tensor) -> Tensor:
+        """Decode an assembled sequence into the normed (L, C) rows: the n
+        point rows, then the image rows of all views in view order."""
         x = seq
         for block in self.dec_blocks:
             x = block(ops.add(x, pos))
-        x = self.dec_norm(x)
-        return ops.gather_rows(x, np.arange(n)), ops.gather_rows(x, np.arange(n, x.shape[0]))
+        return self.dec_norm(x)
 
     # --- heads ---------------------------------------------------------
 
-    def project_heads(
-        self, point_rows: Tensor, image_rows: Tensor, masked_idx: np.ndarray
-    ) -> tuple[Tensor, Tensor]:
-        """Masked (M, k, 3) patches and (K, H_i, W_i) depth images: each
-        image row becomes one H_i/H_t x W_i/W_t tile of its view."""
+    def project_heads(self, decoded: Tensor, masked_idx: np.ndarray) -> tuple[Tensor, Tensor]:
+        """Masked (M, k, 3) patches and (K, H_i, W_i) depth images from the
+        decoded (L, C) sequence: the masked point rows feed the 3D head, and
+        each image row becomes one H_i/H_t x W_i/W_t tile of its view."""
         cfg = self.cfg
-        masked = ops.gather_rows(point_rows, masked_idx)
+        masked = ops.gather_rows(decoded, masked_idx)
         patches = ops.reshape(self.head3d(masked), (len(masked_idx), cfg.k, 3))
+        image_rows = ops.gather_rows(decoded, np.arange(cfg.n, decoded.shape[0]))
         views = image_rows.shape[0] // self.tokens_per_view
         tiles = ops.reshape(
             self.head2d(image_rows),
@@ -290,10 +278,8 @@ def loss_from_plan(
     seq, pos = model.assemble_decoder_input(
         encoded, fused, plan.groupings, plan.mask, plan.poses, pos_all
     )
-    point_rows, image_rows = model.joint_decode(seq, pos)
-    pred_patches, pred_images = model.project_heads(
-        point_rows, image_rows, plan.mask.masked_idx
-    )
+    decoded = model.joint_decode(seq, pos)
+    pred_patches, pred_images = model.project_heads(decoded, plan.mask.masked_idx)
     target_patches = plan.patches.patches[plan.mask.masked_idx]
     l3d = loss_3d(pred_patches, target_patches)
     l2d = loss_2d(pred_images, plan.target_images)

@@ -1,17 +1,15 @@
 """Transformer building blocks on the in-house autodiff substrate.
 
 Everything here is expressed in the closed forward-op set (the fused
-affine ops linear and layer_norm_affine, matmul, add, reshape,
-transpose, fused attention, GELU) so the finite-difference gradient gate
-covers the whole network.
+affine ops linear and layer_norm_affine, matmul, add, multi-head
+attention over (L, C) projections, GELU) so the finite-difference
+gradient gate covers the whole network.
 Parameters are created through a registry that derives one rng stream
 per parameter name, making initialization independent of construction
 order.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -89,26 +87,14 @@ class MultiheadSelfAttention:
     def __init__(self, reg: ParamRegistry, name: str, dim: int, heads: int):
         if dim % heads != 0:
             raise ContractViolation(f"width {dim} not divisible by {heads} heads")
-        self.dim = dim
         self.heads = heads
-        self.head_dim = dim // heads
         self.wq = Linear(reg, f"{name}.wq", dim, dim)
         self.wk = reg.normal(f"{name}.wk.weight", (dim, dim))
         self.wv = Linear(reg, f"{name}.wv", dim, dim)
         self.wo = Linear(reg, f"{name}.wo", dim, dim)
 
-    def _split_heads(self, x: Tensor, length: int) -> Tensor:
-        x = ops.reshape(x, (length, self.heads, self.head_dim))
-        return ops.transpose(x, (1, 0, 2))
-
     def __call__(self, x: Tensor) -> Tensor:
-        length = x.shape[0]
-        q = self._split_heads(self.wq(x), length)
-        k = self._split_heads(ops.matmul(x, self.wk), length)
-        v = self._split_heads(self.wv(x), length)
-        out = ops.attention(q, k, v, 1.0 / math.sqrt(self.head_dim))
-        out = ops.reshape(ops.transpose(out, (1, 0, 2)), (length, self.dim))
-        return self.wo(out)
+        return self.wo(ops.attention(self.wq(x), ops.matmul(x, self.wk), self.wv(x), self.heads))
 
 
 class TransformerBlock:

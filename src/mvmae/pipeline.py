@@ -149,11 +149,15 @@ def pretrain(
                 "\t".join(fields) for fields in _metrics_rows(metrics_path)
                 if int(fields[0]) < start_step
             ]
+    last_step = total_steps if stop_after_step is None else min(stop_after_step, total_steps)
+    if last_step < start_step:
+        raise ContractViolation(
+            f"stop_after_step {stop_after_step} is before the start step {start_step}"
+        )
     write_atomic(metrics_path, "".join(line + "\n" for line in metrics_lines))
 
     bookkeeping = {"run_seed": run_seed, "total_steps": total_steps}
     root = Rng(run_seed)
-    last_step = total_steps if stop_after_step is None else min(stop_after_step, total_steps)
     order_epoch, order = -1, None
 
     with metrics_path.open("a") as metrics:
@@ -341,6 +345,8 @@ def fewshot_trials(
     n_way classes, m_shot supports and QUERIES_PER_CLASS queries each."""
     labels = np.asarray(labels)
     classes = np.unique(labels)
+    if not np.array_equal(classes, np.arange(len(classes))):
+        raise ContractViolation("labels must be 0..n_classes-1")
     if n_way < 2 or n_way > len(classes):
         raise ContractViolation(f"n_way {n_way} outside [2, {len(classes)}]")
     if m_shot < 1 or trials < 1:

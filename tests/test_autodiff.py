@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,7 +45,8 @@ A23 = RNG.standard_normal((2, 3))
 A34 = RNG.standard_normal((3, 4))
 A234 = RNG.standard_normal((2, 3, 4))
 VEC4 = RNG.standard_normal(4)
-Q253, K253, V253 = (RNG.standard_normal((2, 5, 3)) for _ in range(3))
+# two heads of width 3 over five rows
+Q56, K56, V56 = (RNG.standard_normal((5, 6)) for _ in range(3))
 P453 = RNG.standard_normal((4, 5, 3))
 T463 = RNG.standard_normal((4, 6, 3))
 # three segments over five rows; rows 0 and 2 belong to two segments each
@@ -84,13 +87,13 @@ B34 = RNG.standard_normal((3, 4))
         ("linear_x3d", lambda t: ops.linear(t, Tensor(A34.T), Tensor(VEC3)), A234),
         ("max", lambda t: ops.max_(t, axis=1), A234),
         ("chamfer", lambda t: ops.chamfer(t, T463), P453),
-        ("attention_q", lambda t: ops.attention(t, Tensor(K253), Tensor(V253), 0.7), Q253),
+        ("attention_q", lambda t: ops.attention(t, Tensor(K56), Tensor(V56), 2), Q56),
         ("layer_norm_affine_x",
          lambda t: ops.layer_norm_affine(t, Tensor(VEC4), Tensor(BETA4)), A34),
         ("gelu", lambda t: ops.gelu(t), A34),
         ("mse", lambda t: ops.mse(t, Tensor(A34)), B34),
-        ("attention_k", lambda t: ops.attention(Tensor(Q253), t, Tensor(V253), 0.7), K253),
-        ("attention_v", lambda t: ops.attention(Tensor(Q253), Tensor(K253), t, 0.7), V253),
+        ("attention_k", lambda t: ops.attention(Tensor(Q56), t, Tensor(V56), 2), K56),
+        ("attention_v", lambda t: ops.attention(Tensor(Q56), Tensor(K56), t, 2), V56),
         ("segment_pool", lambda t: ops.segment_pool(t, SEG_IDX, SEG_STARTS), A54),
         ("linear_w3d", lambda t: ops.linear(Tensor(A234), t, Tensor(VEC3)), A34.T),
         ("linear_b3d", lambda t: ops.linear(Tensor(A234), Tensor(A34.T), t), VEC3),
@@ -153,22 +156,44 @@ def test_linear_rejects_bad_weight_or_bias():
             ops.linear(x, Tensor(w), Tensor(b))
 
 
+def merge_heads(a):
+    """(heads, L, D) -> (L, heads * D), the layout attention takes."""
+    return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
+
+
+def test_attention_rejects_mismatched_or_indivisible_operands():
+    x = Tensor(np.ones((5, 6)))
+    cases = [
+        (Tensor(np.ones((1, 5, 6))),) * 3 + (2,),
+        (Tensor(np.ones(6)),) * 3 + (2,),
+        (x, Tensor(np.ones((4, 6))), x, 2),
+        (x, x, Tensor(np.ones((5, 4))), 2),
+        (x, x, x, 4),
+        (x, x, x, 0),
+    ]
+    for q, k, v, heads in cases:
+        with pytest.raises(ContractViolation, match="attention needs"):
+            ops.attention(q, k, v, heads)
+
+
 def test_softmax_rows_sum_to_one():
-    # attention against all-ones values returns each softmax row's sum
+    # attention against all-ones values returns each softmax row's sum;
+    # two heads of width 17, logits scaled up to peak the softmax
     rng = np.random.default_rng(7)
-    q = Tensor(rng.standard_normal((2, 50, 17)) * 10)
-    k = Tensor(rng.standard_normal((2, 50, 17)))
-    out = ops.attention(q, k, Tensor(np.ones((2, 50, 3))), 1.0).data
-    np.testing.assert_allclose(out, np.ones((2, 50, 3)), atol=1e-12)
+    q = Tensor(rng.standard_normal((50, 34)) * 10 * np.sqrt(17))
+    k = Tensor(rng.standard_normal((50, 34)))
+    out = ops.attention(q, k, Tensor(np.ones((50, 34))), 2).data
+    np.testing.assert_allclose(out, np.ones((50, 34)), atol=1e-12)
 
 
 def test_attention_matches_unfused_composition():
+    # three heads of width 4: scale 1/sqrt(4)
     rng = np.random.default_rng(10)
     q, k, v = (rng.standard_normal((3, 9, 4)) for _ in range(3))
     logits = 0.5 * q @ k.transpose(0, 2, 1)
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    want = (e / e.sum(axis=-1, keepdims=True)) @ v
-    got = ops.attention(Tensor(q), Tensor(k), Tensor(v), 0.5).data
+    want = merge_heads((e / e.sum(axis=-1, keepdims=True)) @ v)
+    got = ops.attention(*(Tensor(merge_heads(a)) for a in (q, k, v)), 3).data
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
 
 
@@ -176,22 +201,24 @@ def test_attention_row_term_from_output_matches_map_form():
     # the softmax adjoint's row term, rowsum(g * out), against rowsum(gs * s)
     rng = np.random.default_rng(12)
     q, k, v, g = (rng.standard_normal((4, 256, 16)) for _ in range(4))
-    c = 0.25
-    got = ops.attention(Tensor(q, requires_grad=True), Tensor(k), Tensor(v), c)._vjp(g)
+    c = 0.25  # four heads of width 16
+    q_in = Tensor(merge_heads(q), requires_grad=True)
+    node = ops.attention(q_in, Tensor(merge_heads(k)), Tensor(merge_heads(v)), 4)
+    got = node._vjp(merge_heads(g))
     s = c * (q @ k.swapaxes(-1, -2))
     s = np.exp(s - s.max(axis=-1, keepdims=True))
     s /= s.sum(axis=-1, keepdims=True)
     gs = g @ v.swapaxes(-1, -2)
     gs = c * s * (gs - (gs * s).sum(axis=-1, keepdims=True))
     want = (gs @ k, gs.swapaxes(-1, -2) @ q, s.swapaxes(-1, -2) @ g)
-    for a, b in zip(got, want):
+    for a, b in zip(got, map(merge_heads, want)):
         assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
 
 
 def test_vjps_leave_incoming_adjoint_untouched():
     rng = np.random.default_rng(11)
     cases = [
-        (lambda t: ops.attention(t, t, t, 0.3), rng.standard_normal((2, 5, 3))),
+        (lambda t: ops.attention(t, t, t, 2), rng.standard_normal((5, 6))),
         (lambda t: ops.segment_pool(t, SEG_IDX, SEG_STARTS), rng.standard_normal((5, 4))),
         (lambda t: ops.chamfer(t, T463), rng.standard_normal((4, 5, 3))),
         (lambda t: ops.linear(t, t, Tensor(VEC3)), rng.standard_normal((3, 3))),
@@ -260,6 +287,40 @@ def mse_by_composition(a, b):
     return mean_node(ops.mul(d, d))
 
 
+def attention_heads_node(q, k, v, c):
+    """The attention node over split (..., L, D) heads with a given scale,
+    which the (L, heads * D) attention absorbed along with the head split
+    and merge."""
+    s = q.data @ k.data.swapaxes(-1, -2)
+    s *= c
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    out = s @ v.data
+
+    def vjp(g):
+        gv = s.swapaxes(-1, -2) @ g
+        gs = g @ v.data.swapaxes(-1, -2)
+        gs -= (g * out).sum(axis=-1, keepdims=True)
+        gs *= s
+        gs *= c
+        return gs @ k.data, gs.swapaxes(-1, -2) @ q.data, gv
+
+    return make_node(out, (q, k, v), vjp)
+
+
+def attention_by_composition(q, k, v, heads):
+    """reshape + transpose into heads, the head node, transpose + reshape back."""
+    length, width = q.shape
+    d = width // heads
+
+    def split(t):
+        return ops.transpose(ops.reshape(t, (length, heads, d)), (1, 0, 2))
+
+    out = attention_heads_node(split(q), split(k), split(v), 1.0 / math.sqrt(d))
+    return ops.reshape(ops.transpose(out, (1, 0, 2)), (length, width))
+
+
 @pytest.mark.parametrize(
     "fused,composed,shapes",
     [
@@ -271,6 +332,17 @@ def mse_by_composition(a, b):
             [(17, 8), (8,), (8,)],
         ),
         (ops.mse, mse_by_composition, [(3, 6, 5), (3, 6, 5)]),
+        # the desk decoder's attention: 256 rows, 4 heads of width 16
+        (
+            lambda q, k, v: ops.attention(q, k, v, 4),
+            lambda q, k, v: attention_by_composition(q, k, v, 4),
+            [(256, 64)] * 3,
+        ),
+        (
+            lambda q, k, v: ops.attention(q, k, v, 3),
+            lambda q, k, v: attention_by_composition(q, k, v, 3),
+            [(37, 24)] * 3,
+        ),
     ],
 )
 def test_fused_op_matches_composition_byte_for_byte(fused, composed, shapes):
@@ -427,8 +499,8 @@ def test_no_grad_skips_graph():
 def test_forward_ops_stay_finite():
     rng = np.random.default_rng(9)
     x = Tensor(rng.standard_normal((30, 30)) * 100)
-    x3 = ops.reshape(x, (1, 30, 30))
-    att = ops.attention(x3, x3, x3, 1.0)
+    # scaled by sqrt(30) so the logits are x x^T, as large as they come
+    att = ops.attention(ops.scale(x, np.sqrt(30)), x, x, 1)
     norm = ops.layer_norm_affine(x, Tensor(np.ones(30)), Tensor(np.zeros(30)))
     for out in (att, ops.gelu(x), norm):
         assert np.all(np.isfinite(out.data))

@@ -240,11 +240,11 @@ def test_decode_segment_shapes():
     cfg = model.cfg
     length = cfg.n + cfg.K * model.tokens_per_view
     rng = np.random.default_rng(12)
-    points, images = decode_batch(
+    decoded = decode_batch(
         model, rng.normal(size=(length, cfg.C)), rng.normal(size=(length, cfg.C))
     )
-    assert points.shape == (cfg.n, cfg.C)
-    assert images.shape == (cfg.K * model.tokens_per_view, cfg.C)
+    # n point rows, then tokens_per_view image rows per view
+    assert decoded.shape == (cfg.n + cfg.K * model.tokens_per_view, cfg.C)
 
 
 def test_decode_points_attend_to_images():
@@ -254,11 +254,11 @@ def test_decode_points_attend_to_images():
     rng = np.random.default_rng(13)
     seq = rng.normal(size=(length, cfg.C))
     pos = rng.normal(size=(length, cfg.C))
-    base_points, _ = decode_batch(model, seq, pos)
+    base = decode_batch(model, seq, pos).data
     zeroed = seq.copy()
     zeroed[cfg.n :] = 0.0
-    other_points, _ = decode_batch(model, zeroed, pos)
-    assert np.abs(base_points.data - other_points.data).max() > 1e-6
+    other = decode_batch(model, zeroed, pos).data
+    assert np.abs(base[: cfg.n] - other[: cfg.n]).max() > 1e-6
 
 
 def test_decode_view_swap_equivariance():
@@ -274,12 +274,12 @@ def test_decode_view_swap_equivariance():
         np.arange(cfg.n + t, cfg.n + 2 * t),
         np.arange(cfg.n, cfg.n + t),
     )
-    base_points, base_images = decode_batch(model, seq, pos)
-    swap_points, swap_images = decode_batch(model, seq[swap], pos[swap])
-    view = lambda images, v: images.data[v * t : (v + 1) * t]
-    np.testing.assert_allclose(swap_points.data, base_points.data, atol=1e-9)
-    np.testing.assert_allclose(view(swap_images, 0), view(base_images, 1), atol=1e-9)
-    np.testing.assert_allclose(view(swap_images, 1), view(base_images, 0), atol=1e-9)
+    base = decode_batch(model, seq, pos).data
+    swapped = decode_batch(model, seq[swap], pos[swap]).data
+    view = lambda rows, v: rows[cfg.n + v * t : cfg.n + (v + 1) * t]
+    np.testing.assert_allclose(swapped[: cfg.n], base[: cfg.n], atol=1e-9)
+    np.testing.assert_allclose(view(swapped, 0), view(base, 1), atol=1e-9)
+    np.testing.assert_allclose(view(swapped, 1), view(base, 0), atol=1e-9)
 
 
 # --- heads ---------------------------------------------------------------
@@ -289,10 +289,11 @@ def test_heads_shapes_at_desk_scale():
     cfg = desk_config().model
     model = MultiviewMae(cfg, Rng(0).derive("init"))
     rng = np.random.default_rng(15)
-    point_rows = Tensor(rng.normal(size=(cfg.n, cfg.C)))
-    image_rows = Tensor(rng.normal(size=(cfg.K * model.tokens_per_view, cfg.C)))
+    point_rows = rng.normal(size=(cfg.n, cfg.C))
+    image_rows = rng.normal(size=(cfg.K * model.tokens_per_view, cfg.C))
     masked_idx = np.arange(48)
-    patches, images = model.project_heads(point_rows, image_rows, masked_idx)
+    decoded = Tensor(np.concatenate([point_rows, image_rows]))
+    patches, images = model.project_heads(decoded, masked_idx)
     assert patches.shape == (48, 32, 3)
     assert images.shape == (cfg.K, 64, 64)
 
@@ -302,14 +303,13 @@ def test_head2d_tiling_layout():
     cfg = model.cfg
     ppr, ppc = cfg.H_i // cfg.H_t, cfg.W_i // cfg.W_t
     t = model.tokens_per_view
-    rows = Tensor(np.random.default_rng(16).normal(size=(cfg.K * t, cfg.C)))
-    _, images = model.project_heads(
-        Tensor(np.zeros((cfg.n, cfg.C))), rows, np.array([0])
-    )
+    rows = np.random.default_rng(16).normal(size=(cfg.K * t, cfg.C))
+    decoded = Tensor(np.concatenate([np.zeros((cfg.n, cfg.C)), rows]))
+    _, images = model.project_heads(decoded, np.array([0]))
     assert images.shape == (cfg.K, cfg.H_i, cfg.W_i)
     for v in range(cfg.K):
         image = images.data[v]
-        flat = rows.data[v * t : (v + 1) * t] @ model.head2d.weight.data + model.head2d.bias.data
+        flat = rows[v * t : (v + 1) * t] @ model.head2d.weight.data + model.head2d.bias.data
         for token in range(t):
             r0 = (token // cfg.W_t) * ppr
             c0 = (token % cfg.W_t) * ppc
@@ -323,10 +323,8 @@ def test_head2d_zero_input_gives_tiled_bias():
     cfg = model.cfg
     ppr, ppc = cfg.H_i // cfg.H_t, cfg.W_i // cfg.W_t
     model.head2d.bias.data[...] = np.random.default_rng(17).normal(size=ppr * ppc)
-    rows = Tensor(np.zeros((cfg.K * model.tokens_per_view, cfg.C)))
-    _, images = model.project_heads(
-        Tensor(np.zeros((cfg.n, cfg.C))), rows, np.array([0])
-    )
+    decoded = Tensor(np.zeros((cfg.n + cfg.K * model.tokens_per_view, cfg.C)))
+    _, images = model.project_heads(decoded, np.array([0]))
     want = np.tile(model.head2d.bias.data.reshape(ppr, ppc), (cfg.K, cfg.H_t, cfg.W_t))
     np.testing.assert_array_equal(images.data, want)
 
@@ -566,7 +564,7 @@ def test_desk_graph_size_does_not_grow_with_fused_tokens():
     assert len(set(groups)) == len(groups)
     assert groups[-1] == (0, 0, 0)
     assert len(set(counts)) == 1, counts
-    assert counts[0] == 292
+    assert counts[0] == 239
 
 
 # --- downstream features ------------------------------------------------

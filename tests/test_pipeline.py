@@ -125,6 +125,20 @@ def test_resume_discards_rows_past_checkpoint(corpus, trained, tmp_path):
     assert resumed.metrics_path.read_bytes() == full_result.metrics_path.read_bytes()
 
 
+def test_stop_before_start_step_rejected_before_any_write(corpus, trained, tmp_path):
+    cfg, clouds, _ = corpus
+    _, full_dir = trained
+    out = tmp_path / "s"
+    with pytest.raises(ContractViolation, match="stop_after_step 3 is before the start step 8"):
+        pretrain(
+            cfg, clouds, out, run_seed=11,
+            resume_from=full_dir / "ckpt_00000008.ckpt", stop_after_step=3,
+        )
+    with pytest.raises(ContractViolation, match="stop_after_step -1 is before the start step 0"):
+        pretrain(cfg, clouds, out, run_seed=11, stop_after_step=-1)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -552,6 +566,14 @@ def test_fewshot_contracts():
         fewshot_trials(features, labels, 3, 6, 2, rng)  # 6 + 20 > 25
     with pytest.raises(ContractViolation, match="positive"):
         fewshot_trials(features, labels, 3, 0, 2, rng)
+
+
+def test_fewshot_rejects_labels_that_are_not_class_indices():
+    # labels {0, 2}: episode classes are drawn as indices 0..C-1
+    features, labels = separable_features(per_class=25, classes=3)
+    keep = labels != 1
+    with pytest.raises(ContractViolation, match="0..n_classes-1"):
+        fewshot_trials(features[keep], labels[keep], 2, 1, 2, Rng(0).derive("f"))
 
 
 def test_fewshot_on_encoder_insufficient_data(corpus, trained):
