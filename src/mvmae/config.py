@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+import math
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
 from .fileio import read_input
 
 CONFIG_VERSION = 1
+# integer fields that may be 0; every other integer field must be positive
+_MAY_BE_ZERO = {"dec_depth", "warmup_steps", "dataset_seed"}
 
 
 @dataclass(frozen=True)
@@ -67,30 +70,29 @@ class Config:
     data: DataConfig = field(default_factory=DataConfig)
 
     def validate(self) -> "Config":
+        if type(self.version) is not int or self.version != CONFIG_VERSION:
+            raise ConfigError(f"unsupported config version {self.version!r}")
+        # each field's type and sign first: the checks below divide by some
+        for section in ("model", "train", "data"):
+            part = getattr(self, section)
+            for f in fields(part):
+                _check_field(section, f.name, f.type, getattr(part, f.name))
         m = self.model
         checks = [
-            (self.version == CONFIG_VERSION, f"unsupported config version {self.version}"),
             (m.H_i % m.H_t == 0, f"H_i {m.H_i} not divisible by H_t {m.H_t}"),
             (m.W_i % m.W_t == 0, f"W_i {m.W_i} not divisible by W_t {m.W_t}"),
-            (1 <= m.K <= m.V, f"K {m.K} outside [1, V={m.V}]"),
+            (m.K <= m.V, f"K {m.K} outside [1, V={m.V}]"),
             (m.dec_depth < m.enc_depth, f"dec_depth {m.dec_depth} must be below enc_depth {m.enc_depth}"),
             (m.C % 4 == 0, f"token width {m.C} must be divisible by 4"),
             (m.C % m.heads == 0, f"token width {m.C} not divisible by {m.heads} heads"),
             (0.0 < m.m < 1.0, f"mask ratio {m.m} outside (0, 1)"),
             (m.n >= 2, f"patch count {m.n} below 2"),
-            (m.k >= 1, f"patch size {m.k} below 1"),
             (m.radius > 1.0, f"camera radius {m.radius} inside the unit sphere"),
             (0.0 < m.fov_deg < 180.0, f"fov {m.fov_deg} outside (0, 180)"),
             (self.data.n_points >= max(m.n, m.k), "cloud smaller than patch layout"),
-            (self.data.n_classes >= 1, "need at least one class"),
-            (self.data.instances_per_class >= 1, "need at least one instance per class"),
             (self.train.lr > 0.0, f"lr {self.train.lr} must be positive"),
             (self.train.lr_min >= 0.0, f"lr_min {self.train.lr_min} must be non-negative"),
             (self.train.weight_decay >= 0.0, "weight decay must be non-negative"),
-            (self.train.epochs >= 1, "epochs must be at least 1"),
-            (self.train.batch_size >= 1, "batch size must be at least 1"),
-            (self.train.ckpt_every >= 1, "ckpt_every must be at least 1"),
-            (self.train.warmup_steps >= 0, "warmup_steps must be non-negative"),
         ]
         for ok, message in checks:
             if not ok:
@@ -104,7 +106,27 @@ class Config:
         return hashlib.sha256(self.canonical_json().encode("ascii")).hexdigest()
 
 
+def _check_field(section: str, name: str, kind: str, value) -> None:
+    """An int field holds an int (not a bool or a float) at least 1, or 0
+    where _MAY_BE_ZERO allows; a float field holds a finite number."""
+    if kind == "int":
+        low = 0 if name in _MAY_BE_ZERO else 1
+        if not isinstance(value, int) or isinstance(value, bool) or value < low:
+            raise ConfigError(
+                f"{section}.{name} must be an integer >= {low}, got {value!r}"
+            )
+    elif (
+        not isinstance(value, (int, float))
+        or isinstance(value, bool)
+        or not math.isfinite(value)
+    ):
+        raise ConfigError(f"{section}.{name} must be a finite number, got {value!r}")
+
+
 def config_from_dict(raw: dict) -> Config:
+    unknown = sorted(set(raw) - {f.name for f in fields(Config)})
+    if unknown:
+        raise ConfigError(f"unknown config sections {unknown}")
     try:
         cfg = Config(
             version=raw.get("version", CONFIG_VERSION),

@@ -67,30 +67,27 @@ def normalize_unit_sphere(cloud: PointCloud) -> PointCloud:
     return replace(cloud, points=centered / radius)
 
 
-def _sq_dists(coords: np.ndarray, center: np.ndarray) -> np.ndarray:
+def _sq_dists(coords: np.ndarray, j: int, diff: np.ndarray, out: np.ndarray) -> None:
     """Squared distances from the columns of a (3, N) coordinate-major
-    array to one (3,) center, or to m centers given as (3, m, 1).
+    array to its column j, written into out (N,); diff is (3, N) scratch.
 
     Summed x, y, z in that order, which is bit for bit what
     np.sum(diff ** 2, axis=-1) gives over a length-3 axis.
     """
-    d2 = center[0] - coords[0]
-    d2 *= d2
-    term = center[1] - coords[1]
-    term *= term
-    d2 += term
-    np.subtract(center[2], coords[2], out=term)
-    term *= term
-    d2 += term
-    return d2
+    np.subtract(coords[:, j, None], coords, out=diff)
+    diff *= diff
+    np.add(diff[0], diff[1], out=out)
+    out += diff[2]
 
 
 def farthest_point_sampling(
     points: np.ndarray, n_samples: int, start_index: int = 0
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Greedy max-min subset selection, ties broken by lowest index.
 
-    Returns indices in selection order. The start index defaults to 0 so
+    Returns the indices in selection order and the (n_samples, N) squared
+    distances from each chosen point to every point, row i for chosen[i],
+    which is what knn selects from. The start index defaults to 0 so
     patching is deterministic without threading an rng through.
     """
     points = np.asarray(points, dtype=np.float64)
@@ -100,31 +97,32 @@ def farthest_point_sampling(
     if not 0 <= start_index < n:
         raise ContractViolation(f"start_index {start_index} outside [0, {n})")
     coords = np.ascontiguousarray(points.T)
+    diff = np.empty_like(coords)
     chosen = np.empty(n_samples, dtype=np.int64)
+    d2 = np.empty((n_samples, n))
     chosen[0] = start_index
-    min_d2 = _sq_dists(coords, coords[:, start_index])
+    _sq_dists(coords, start_index, diff, d2[0])
+    min_d2 = d2[0].copy()
     # chosen entries get -1 so duplicates of a selected point can't win
     min_d2[start_index] = -1.0
     for i in range(1, n_samples):
         nxt = int(np.argmax(min_d2))  # argmax takes the first max: lowest index
         chosen[i] = nxt
-        np.minimum(min_d2, _sq_dists(coords, coords[:, nxt]), out=min_d2)
+        _sq_dists(coords, nxt, diff, d2[i])
+        np.minimum(min_d2, d2[i], out=min_d2)
         min_d2[nxt] = -1.0
-    return chosen
+    return chosen, d2
 
 
-def knn(points: np.ndarray, centers: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k nearest points per center, ascending by distance,
-    ties by lowest index.
+def knn(d2: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of the k smallest entries of each row of a (centers,
+    points) squared-distance matrix, ascending, ties by lowest index.
 
-    Equal to argsort(d2, kind="stable")[:, :k] of the full distance matrix,
-    ties at the k-th distance included, without sorting whole rows.
+    Equal to argsort(d2, kind="stable")[:, :k], ties at the k-th distance
+    included, without sorting whole rows.
     """
-    points = np.asarray(points, dtype=np.float64)
-    centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
-    if not 1 <= k <= len(points):
-        raise ContractViolation(f"k {k} outside [1, {len(points)}]")
-    d2 = _sq_dists(np.ascontiguousarray(points.T), centers.T[:, :, None])
+    if not 1 <= k <= d2.shape[1]:
+        raise ContractViolation(f"k {k} outside [1, {d2.shape[1]}]")
     # candidates: every entry not above the k-th smallest distance ("not
     # above" rather than "<=" keeps a row whole when its k-th entry is NaN,
     # and NaN sorts last in both sorts)

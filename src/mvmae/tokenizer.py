@@ -50,9 +50,9 @@ def round_half_up(x: float) -> int:
 def build_patches(points: np.ndarray, n: int, k: int) -> PatchSet:
     """FPS centers plus center-relative KNN groups."""
     points = np.asarray(points, dtype=np.float64)
-    center_idx = farthest_point_sampling(points, n)
+    center_idx, d2 = farthest_point_sampling(points, n)
     centers = points[center_idx]
-    nn_idx = knn(points, centers, k)
+    nn_idx = knn(d2, k)
     patches = points[nn_idx] - centers[:, None, :]
     return PatchSet(centers=centers, patches=patches, center_indices=center_idx)
 

@@ -80,20 +80,17 @@ def grad_rel_error(analytic: np.ndarray, fd: np.ndarray) -> float:
 
 
 def fps_greedy(points: np.ndarray, n_samples: int, start_index: int = 0) -> list[int]:
-    """Exhaustive greedy max-min selection; ties broken by lowest index."""
-    n = len(points)
+    """Exhaustive greedy max-min selection; ties broken by lowest index.
+
+    Every round recomputes the distance from each point to every chosen
+    point, with no running minimum carried between rounds.
+    """
     chosen = [start_index]
     while len(chosen) < n_samples:
-        best_idx, best_d = None, -1.0
-        for cand in range(n):
-            if cand in chosen:
-                continue
-            dmin = min(
-                float(np.sum((points[cand] - points[c]) ** 2)) for c in chosen
-            )
-            if dmin > best_d:
-                best_d, best_idx = dmin, cand
-        chosen.append(best_idx)
+        d2 = np.sum((points[:, None, :] - points[None, chosen, :]) ** 2, axis=-1)
+        dmin = d2.min(axis=1)
+        dmin[chosen] = -np.inf
+        chosen.append(int(np.argmax(dmin)))  # the first of equal maxima
     return chosen
 
 
@@ -106,10 +103,15 @@ def knn_bruteforce(points: np.ndarray, center: np.ndarray, k: int) -> list[int]:
     return order[:k]
 
 
+def sq_dist_matrix(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """The whole (centers, points) squared-distance matrix in one sum."""
+    return np.sum((centers[:, None, :] - points[None, :, :]) ** 2, axis=-1)
+
+
 def knn_stable_argsort(points: np.ndarray, centers: np.ndarray, k: int) -> np.ndarray:
     """The full-sort definition: stable argsort of the whole (centers,
     points) squared-distance matrix, first k columns of each row."""
-    d2 = np.sum((centers[:, None, :] - points[None, :, :]) ** 2, axis=2)
+    d2 = sq_dist_matrix(points, centers)
     return np.argsort(d2, axis=1, kind="stable")[:, :k]
 
 

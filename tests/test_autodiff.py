@@ -225,13 +225,19 @@ def test_vjps_leave_incoming_adjoint_untouched():
         (lambda t: ops.layer_norm_affine(t, ops.reshape(t, (4,)), ops.reshape(t, (4,))),
          rng.standard_normal((1, 4))),
         (lambda t: ops.mse(t, ops.scale(t, 0.5)), rng.standard_normal((3, 4))),
+        (lambda t: ops.max_(t, axis=1), rng.standard_normal((2, 3, 4))),
     ]
     for build, x in cases:
-        out = build(Tensor(x, requires_grad=True))
+        t = Tensor(x.copy(), requires_grad=True)
+        out = build(t)
+        # max_ finds its argmax in the VJP: the input must still hold the
+        # forward's bytes then, and no VJP may write into it either
+        assert t.data.tobytes() == x.tobytes()
         g = rng.standard_normal(out.shape)
         before = g.copy()
         out._vjp(g)
         np.testing.assert_array_equal(g, before)
+        assert t.data.tobytes() == x.tobytes()
 
 
 # --- fused ops against the compositions they replaced -----------------------
@@ -494,6 +500,24 @@ def test_no_grad_skips_graph():
     with no_grad():
         y = ops.mul(x, x)
     assert y._vjp is None and not y.requires_grad
+
+
+def test_max_under_no_grad_records_no_parents():
+    x = Parameter(np.arange(24.0).reshape(2, 3, 4), "x")
+    with no_grad():
+        y = ops.max_(x, axis=1)
+    assert y._parents == () and y._vjp is None and not y.requires_grad
+    np.testing.assert_array_equal(y.data, x.data.max(axis=1))
+
+
+def test_max_gradient_goes_to_first_maximum():
+    # ties along axis 1 in every column, at rows 0 and 2, or 1 and 2
+    data = np.array([[[5.0, 1.0], [2.0, 7.0], [5.0, 7.0]]])
+    x = Parameter(data, "x")
+    backward(ops.sum_(ops.mul(ops.max_(x, axis=1), Tensor([[2.0, 3.0]]))))
+    np.testing.assert_array_equal(
+        x.grad, [[[2.0, 0.0], [0.0, 3.0], [0.0, 0.0]]]
+    )
 
 
 def test_forward_ops_stay_finite():

@@ -119,6 +119,17 @@ def test_version_mismatch(tmp_path):
         load_checkpoint(path)
 
 
+def test_zeroed_heads_in_config_block_rejected(tmp_path):
+    # "heads":2 -> "heads":0 is a single bit flip, and the config checks
+    # take the token width modulo heads
+    blob, _, _ = fuzz_base()
+    assert blob.count(b'"heads":2') == 1
+    path = tmp_path / "a.ckpt"
+    path.write_bytes(blob.replace(b'"heads":2', b'"heads":0'))
+    with pytest.raises(CheckpointError, match="heads"):
+        load_checkpoint(path)
+
+
 def test_truncation_errors_with_offset(tmp_path):
     cfg, model, opt = trained_state(steps=1)
     path = tmp_path / "a.ckpt"

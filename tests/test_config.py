@@ -1,8 +1,14 @@
+import json
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
 
-from mvmae.config import PRESETS, load_config, preset_or_file
+from mvmae.config import (
+    PRESETS, DataConfig, ModelConfig, TrainConfig, config_from_dict, load_config,
+    preset_or_file,
+)
+from mvmae.errors import ConfigError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -16,3 +22,59 @@ def test_shipped_config_matches_preset(name):
     shipped = load_config(CONFIGS / f"{name}.json")
     assert shipped.config_hash() == PRESETS[name]().config_hash()
     assert preset_or_file(str(CONFIGS / f"{name}.json")) == preset_or_file(name)
+
+
+def bad_field_values():
+    """(section, field, value) for every field of the config dataclasses:
+    zero (where the field must be positive), negative, float and string
+    values for integer fields; non-finite, bool and string values for
+    float fields."""
+    cases = []
+    for section, cls in (("model", ModelConfig), ("train", TrainConfig), ("data", DataConfig)):
+        for f in fields(cls):
+            if f.type == "int":
+                zero = [] if f.name in ("dec_depth", "warmup_steps", "dataset_seed") else [0]
+                values = zero + [-1, 2.0, 2.5, "2", True]
+            else:
+                values = [float("nan"), float("inf"), -float("inf"), True, "0.5"]
+            cases += [
+                pytest.param(section, f.name, v, id=f"{section}.{f.name}={v!r}")
+                for v in values
+            ]
+    return cases
+
+
+@pytest.mark.parametrize("section, name, value", bad_field_values())
+def test_bad_field_value_raises_config_error(section, name, value, tmp_path):
+    raw = asdict(PRESETS["tiny"]())
+    raw[section][name] = value
+    with pytest.raises(ConfigError, match=rf"{section}\.{name}"):
+        config_from_dict(raw)
+    # the same through a file, where json spells the non-finite floats
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ConfigError, match=rf"{section}\.{name}"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1", 2])
+def test_bad_version_raises_config_error(version):
+    raw = asdict(PRESETS["tiny"]())
+    raw["version"] = version
+    with pytest.raises(ConfigError, match="version"):
+        config_from_dict(raw)
+
+
+def test_zero_allowed_where_documented():
+    raw = asdict(PRESETS["tiny"]())
+    raw["model"]["dec_depth"] = 0
+    raw["train"]["warmup_steps"] = 0
+    raw["data"]["dataset_seed"] = 0
+    config_from_dict(raw)
+
+
+def test_unknown_section_raises_config_error():
+    raw = asdict(PRESETS["tiny"]())
+    raw["modle"] = raw.pop("model")
+    with pytest.raises(ConfigError, match="modle"):
+        config_from_dict(raw)

@@ -23,7 +23,9 @@ from mvmae.geometry import (
 from mvmae.config import DataConfig
 from mvmae.data import make_dataset
 
-from oracles import fps_greedy, knn_bruteforce, knn_stable_argsort
+from mvmae.tokenizer import build_patches
+
+from oracles import fps_greedy, knn_bruteforce, knn_stable_argsort, sq_dist_matrix
 
 clouds_small = st.integers(2, 40).flatmap(
     lambda n: st.lists(
@@ -89,21 +91,21 @@ def test_non_finite_cloud_rejected(bad):
 
 def test_fps_line_example():
     pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [10.0, 0, 0]])
-    idx = farthest_point_sampling(pts, 2)
+    idx, _ = farthest_point_sampling(pts, 2)
     assert idx.tolist() == [0, 2]
 
 
 def test_fps_square_tie_broken_by_index():
     pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0], [1.0, 1, 0]])
-    idx = farthest_point_sampling(pts, 3)
+    idx, _ = farthest_point_sampling(pts, 3)
     assert idx.tolist() == [0, 3, 1]
 
 
 def test_fps_full_selection_deterministic():
     rng = np.random.default_rng(1)
     pts = rng.normal(size=(12, 3))
-    a = farthest_point_sampling(pts, 12)
-    b = farthest_point_sampling(pts, 12)
+    a, _ = farthest_point_sampling(pts, 12)
+    b, _ = farthest_point_sampling(pts, 12)
     assert a.tolist() == b.tolist()
     assert sorted(a.tolist()) == list(range(12))
 
@@ -118,7 +120,7 @@ def test_fps_oversample_rejected():
 def test_fps_matches_exhaustive_greedy_oracle(points, n_samples):
     pts = np.array(points)
     n_samples = min(n_samples, len(pts))
-    got = farthest_point_sampling(pts, n_samples).tolist()
+    got = farthest_point_sampling(pts, n_samples)[0].tolist()
     assert got == fps_greedy(pts, n_samples)
 
 
@@ -127,7 +129,7 @@ def test_fps_coverage_nonincreasing():
     pts = rng.normal(size=(50, 3))
     prev = math.inf
     for n in range(1, 51):
-        sel = farthest_point_sampling(pts, n)
+        sel, _ = farthest_point_sampling(pts, n)
         d2 = np.sum((pts[:, None, :] - pts[sel][None, :, :]) ** 2, axis=2)
         cover = d2.min(axis=1).max()
         assert cover <= prev + 1e-12
@@ -136,25 +138,25 @@ def test_fps_coverage_nonincreasing():
 
 def test_knn_center_at_existing_point():
     pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [3.0, 0, 0]])
-    idx = knn(pts, np.array([[0.0, 0, 0]]), 1)
+    idx = knn(sq_dist_matrix(pts, np.array([[0.0, 0, 0]])), 1)
     assert idx.tolist() == [[0]]
 
 
 def test_knn_line_example():
     pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [3.0, 0, 0]])
-    idx = knn(pts, np.array([[0.0, 0, 0]]), 2)
+    idx = knn(sq_dist_matrix(pts, np.array([[0.0, 0, 0]])), 2)
     assert idx.tolist() == [[0, 1]]
 
 
 def test_knn_equidistant_tie_prefers_lower_index():
     pts = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0.0, 1, 0]])
-    idx = knn(pts, np.array([[0.0, 0, 0]]), 3)
+    idx = knn(sq_dist_matrix(pts, np.array([[0.0, 0, 0]])), 3)
     assert idx.tolist() == [[0, 1, 2]]
 
 
 def test_knn_k_too_large_rejected():
     with pytest.raises(ContractViolation):
-        knn(np.zeros((2, 3)), np.zeros((1, 3)), 3)
+        knn(np.zeros((1, 2)), 3)
 
 
 @given(clouds_small, st.integers(1, 8))
@@ -163,7 +165,7 @@ def test_knn_matches_bruteforce_oracle(points, k):
     pts = np.array(points)
     k = min(k, len(pts))
     centers = pts[:3]
-    got = knn(pts, centers, k)
+    got = knn(sq_dist_matrix(pts, centers), k)
     for row, center in zip(got, centers):
         assert row.tolist() == knn_bruteforce(pts, center, k)
         assert len(set(row.tolist())) == k
@@ -177,7 +179,7 @@ def test_knn_matches_bruteforce_oracle_on_grid_ties(points, centers, data):
     pts = np.array(points, dtype=np.float64)
     ctr = np.array(centers, dtype=np.float64)
     k = data.draw(st.integers(1, len(pts)), label="k")
-    got = knn(pts, ctr, k)
+    got = knn(sq_dist_matrix(pts, ctr), k)
     assert got.shape == (len(ctr), k)
     for row, center in zip(got, ctr):
         assert row.tolist() == knn_bruteforce(pts, center, k)
@@ -189,50 +191,95 @@ def test_fps_matches_exhaustive_greedy_oracle_on_grid_ties(points, data):
     pts = np.array(points, dtype=np.float64)
     n_samples = data.draw(st.integers(1, len(pts)), label="n_samples")
     start = data.draw(st.integers(0, len(pts) - 1), label="start_index")
-    got = farthest_point_sampling(pts, n_samples, start_index=start).tolist()
+    got = farthest_point_sampling(pts, n_samples, start_index=start)[0].tolist()
     assert got == fps_greedy(pts, n_samples, start_index=start)
+
+
+def dataset_cloud(n_points: int) -> np.ndarray:
+    """A generated cloud; one with fewer than max(n, k) = 64 points is
+    cycled up as patchify does, so every distance occurs several times."""
+    clouds, _ = make_dataset(
+        DataConfig(n_points=n_points, n_classes=1, instances_per_class=1)
+    )
+    return np.tile(clouds[0].points, (-(-64 // n_points), 1))[: max(64, n_points)]
+
+
+def permutation_cloud() -> np.ndarray:
+    """Every coordinate permutation of each point, plus the origin: the
+    squared distances to the origin agree up to rounding, which depends on
+    summation order."""
+    base = np.random.default_rng(9).uniform(-1.0, 1.0, size=(10, 3))
+    perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+    return np.concatenate([np.zeros((1, 3))] + [base[:, list(p)] for p in perms])
+
+
+# (cloud, FPS sample count) for the distance-row and patching tests
+ORACLE_CLOUDS = [
+    pytest.param(lambda: dataset_cloud(20), 64, id="dataset-20"),
+    pytest.param(lambda: dataset_cloud(1024), 64, id="dataset-1024"),
+    pytest.param(lambda: dataset_cloud(8192), 64, id="dataset-8192"),
+    pytest.param(permutation_cloud, 12, id="permutations"),
+]
 
 
 @pytest.mark.parametrize("n_points", [20, 1024, 8192])
 def test_knn_equals_full_stable_sort_on_dataset_cloud(n_points):
-    # a cloud with fewer than max(n, k) = 64 points is cycled up as patchify
-    # does, so every distance occurs several times over
-    clouds, _ = make_dataset(
-        DataConfig(n_points=n_points, n_classes=1, instances_per_class=1)
-    )
-    pts = np.tile(clouds[0].points, (-(-64 // n_points), 1))[: max(64, n_points)]
-    centers = pts[farthest_point_sampling(pts, 64)]
+    pts = dataset_cloud(n_points)
+    idx, d2 = farthest_point_sampling(pts, 64)
+    centers = pts[idx]
     for k in (1, 5, 32, 64):
         np.testing.assert_array_equal(
-            knn(pts, centers, k), knn_stable_argsort(pts, centers, k)
+            knn(d2, k), knn_stable_argsort(pts, centers, k)
         )
 
 
 def test_kernels_sum_squares_in_coordinate_order():
-    # every coordinate permutation of each point: the squared distances to
-    # the origin agree up to rounding, which depends on summation order
-    base = np.random.default_rng(9).uniform(-1.0, 1.0, size=(10, 3))
-    perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
-    pts = np.concatenate([np.zeros((1, 3))] + [base[:, list(p)] for p in perms])
+    pts = permutation_cloud()
+    idx, d2 = farthest_point_sampling(pts, 12)
     for k in (6, 20, 45):
+        # FPS starts at the origin, so its first row is the origin's
         np.testing.assert_array_equal(
-            knn(pts, pts[:1], k), knn_stable_argsort(pts, pts[:1], k)
+            knn(d2[:1], k), knn_stable_argsort(pts, pts[:1], k)
         )
-    assert farthest_point_sampling(pts, 12).tolist() == fps_greedy(pts, 12)
+    assert idx.tolist() == fps_greedy(pts, 12)
+
+
+@pytest.mark.parametrize("make_cloud, n", ORACLE_CLOUDS)
+def test_fps_rows_equal_full_distance_matrix(make_cloud, n):
+    pts = make_cloud()
+    idx, d2 = farthest_point_sampling(pts, n)
+    assert d2.shape == (n, len(pts))
+    np.testing.assert_array_equal(d2, sq_dist_matrix(pts, pts[idx]))
+
+
+@pytest.mark.parametrize("make_cloud, n", ORACLE_CLOUDS)
+def test_build_patches_equals_greedy_fps_and_full_sort(make_cloud, n):
+    pts = make_cloud()
+    centers_idx = fps_greedy(pts, n)
+    centers = pts[centers_idx]
+    for k in (1, 32, min(64, len(pts))):
+        got = build_patches(pts, n, k)
+        assert got.center_indices.tolist() == centers_idx
+        np.testing.assert_array_equal(got.centers, centers)
+        np.testing.assert_array_equal(
+            got.patches,
+            pts[knn_stable_argsort(pts, centers, k)] - centers[:, None, :],
+        )
 
 
 def test_knn_equals_full_stable_sort_with_nan_points():
     pts = np.random.default_rng(8).normal(size=(30, 3))
     pts[[3, 7, 8, 20]] = np.nan
+    d2 = sq_dist_matrix(pts, pts[:5])
     for k in (1, 10, 26, 30):
         np.testing.assert_array_equal(
-            knn(pts, pts[:5], k), knn_stable_argsort(pts, pts[:5], k)
+            knn(d2, k), knn_stable_argsort(pts, pts[:5], k)
         )
 
 
 def test_knn_k_below_one_rejected():
     with pytest.raises(ContractViolation):
-        knn(np.zeros((2, 3)), np.zeros((1, 3)), 0)
+        knn(np.zeros((1, 2)), 0)
 
 
 def test_identity_augment_core():
