@@ -10,25 +10,23 @@ import numpy as np
 from ..errors import ContractViolation
 from .tensor import Parameter
 
+BETAS = (0.9, 0.999)
+EPS = 1e-8
+
 
 @dataclass
 class AdamWState:
-    """Per-parameter moments plus the update hyperparameters.
+    """Per-parameter moments and the number of updates taken. The rate,
+    the decay and the schedule come from the training config."""
 
-    The schedule owns the effective learning rate; `lr` here is the base
-    rate recorded for checkpointing.
-    """
-
-    lr: float = 2e-4
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
-    weight_decay: float = 0.05
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def adamw_step(params: dict[str, Parameter], state: AdamWState, lr: float) -> None:
+def adamw_step(
+    params: dict[str, Parameter], state: AdamWState, lr: float, weight_decay: float
+) -> None:
     """One decoupled-weight-decay Adam update, in place.
 
     Decay multiplies the pre-update parameter (p -= lr*wd*p), independent
@@ -36,7 +34,7 @@ def adamw_step(params: dict[str, Parameter], state: AdamWState, lr: float) -> No
     """
     if lr < 0:
         raise ContractViolation(f"lr must be non-negative, got {lr}")
-    b1, b2 = state.betas
+    b1, b2 = BETAS
     state.step += 1
     t = state.step
     c1 = 1.0 - b1**t
@@ -55,12 +53,12 @@ def adamw_step(params: dict[str, Parameter], state: AdamWState, lr: float) -> No
             m = state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
         v = state.v[name]
-        decay = lr * state.weight_decay * p.data
+        decay = lr * weight_decay * p.data
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * (g * g)
-        update = lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        update = lr * (m / c1) / (np.sqrt(v / c2) + EPS)
         p.data -= decay
         p.data -= update
 

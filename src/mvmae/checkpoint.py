@@ -5,10 +5,13 @@ Little-endian layout:
     magic "MVMAE\\0" | u32 format version
     u32 length | canonical config JSON (utf-8)
     u32 count  | per parameter: array record
-    u32 length | optimizer hyperparameter JSON
-    u32 count  | per parameter: two array records (first moment, second moment)
-    u64 step
+    u32 count  | per parameter: two array records (AdamW first, second moment)
+    u64 step   | AdamW updates taken
     u32 length | rng/bookkeeping JSON
+
+The file holds no optimizer settings: the rate, the decay and the
+schedule come from the config block, and AdamW's betas and eps are
+constants of `autodiff.optim`.
 
 An array record is: u32 name length, name (utf-8), u8 dtype tag (0 =
 float64), u32 rank, rank x u64 dims, then the raw little-endian float64
@@ -31,18 +34,20 @@ from .errors import CheckpointError
 from .fileio import read_input, write_atomic
 
 MAGIC = b"MVMAE\x00"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 _DTYPE_F64 = 0
 
 
 @dataclass
 class Checkpoint:
-    version: int
     config: Config
     params: dict[str, np.ndarray]
     opt: AdamWState
-    step: int
     rng_state: dict
+
+    @property
+    def step(self) -> int:
+        return self.opt.step
 
 
 class _Writer:
@@ -155,7 +160,6 @@ def save_checkpoint(
     config: Config,
     params: dict[str, np.ndarray],
     opt: AdamWState,
-    step: int,
     rng_state: dict,
 ) -> None:
     w = _Writer()
@@ -168,21 +172,13 @@ def save_checkpoint(
     for name in names:
         w.array(name, np.asarray(params[name], dtype=np.float64))
 
-    hypers = {
-        "lr": opt.lr,
-        "betas": list(opt.betas),
-        "eps": opt.eps,
-        "weight_decay": opt.weight_decay,
-        "step": opt.step,
-    }
-    w.sized(_canonical(hypers))
     moment_names = sorted(opt.m)
     w.u32(len(moment_names))
     for name in moment_names:
         w.array(name, opt.m[name])
         w.array(name, opt.v[name])
 
-    w.u64(step)
+    w.u64(opt.step)
     w.sized(_canonical(rng_state))
     write_atomic(path, w.blob())
 
@@ -211,17 +207,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             raise r.fail(f"duplicate parameter {name}")
         params[name] = values
 
-    hypers = r.json_block("optimizer")
-    try:
-        opt = AdamWState(
-            lr=float(hypers["lr"]),
-            betas=tuple(float(b) for b in hypers["betas"]),
-            eps=float(hypers["eps"]),
-            weight_decay=float(hypers["weight_decay"]),
-            step=int(hypers["step"]),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise r.fail(f"invalid optimizer hyperparameters: {exc!r}") from exc
+    opt = AdamWState()
     for _ in range(r.u32()):
         name_m, m = r.array()
         name_v, v = r.array()
@@ -235,17 +221,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         opt.m[name_m] = m
         opt.v[name_m] = v
 
-    step = r.u64()
+    opt.step = r.u64()
     rng_state = r.json_block("rng state")
     r.done()
-    return Checkpoint(
-        version=version,
-        config=config,
-        params=params,
-        opt=opt,
-        step=step,
-        rng_state=rng_state,
-    )
+    return Checkpoint(config=config, params=params, opt=opt, rng_state=rng_state)
 
 
 def restore_params(model_params: dict, ckpt: Checkpoint) -> None:

@@ -25,8 +25,9 @@ def read_input(path: str | Path, error: type[Exception], what: str, binary: bool
 
 def write_atomic(path: str | Path, data: bytes | str) -> None:
     """Create the parent directory, write a temp file beside `path`, fsync
-    it, then rename it over `path`, so a crash at any instant leaves the old
-    file or the new one. A failed write removes the temp file and re-raises."""
+    it, rename it over `path`, then fsync the directory so that the rename
+    survives a power loss. A crash at any instant leaves the old file or the
+    new one. A failed write removes the temp file and re-raises."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     scratch = path.with_name(path.name + ".tmp")
@@ -40,3 +41,8 @@ def write_atomic(path: str | Path, data: bytes | str) -> None:
         with contextlib.suppress(OSError):
             scratch.unlink()
         raise
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)

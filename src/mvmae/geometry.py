@@ -48,9 +48,6 @@ class PointCloud:
                 f"non-finite point coordinates in {self.source_id or 'point cloud'}"
             )
 
-    def __len__(self) -> int:
-        return len(self.points)
-
 
 def normalize_unit_sphere(cloud: PointCloud) -> PointCloud:
     """Center at the origin and scale so the farthest point has norm 1.

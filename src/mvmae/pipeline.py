@@ -58,14 +58,6 @@ def _metrics_rows(path: Path) -> list[list[str]]:
     return rows
 
 
-def read_metrics(path: str | Path) -> list[dict]:
-    return [
-        {"step": int(step), "lr": float(lr), "l3d": float(l3d),
-         "l2d": float(l2d), "total": float(total)}
-        for step, lr, l3d, l2d, total in _metrics_rows(Path(path))
-    ]
-
-
 def param_fingerprint(params: dict) -> str:
     digest = hashlib.sha256()
     for name in sorted(params):
@@ -77,7 +69,6 @@ def param_fingerprint(params: dict) -> str:
 @dataclass
 class PretrainResult:
     model: MultiviewMae
-    opt: AdamWState
     checkpoint_path: Path
     metrics_path: Path
     steps_run: int
@@ -118,9 +109,14 @@ def pretrain(
     batch = cfg.train.batch_size
     steps_per_epoch = -(-len(clouds) // batch)
     total_steps = epochs * steps_per_epoch
+    if cfg.train.warmup_steps >= total_steps:
+        raise ConfigError(
+            f"warmup_steps {cfg.train.warmup_steps} must be below the run's "
+            f"{total_steps} steps"
+        )
 
     model = MultiviewMae(cfg.model, Rng(run_seed).derive("init"))
-    opt = AdamWState(lr=cfg.train.lr, weight_decay=cfg.train.weight_decay)
+    opt = AdamWState()
     start_step = 0
     metrics_lines = [METRICS_HEADER]
     if resume_from is not None:
@@ -195,7 +191,7 @@ def pretrain(
             for name, p in model.params.items():
                 if p.grad is not None and not np.isfinite(p.grad).all():
                     raise TrainingAborted(step, f"non-finite gradient for {name}")
-            adamw_step(model.params, opt, lr)
+            adamw_step(model.params, opt, lr, cfg.train.weight_decay)
 
             l3d = sum_l3d / len(items)
             l2d = sum_l2d / len(items)
@@ -209,7 +205,6 @@ def pretrain(
                     cfg,
                     {name: p.data for name, p in model.params.items()},
                     opt,
-                    done,
                     bookkeeping,
                 )
 
@@ -222,12 +217,10 @@ def pretrain(
         cfg,
         {name: p.data for name, p in model.params.items()},
         opt,
-        last_step,
         bookkeeping,
     )
     return PretrainResult(
         model=model,
-        opt=opt,
         checkpoint_path=checkpoint_path,
         metrics_path=metrics_path,
         steps_run=last_step,

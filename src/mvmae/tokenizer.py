@@ -25,7 +25,6 @@ from .rng import Rng
 class PatchSet:
     centers: np.ndarray  # (n, 3) absolute coordinates
     patches: np.ndarray  # (n, k, 3) relative to each center
-    center_indices: np.ndarray  # (n,) indices into the source cloud
 
     def absolute(self) -> np.ndarray:
         return self.patches + self.centers[:, None, :]
@@ -54,7 +53,7 @@ def build_patches(points: np.ndarray, n: int, k: int) -> PatchSet:
     centers = points[center_idx]
     nn_idx = knn(d2, k)
     patches = points[nn_idx] - centers[:, None, :]
-    return PatchSet(centers=centers, patches=patches, center_indices=center_idx)
+    return PatchSet(centers=centers, patches=patches)
 
 
 def apply_mask(n: int, m: float, rng: Rng) -> MaskPlan:

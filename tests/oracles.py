@@ -196,3 +196,17 @@ def project_point_by_hand(
     col = width / 2.0 + focal * x_cam / depth
     row = height / 2.0 - focal * y_cam / depth
     return math.floor(row), math.floor(col), depth
+
+
+def read_metrics(path) -> list[dict]:
+    """The rows of a metrics.tsv as dicts keyed by its header, parsed
+    without the package's own reader."""
+    with open(path) as fh:
+        header, *rows = fh.read().splitlines()
+    keys = header.split("\t")
+    out = []
+    for row in rows:
+        fields = row.split("\t")
+        assert len(fields) == len(keys), row
+        out.append({k: int(v) if k == "step" else float(v) for k, v in zip(keys, fields)})
+    return out

@@ -14,9 +14,10 @@ from mvmae.autodiff.optim import AdamWState
 from mvmae.cli import main
 from mvmae.config import Config, DataConfig, ModelConfig, TrainConfig, tiny_config
 from mvmae.model import MultiviewMae
-from mvmae.pipeline import read_metrics
 from mvmae.projection import read_pgm
 from mvmae.rng import Rng
+
+from oracles import read_metrics
 
 
 def micro_config() -> Config:
@@ -35,8 +36,8 @@ def untrained_checkpoint(path, cfg, bookkeeping=None):
     save_checkpoint(
         path, cfg,
         {name: p.data for name, p in model.params.items()},
-        AdamWState(lr=cfg.train.lr, weight_decay=cfg.train.weight_decay),
-        0, {"run_seed": 0} if bookkeeping is None else bookkeeping,
+        AdamWState(),
+        {"run_seed": 0} if bookkeeping is None else bookkeeping,
     )
 
 
@@ -130,6 +131,39 @@ def test_pretrain_epochs_below_one_exit_2(tmp_path, capsys, epochs):
     assert not (tmp_path / "o" / "final.ckpt").exists()
 
 
+def test_pretrain_warmup_not_below_total_steps_exit_2(tmp_path, capsys):
+    # tiny runs 20 steps; the check comes before pretrain writes any file
+    cfg = tiny_config()
+    warm = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, warmup_steps=100))
+    cfg_path = tmp_path / "warm.json"
+    cfg_path.write_text(warm.canonical_json())
+    out = tmp_path / "o"
+    code = main(["pretrain", "--config", str(cfg_path), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "warmup_steps 100" in err and "20 steps" in err
+    assert not (out / "metrics.tsv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "pretrain --config tiny --out {d}/o --seed 5 --resume {ckpt}",
+        "probe --checkpoint {ckpt}",
+    ],
+    ids=["pretrain_resume", "probe"],
+)
+def test_format_1_checkpoint_exit_2(tiny_run, tmp_path, capsys, argv):
+    blob = bytearray((tiny_run / "ckpt_00000008.ckpt").read_bytes())
+    blob[6:10] = (1).to_bytes(4, "little")
+    ckpt = tmp_path / "v1.ckpt"
+    ckpt.write_bytes(bytes(blob))
+    code = main(argv.format(d=tmp_path, ckpt=ckpt).split())
+    assert code == 2
+    assert "format version 1 unsupported" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "final.ckpt").exists()
+
+
 def test_pretrain_resume_without_run_seed_exit_2(tmp_path, capsys):
     cfg = micro_config()
     cfg_path = tmp_path / "micro.json"
@@ -181,14 +215,14 @@ def test_pretrain_resume_with_misshaped_moments_exit_2(tmp_path, capsys):
     cfg_path = tmp_path / "micro.json"
     cfg_path.write_text(cfg.canonical_json())
     model = MultiviewMae(cfg.model, Rng(0).derive("init"))
-    opt = AdamWState(lr=cfg.train.lr, weight_decay=cfg.train.weight_decay)
+    opt = AdamWState()
     for name, p in model.params.items():
         opt.m[name] = np.zeros_like(p.data)
         opt.v[name] = np.zeros_like(p.data)
     opt.m["head3d.bias"] = np.zeros((4, 12))
     ckpt = tmp_path / "moments.ckpt"
     save_checkpoint(
-        ckpt, cfg, {name: p.data for name, p in model.params.items()}, opt, 0,
+        ckpt, cfg, {name: p.data for name, p in model.params.items()}, opt,
         {"run_seed": 0, "total_steps": 2},
     )
     code = main([
@@ -368,11 +402,7 @@ def test_reconstruct_nan_parameter_exit_3(tmp_path, capsys):
     params = {name: p.data for name, p in model.params.items()}
     params["head3d.bias"][0] = np.nan
     ckpt = tmp_path / "nan.ckpt"
-    save_checkpoint(
-        ckpt, cfg, params,
-        AdamWState(lr=cfg.train.lr, weight_decay=cfg.train.weight_decay),
-        0, {"run_seed": 0},
-    )
+    save_checkpoint(ckpt, cfg, params, AdamWState(), {"run_seed": 0})
     with np.errstate(all="ignore"):
         code = main([
             "reconstruct", "--checkpoint", str(ckpt),

@@ -101,7 +101,7 @@ def test_dataset_layout_and_determinism():
     np.testing.assert_array_equal(labels, np.repeat(np.arange(5), 3))
     for cloud, label in zip(clouds, labels):
         assert cloud.label == label
-        assert len(cloud) == 128
+        assert len(cloud.points) == 128
     clouds2, labels2 = make_dataset(cfg)
     np.testing.assert_array_equal(labels, labels2)
     for a, b in zip(clouds, clouds2):

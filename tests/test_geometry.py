@@ -259,7 +259,6 @@ def test_build_patches_equals_greedy_fps_and_full_sort(make_cloud, n):
     centers = pts[centers_idx]
     for k in (1, 32, min(64, len(pts))):
         got = build_patches(pts, n, k)
-        assert got.center_indices.tolist() == centers_idx
         np.testing.assert_array_equal(got.centers, centers)
         np.testing.assert_array_equal(
             got.patches,
@@ -342,7 +341,7 @@ def test_off_reader(tmp_path):
 def test_off_reader_glued_header(tmp_path):
     path = tmp_path / "m.off"
     path.write_text("OFF3 0 0\n0 0 0\n1 1 1\n2 2 2\n")
-    assert len(read_off(path)) == 3
+    assert len(read_off(path).points) == 3
 
 
 def test_load_cloud_dispatches_on_extension(tmp_path):

@@ -5,7 +5,7 @@ from mvmae.autodiff import Tensor, backward, no_grad
 from mvmae.config import ModelConfig, desk_config, tiny_config
 from mvmae.data import SyntheticShape, generate_shape
 from mvmae.errors import ContractViolation, TrainingAborted
-from mvmae.geometry import PointCloud
+from mvmae.geometry import PointCloud, farthest_point_sampling
 from mvmae.model import (
     MultiviewMae,
     build_pretrain_plan,
@@ -516,8 +516,9 @@ def test_ensure_min_points_cycles():
     patches = patchify(PointCloud(pts), cfg)
     assert patches.centers.shape == (5, 3)
     assert patches.patches.shape == (5, 3, 3)
-    np.testing.assert_array_equal(patches.center_indices, [0, 1, 2, 3, 4])
-    np.testing.assert_array_equal(patches.centers, pts[[0, 1, 0, 1, 0]])
+    cycled = pts[[0, 1, 0, 1, 0]]
+    np.testing.assert_array_equal(patches.centers, cycled[farthest_point_sampling(cycled, 5)[0]])
+    np.testing.assert_array_equal(patches.centers, cycled)
 
 
 def test_encoder_never_sees_masked_patch_contents():

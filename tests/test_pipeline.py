@@ -1,6 +1,7 @@
 import dataclasses
 import errno
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -27,11 +28,12 @@ from mvmae.pipeline import (
     param_fingerprint,
     pretrain,
     probe_features,
-    read_metrics,
     summarize_accuracy,
 )
 from mvmae.projection import write_pgm
 from mvmae.rng import Rng
+
+from oracles import read_metrics
 
 
 @pytest.fixture(scope="module")
@@ -189,8 +191,6 @@ def test_malformed_metrics_row_rejected(corpus, tmp_path, row):
     lines[3] = row  # the row of step 2, file line 4
     run.metrics_path.write_text("\n".join(lines))
     with pytest.raises(ContractViolation, match="metrics.tsv:4"):
-        read_metrics(run.metrics_path)
-    with pytest.raises(ContractViolation, match="metrics.tsv:4"):
         pretrain(cfg, clouds, tmp_path / "a", run_seed=1, resume_from=run.checkpoint_path)
 
 
@@ -218,10 +218,9 @@ def test_failed_checkpoint_write_keeps_previous(corpus, trained, tmp_path, monke
     before = run.checkpoint_path.read_bytes()
     monkeypatch.setattr(fileio, "open", HalfWrite, raising=False)
     ckpt = load_checkpoint(run.checkpoint_path)
+    ckpt.opt.step += 1
     with pytest.raises(OSError, match="No space"):
-        save_checkpoint(
-            run.checkpoint_path, cfg, ckpt.params, ckpt.opt, ckpt.step + 1, ckpt.rng_state
-        )
+        save_checkpoint(run.checkpoint_path, cfg, ckpt.params, ckpt.opt, ckpt.rng_state)
     monkeypatch.undo()
     assert run.checkpoint_path.read_bytes() == before
     assert not list(run.checkpoint_path.parent.glob("*.tmp"))
@@ -241,6 +240,32 @@ def test_failed_pgm_write_keeps_previous(tmp_path, monkeypatch):
     assert path.read_bytes() == before
     assert not list(tmp_path.glob("*.tmp"))
 
+
+
+def test_write_atomic_syncs_the_directory_after_the_rename(tmp_path, monkeypatch):
+    # only the order of the calls is checked: whether the rename survives
+    # a power loss cannot be observed from a test
+    events, dir_fds = [], []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        is_dir = stat.S_ISDIR(os.fstat(fd).st_mode)
+        events.append(("fsync", is_dir))
+        if is_dir:
+            dir_fds.append(fd)
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", Path(dst).name))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    fileio.write_atomic(tmp_path / "a.txt", "x")
+    monkeypatch.undo()
+    assert events == [("fsync", False), ("replace", "a.txt"), ("fsync", True)]
+    with pytest.raises(OSError):
+        os.fstat(dir_fds[0])  # closed again
 
 BLAS_THREADS_RUN = """
 import sys
@@ -356,7 +381,7 @@ def test_resume_without_run_seed_rejected(corpus, tmp_path):
     ckpt = load_checkpoint(run.checkpoint_path)
     for bookkeeping in ({"seed": 1}, {"run_seed": "1"}, {"run_seed": True}):
         path = tmp_path / "bad.ckpt"
-        save_checkpoint(path, cfg, ckpt.params, ckpt.opt, ckpt.step, bookkeeping)
+        save_checkpoint(path, cfg, ckpt.params, ckpt.opt, bookkeeping)
         with pytest.raises(CheckpointError, match="run_seed"):
             pretrain(cfg, clouds, tmp_path / "b", run_seed=1, resume_from=path)
 
@@ -388,7 +413,7 @@ def test_resume_without_total_steps_rejected(corpus, tmp_path):
     ckpt = load_checkpoint(run.checkpoint_path)
     for bookkeeping in ({"run_seed": 1}, {"run_seed": 1, "total_steps": 20.0}):
         path = tmp_path / "bad.ckpt"
-        save_checkpoint(path, cfg, ckpt.params, ckpt.opt, ckpt.step, bookkeeping)
+        save_checkpoint(path, cfg, ckpt.params, ckpt.opt, bookkeeping)
         with pytest.raises(CheckpointError, match="total_steps"):
             pretrain(cfg, clouds, tmp_path / "b", run_seed=1, resume_from=path)
 

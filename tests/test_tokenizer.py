@@ -3,6 +3,7 @@ import pytest
 
 from mvmae.autodiff import Tensor, backward, ops
 from mvmae.errors import ContractViolation
+from mvmae.geometry import farthest_point_sampling
 from mvmae.nn import ParamRegistry
 from mvmae.rng import Rng
 from mvmae.tokenizer import (
@@ -23,10 +24,11 @@ def unit_cloud(seed, n=1024):
 
 
 def test_build_patches_desk_shapes():
-    ps = build_patches(unit_cloud(0), 64, 32)
+    cloud = unit_cloud(0)
+    ps = build_patches(cloud, 64, 32)
     assert ps.centers.shape == (64, 3)
     assert ps.patches.shape == (64, 32, 3)
-    assert ps.center_indices.shape == (64,)
+    np.testing.assert_array_equal(ps.centers, cloud[farthest_point_sampling(cloud, 64)[0]])
 
 
 def test_build_patches_membership():
@@ -43,7 +45,9 @@ def test_build_patches_self_center_k1():
     cloud = unit_cloud(2, 50)
     ps = build_patches(cloud, 50, 1)
     np.testing.assert_array_equal(ps.patches, np.zeros((50, 1, 3)))
-    np.testing.assert_array_equal(np.sort(ps.center_indices), np.arange(50))
+    center_idx = farthest_point_sampling(cloud, 50)[0]
+    np.testing.assert_array_equal(np.sort(center_idx), np.arange(50))
+    np.testing.assert_array_equal(ps.centers, cloud[center_idx])
 
 
 def test_build_patches_deterministic():
@@ -52,7 +56,6 @@ def test_build_patches_deterministic():
     b = build_patches(cloud, 32, 16)
     np.testing.assert_array_equal(a.centers, b.centers)
     np.testing.assert_array_equal(a.patches, b.patches)
-    np.testing.assert_array_equal(a.center_indices, b.center_indices)
 
 
 def test_round_half_up_values():
