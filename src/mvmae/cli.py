@@ -32,6 +32,7 @@ from .pipeline import (
     load_pretrained,
     pretrain,
     probe_features,
+    run_steps,
     summarize_accuracy,
 )
 from .projection import CameraPose, rasterize_depth, write_pgm
@@ -80,6 +81,7 @@ def _run_manifest(args, config_path: str, config_hash: str):
 
 def cmd_pretrain(args) -> int:
     cfg = preset_or_file(args.config)
+    run_steps(cfg, cfg.data.n_classes * cfg.data.instances_per_class, args.epochs)
     with _run_manifest(args, args.config, cfg.config_hash()) as out_dir:
         clouds, _ = make_dataset(cfg.data)
         result = pretrain(

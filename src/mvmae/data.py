@@ -36,8 +36,17 @@ def _sample_sphere(rng: Rng, n: int, params: dict) -> np.ndarray:
     # unit-sphere normalization preserves every point's norm
     half = (n + 1) // 2
     v = rng.normal(0.0, 1.0, (half, 3))
-    v = radius * v / np.linalg.norm(v, axis=1, keepdims=True)
+    x, y, z = v.T
+    # x, y, z summed in that order: bit for bit np.linalg.norm over axis 1
+    sq = x * x
+    sq += y * y
+    sq += z * z
+    v = radius * v
+    v /= np.sqrt(sq)[:, None]
     return np.concatenate([v, -v], axis=0)[:n]
+
+
+_OTHER_AXES = np.array([[1, 2], [0, 2], [0, 1]])
 
 
 def _sample_cube(rng: Rng, n: int, params: dict) -> np.ndarray:
@@ -47,12 +56,9 @@ def _sample_cube(rng: Rng, n: int, params: dict) -> np.ndarray:
     uv = rng.uniform(-half, half, (n, 2))
     pts = np.empty((n, 3))
     axis = face // 2  # which coordinate is pinned
-    sign = np.where(face % 2 == 0, half, -half)
-    for a in range(3):
-        rows = axis == a
-        others = [i for i in range(3) if i != a]
-        pts[rows, a] = sign[rows]
-        pts[np.ix_(rows, others)] = uv[rows]
+    rows = np.arange(n)
+    pts[rows, axis] = np.where(face % 2 == 0, half, -half)
+    pts[rows[:, None], _OTHER_AXES[axis]] = uv
     return pts
 
 
@@ -66,23 +72,25 @@ def _sample_torus(rng: Rng, n: int, params: dict) -> np.ndarray:
         theta = rng.uniform(0.0, 2.0 * math.pi, batch)
         # area element scales with ring + tube*cos(theta): rejection keeps
         # sampling uniform over the surface rather than over parameters
-        keep = rng.uniform(0.0, 1.0, batch) < (ring + tube * np.cos(theta)) / (
-            ring + tube
-        )
-        theta = theta[keep][: n - done]
-        phi = rng.uniform(0.0, 2.0 * math.pi, len(theta))
         ring_dist = ring + tube * np.cos(theta)
-        pts[done : done + len(theta), 0] = ring_dist * np.cos(phi)
-        pts[done : done + len(theta), 1] = ring_dist * np.sin(phi)
-        pts[done : done + len(theta), 2] = tube * np.sin(theta)
-        done += len(theta)
+        keep = rng.uniform(0.0, 1.0, batch) < ring_dist / (ring + tube)
+        theta = theta[keep][: n - done]
+        ring_dist = ring_dist[keep][: n - done]
+        m = len(theta)
+        phi = rng.uniform(0.0, 2.0 * math.pi, m)
+        np.stack(
+            [ring_dist * np.cos(phi), ring_dist * np.sin(phi), tube * np.sin(theta)],
+            axis=1,
+            out=pts[done : done + m],
+        )
+        done += m
     return pts
 
 
-def _disk(rng: Rng, n: int, radius: float) -> np.ndarray:
+def _disk(rng: Rng, n: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
     r = radius * np.sqrt(rng.uniform(0.0, 1.0, n))
     phi = rng.uniform(0.0, 2.0 * math.pi, n)
-    return np.stack([r * np.cos(phi), r * np.sin(phi)], axis=1)
+    return r * np.cos(phi), r * np.sin(phi)
 
 
 def _sample_cylinder(rng: Rng, n: int, params: dict) -> np.ndarray:
@@ -93,17 +101,15 @@ def _sample_cylinder(rng: Rng, n: int, params: dict) -> np.ndarray:
     total = side_area + 2.0 * cap_area
     u = rng.uniform(0.0, total, n)
     pts = np.empty((n, 3))
-    on_side = u < side_area
-    phi = rng.uniform(0.0, 2.0 * math.pi, int(on_side.sum()))
-    pts[on_side, 0] = radius * np.cos(phi)
-    pts[on_side, 1] = radius * np.sin(phi)
-    pts[on_side, 2] = rng.uniform(-height / 2.0, height / 2.0, int(on_side.sum()))
-    n_caps = int((~on_side).sum())
-    disk = _disk(rng, n_caps, radius)
-    top = u[~on_side] < side_area + cap_area
-    pts[~on_side, 0] = disk[:, 0]
-    pts[~on_side, 1] = disk[:, 1]
-    pts[~on_side, 2] = np.where(top, height / 2.0, -height / 2.0)
+    side = np.flatnonzero(u < side_area)
+    caps = np.flatnonzero(u >= side_area)
+    phi = rng.uniform(0.0, 2.0 * math.pi, len(side))
+    x, y = radius * np.cos(phi), radius * np.sin(phi)
+    z = rng.uniform(-height / 2.0, height / 2.0, len(side))
+    pts[side] = np.stack([x, y, z], axis=1)
+    x, y = _disk(rng, len(caps), radius)
+    z = np.where(u[caps] < side_area + cap_area, height / 2.0, -height / 2.0)
+    pts[caps] = np.stack([x, y, z], axis=1)
     return pts
 
 
@@ -114,18 +120,15 @@ def _sample_cone(rng: Rng, n: int, params: dict) -> np.ndarray:
     base_area = math.pi * radius**2
     u = rng.uniform(0.0, lateral_area + base_area, n)
     pts = np.empty((n, 3))
-    on_lateral = u < lateral_area
-    n_lat = int(on_lateral.sum())
+    lateral = np.flatnonzero(u < lateral_area)
+    base = np.flatnonzero(u >= lateral_area)
     # area grows linearly with distance from the apex, hence sqrt
-    s = np.sqrt(rng.uniform(0.0, 1.0, n_lat))
-    phi = rng.uniform(0.0, 2.0 * math.pi, n_lat)
-    pts[on_lateral, 0] = s * radius * np.cos(phi)
-    pts[on_lateral, 1] = s * radius * np.sin(phi)
-    pts[on_lateral, 2] = height * (1.0 - s)
-    disk = _disk(rng, n - n_lat, radius)
-    pts[~on_lateral, 0] = disk[:, 0]
-    pts[~on_lateral, 1] = disk[:, 1]
-    pts[~on_lateral, 2] = 0.0
+    s = np.sqrt(rng.uniform(0.0, 1.0, len(lateral)))
+    phi = rng.uniform(0.0, 2.0 * math.pi, len(lateral))
+    r = s * radius
+    pts[lateral] = np.stack([r * np.cos(phi), r * np.sin(phi), height * (1.0 - s)], axis=1)
+    x, y = _disk(rng, len(base), radius)
+    pts[base] = np.stack([x, y, np.zeros(len(base))], axis=1)
     return pts
 
 
@@ -165,7 +168,7 @@ def generate_shape(shape: SyntheticShape) -> PointCloud:
     pts = _SAMPLERS[shape.kind](rng, shape.n_points, shape.params)
     jitter = shape.params.get("jitter", 0.0)
     if jitter > 0.0:
-        pts = pts + rng.normal(0.0, jitter, pts.shape)
+        pts += rng.normal(0.0, jitter, pts.shape)
     orientation = shape.params.get("orientation")
     if orientation is not None:
         pts = pts @ quaternion_to_matrix(np.asarray(orientation)).T

@@ -56,12 +56,20 @@ def normalize_unit_sphere(cloud: PointCloud) -> PointCloud:
     all-zeros. An axis whose coordinates are all equal is centered on that
     value, not on their mean, whose rounding residue would scale to norm 1.
     """
-    flat = (cloud.points == cloud.points[0]).all(axis=0)
-    centered = cloud.points - np.where(flat, cloud.points[0], cloud.points.mean(axis=0))
-    radius = float(np.linalg.norm(centered, axis=1).max())
+    points = cloud.points
+    flat = [bool((col == col[0]).all()) for col in points.T]
+    centered = points - np.where(flat, points[0], points.mean(axis=0))
+    x, y, z = centered.T
+    # x, y, z summed in that order, as np.linalg.norm over axis 1 does; sqrt
+    # is monotone and correctly rounded, so sqrt of the max is the max norm
+    sq = x * x
+    sq += y * y
+    sq += z * z
+    radius = math.sqrt(sq.max())
     if radius < 1e-30:
         return replace(cloud, points=np.zeros_like(centered))
-    return replace(cloud, points=centered / radius)
+    centered /= radius
+    return replace(cloud, points=centered)
 
 
 def _sq_dists(coords: np.ndarray, j: int, diff: np.ndarray, out: np.ndarray) -> None:

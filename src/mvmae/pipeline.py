@@ -82,6 +82,23 @@ def _bookkeeping_int(ckpt: Checkpoint, key: str, path) -> int:
     return value
 
 
+def run_steps(cfg: Config, n_clouds: int, epochs: int | None = None) -> tuple[int, int]:
+    """(steps per epoch, total steps) of a pretraining run over n_clouds
+    clouds; ConfigError for fewer than one epoch, or a warmup that is not
+    below the total. The CLI asks before it writes anything."""
+    epochs = cfg.train.epochs if epochs is None else epochs
+    if epochs < 1:
+        raise ConfigError(f"epochs must be at least 1, got {epochs}")
+    steps_per_epoch = -(-n_clouds // cfg.train.batch_size)
+    total_steps = epochs * steps_per_epoch
+    if cfg.train.warmup_steps >= total_steps:
+        raise ConfigError(
+            f"warmup_steps {cfg.train.warmup_steps} must be below the run's "
+            f"{total_steps} steps"
+        )
+    return steps_per_epoch, total_steps
+
+
 def pretrain(
     cfg: Config,
     clouds: list[PointCloud],
@@ -101,19 +118,10 @@ def pretrain(
     if not clouds:
         raise ContractViolation("pretraining needs a non-empty dataset")
     cfg.validate()
-    epochs = cfg.train.epochs if epochs is None else epochs
-    if epochs < 1:
-        raise ConfigError(f"epochs must be at least 1, got {epochs}")
+    steps_per_epoch, total_steps = run_steps(cfg, len(clouds), epochs)
     out_dir = Path(out_dir)
     metrics_path = out_dir / "metrics.tsv"
     batch = cfg.train.batch_size
-    steps_per_epoch = -(-len(clouds) // batch)
-    total_steps = epochs * steps_per_epoch
-    if cfg.train.warmup_steps >= total_steps:
-        raise ConfigError(
-            f"warmup_steps {cfg.train.warmup_steps} must be below the run's "
-            f"{total_steps} steps"
-        )
 
     model = MultiviewMae(cfg.model, Rng(run_seed).derive("init"))
     opt = AdamWState()

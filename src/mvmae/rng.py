@@ -20,11 +20,21 @@ def _mix(seed: int, keys: tuple) -> int:
 
 
 class Rng:
-    """A seeded PCG64 stream with functional child derivation."""
+    """A seeded PCG64 stream with functional child derivation.
+
+    The generator is built on the first draw: many streams only derive
+    children or hand out their seed, and never draw.
+    """
 
     def __init__(self, seed: int):
         self.seed = int(seed) & (2**64 - 1)
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
+        self._generator: np.random.Generator | None = None
+
+    @property
+    def _gen(self) -> np.random.Generator:
+        if self._generator is None:
+            self._generator = np.random.Generator(np.random.PCG64(self.seed))
+        return self._generator
 
     def derive(self, *keys: int | str) -> "Rng":
         """Child stream keyed by (purpose, indices); independent of draw order."""

@@ -7,6 +7,7 @@ a comparison.
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -209,4 +210,191 @@ def read_metrics(path) -> list[dict]:
         fields = row.split("\t")
         assert len(fields) == len(keys), row
         out.append({k: int(v) if k == "step" else float(v) for k, v in zip(keys, fields)})
+    return out
+
+
+# --- the synthetic corpus, as first written -------------------------------
+# Per-column writes, np.linalg.norm and an eager generator per stream: the
+# corpus bytes that data.make_dataset must keep reproducing.
+
+
+class EagerRng:
+    """The package's Rng with its generator built at construction."""
+
+    def __init__(self, seed: int):
+        self.seed = int(seed) & (2**64 - 1)
+        self._gen = np.random.Generator(np.random.PCG64(self.seed))
+
+    def derive(self, *keys) -> "EagerRng":
+        material = repr((self.seed,) + keys).encode("utf-8")
+        digest = hashlib.blake2s(material).digest()
+        return EagerRng(int.from_bytes(digest[:8], "little"))
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return self._gen.uniform(low, high, size=size)
+
+    def normal(self, loc=0.0, scale=1.0, size=None):
+        return self._gen.normal(loc, scale, size=size)
+
+    def integers(self, low, high, size=None):
+        return self._gen.integers(low, high, size=size)
+
+
+def _sphere_by_columns(rng, n, params):
+    radius = params.get("radius", 1.0)
+    half = (n + 1) // 2
+    v = rng.normal(0.0, 1.0, (half, 3))
+    v = radius * v / np.linalg.norm(v, axis=1, keepdims=True)
+    return np.concatenate([v, -v], axis=0)[:n]
+
+
+def _cube_by_columns(rng, n, params):
+    half = params.get("side", 2.0) / 2.0
+    face = rng.integers(0, 6, n)
+    uv = rng.uniform(-half, half, (n, 2))
+    pts = np.empty((n, 3))
+    axis = face // 2
+    sign = np.where(face % 2 == 0, half, -half)
+    for a in range(3):
+        rows = axis == a
+        others = [i for i in range(3) if i != a]
+        pts[rows, a] = sign[rows]
+        pts[np.ix_(rows, others)] = uv[rows]
+    return pts
+
+
+def _torus_by_columns(rng, n, params):
+    ring = params.get("ring_radius", 1.0)
+    tube = params.get("tube_radius", 0.3)
+    pts = np.empty((n, 3))
+    done = 0
+    while done < n:
+        batch = 2 * (n - done) + 16
+        theta = rng.uniform(0.0, 2.0 * math.pi, batch)
+        keep = rng.uniform(0.0, 1.0, batch) < (ring + tube * np.cos(theta)) / (
+            ring + tube
+        )
+        theta = theta[keep][: n - done]
+        phi = rng.uniform(0.0, 2.0 * math.pi, len(theta))
+        ring_dist = ring + tube * np.cos(theta)
+        pts[done : done + len(theta), 0] = ring_dist * np.cos(phi)
+        pts[done : done + len(theta), 1] = ring_dist * np.sin(phi)
+        pts[done : done + len(theta), 2] = tube * np.sin(theta)
+        done += len(theta)
+    return pts
+
+
+def _disk_by_columns(rng, n, radius):
+    r = radius * np.sqrt(rng.uniform(0.0, 1.0, n))
+    phi = rng.uniform(0.0, 2.0 * math.pi, n)
+    return np.stack([r * np.cos(phi), r * np.sin(phi)], axis=1)
+
+
+def _cylinder_by_columns(rng, n, params):
+    radius = params.get("radius", 0.5)
+    height = params.get("height", 1.5)
+    side_area = 2.0 * math.pi * radius * height
+    cap_area = math.pi * radius**2
+    u = rng.uniform(0.0, side_area + 2.0 * cap_area, n)
+    pts = np.empty((n, 3))
+    on_side = u < side_area
+    phi = rng.uniform(0.0, 2.0 * math.pi, int(on_side.sum()))
+    pts[on_side, 0] = radius * np.cos(phi)
+    pts[on_side, 1] = radius * np.sin(phi)
+    pts[on_side, 2] = rng.uniform(-height / 2.0, height / 2.0, int(on_side.sum()))
+    disk = _disk_by_columns(rng, int((~on_side).sum()), radius)
+    top = u[~on_side] < side_area + cap_area
+    pts[~on_side, 0] = disk[:, 0]
+    pts[~on_side, 1] = disk[:, 1]
+    pts[~on_side, 2] = np.where(top, height / 2.0, -height / 2.0)
+    return pts
+
+
+def _cone_by_columns(rng, n, params):
+    radius = params.get("radius", 0.7)
+    height = params.get("height", 1.4)
+    lateral_area = math.pi * radius * math.hypot(radius, height)
+    u = rng.uniform(0.0, lateral_area + math.pi * radius**2, n)
+    pts = np.empty((n, 3))
+    on_lateral = u < lateral_area
+    n_lat = int(on_lateral.sum())
+    s = np.sqrt(rng.uniform(0.0, 1.0, n_lat))
+    phi = rng.uniform(0.0, 2.0 * math.pi, n_lat)
+    pts[on_lateral, 0] = s * radius * np.cos(phi)
+    pts[on_lateral, 1] = s * radius * np.sin(phi)
+    pts[on_lateral, 2] = height * (1.0 - s)
+    disk = _disk_by_columns(rng, n - n_lat, radius)
+    pts[~on_lateral, 0] = disk[:, 0]
+    pts[~on_lateral, 1] = disk[:, 1]
+    pts[~on_lateral, 2] = 0.0
+    return pts
+
+
+SAMPLERS_BY_COLUMNS = {
+    "sphere": _sphere_by_columns,
+    "cube": _cube_by_columns,
+    "torus": _torus_by_columns,
+    "cylinder": _cylinder_by_columns,
+    "cone": _cone_by_columns,
+}
+
+
+def normalize_by_rows(points: np.ndarray) -> np.ndarray:
+    """Center (flat axes on their common value) and scale to max norm 1."""
+    flat = (points == points[0]).all(axis=0)
+    centered = points - np.where(flat, points[0], points.mean(axis=0))
+    radius = float(np.linalg.norm(centered, axis=1).max())
+    if radius < 1e-30:
+        return np.zeros_like(centered)
+    return centered / radius
+
+
+def _rotation_of(q):
+    w, x, y, z = q / np.linalg.norm(q)
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+
+
+def shape_by_columns(kind: str, n_points: int, seed: int, params: dict) -> np.ndarray:
+    """The points data.generate_shape gave for the same shape."""
+    rng = EagerRng(seed).derive("shape", kind)
+    pts = SAMPLERS_BY_COLUMNS[kind](rng, n_points, params)
+    jitter = params.get("jitter", 0.0)
+    if jitter > 0.0:
+        pts = pts + rng.normal(0.0, jitter, pts.shape)
+    orientation = params.get("orientation")
+    if orientation is not None:
+        pts = pts @ _rotation_of(np.asarray(orientation)).T
+    return normalize_by_rows(pts)
+
+
+def _params_by_columns(kind: str, rng) -> dict:
+    jitter = float(rng.uniform(0.0, 0.03))
+    q = rng.derive("orientation").normal(0.0, 1.0, 4)
+    base = {"jitter": jitter, "orientation": tuple(float(v) for v in q / np.linalg.norm(q))}
+    if kind == "torus":
+        return {"ring_radius": 1.0, "tube_radius": float(rng.uniform(0.15, 0.45)), **base}
+    if kind == "cylinder":
+        return {"radius": 0.5, "height": float(rng.uniform(0.5, 2.5)), **base}
+    if kind == "cone":
+        return {"radius": 0.7, "height": float(rng.uniform(0.56, 1.75)), **base}
+    return base
+
+
+def dataset_by_columns(cfg, kinds) -> list[tuple[np.ndarray, int, str]]:
+    """(points, label, source_id) of each cloud data.make_dataset gave."""
+    root = EagerRng(cfg.dataset_seed)
+    out = []
+    for label, kind in enumerate(kinds[: cfg.n_classes]):
+        for j in range(cfg.instances_per_class):
+            item = root.derive("item", kind, j)
+            seed = item.derive("sample").seed
+            params = _params_by_columns(kind, item.derive("params"))
+            points = shape_by_columns(kind, cfg.n_points, seed, params)
+            out.append((points, label, f"{kind}:{seed}"))
     return out

@@ -123,26 +123,33 @@ def test_pretrain_resume_with_other_seed_exit_2(tiny_run, tmp_path, capsys):
 
 @pytest.mark.parametrize("epochs", ["0", "-2"])
 def test_pretrain_epochs_below_one_exit_2(tmp_path, capsys, epochs):
-    code = main([
-        "pretrain", "--config", "tiny", "--out", str(tmp_path / "o"), f"--epochs={epochs}",
-    ])
-    assert code == 2
-    assert "epochs" in capsys.readouterr().err
-    assert not (tmp_path / "o" / "final.ckpt").exists()
+    out = tmp_path / "o"
+    for _ in range(2):
+        code = main(["pretrain", "--config", "tiny", "--out", str(out), f"--epochs={epochs}"])
+        assert code == 2
+        assert "epochs must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
-def test_pretrain_warmup_not_below_total_steps_exit_2(tmp_path, capsys):
-    # tiny runs 20 steps; the check comes before pretrain writes any file
+def test_pretrain_warmup_not_below_total_steps_exit_2(tmp_path, capsys, monkeypatch):
+    # tiny runs 20 steps; the check comes before --out is claimed and
+    # before the corpus is built, so the same command is refused again
     cfg = tiny_config()
     warm = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, warmup_steps=100))
     cfg_path = tmp_path / "warm.json"
     cfg_path.write_text(warm.canonical_json())
     out = tmp_path / "o"
-    code = main(["pretrain", "--config", str(cfg_path), "--out", str(out)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "warmup_steps 100" in err and "20 steps" in err
-    assert not (out / "metrics.tsv").exists()
+
+    def no_corpus(_):
+        raise AssertionError("corpus built for a refused run")
+
+    monkeypatch.setattr("mvmae.cli.make_dataset", no_corpus)
+    for _ in range(2):
+        code = main(["pretrain", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "warmup_steps 100" in err and "20 steps" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

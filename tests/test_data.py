@@ -4,6 +4,8 @@ import pytest
 from mvmae.config import DataConfig
 from mvmae.data import SHAPE_KINDS, SyntheticShape, generate_shape, make_dataset
 from mvmae.errors import ContractViolation
+from mvmae.geometry import PointCloud, normalize_unit_sphere
+from oracles import dataset_by_columns, normalize_by_rows, shape_by_columns
 
 
 def raw_surface(kind, n=4096, seed=0, **params):
@@ -118,3 +120,47 @@ def test_dataset_instances_vary_within_class():
 def test_dataset_class_count_cap():
     with pytest.raises(ContractViolation):
         make_dataset(DataConfig(n_classes=6))
+
+
+# --- the corpus bytes ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", SHAPE_KINDS)
+@pytest.mark.parametrize("n_points", [8, 9, 1023, 1024])
+def test_generate_shape_matches_column_oracle_byte_for_byte(kind, n_points):
+    extras = [
+        {},
+        {"jitter": 0.02},
+        {"orientation": (0.5, -0.1, 0.7, 0.3)},
+        {"jitter": 0.01, "orientation": (-0.2, 0.9, 0.1, -0.4)},
+    ]
+    for seed in (0, 5, 2**63 + 11):
+        for extra in extras:
+            got = generate_shape(SyntheticShape(kind, n_points, seed, dict(extra)))
+            want = shape_by_columns(kind, n_points, seed, extra)
+            assert got.points.tobytes() == want.tobytes(), (seed, extra)
+
+
+def test_make_dataset_matches_column_oracle_byte_for_byte():
+    cfg = DataConfig(n_points=300, n_classes=5, instances_per_class=3, dataset_seed=4)
+    clouds, labels = make_dataset(cfg)
+    want = dataset_by_columns(cfg, SHAPE_KINDS)
+    assert len(clouds) == len(want)
+    for cloud, (points, label, source_id) in zip(clouds, want):
+        assert cloud.points.tobytes() == points.tobytes(), source_id
+        assert (cloud.label, cloud.source_id) == (label, source_id)
+    np.testing.assert_array_equal(labels, [label for _, label, _ in want])
+
+
+def test_normalize_matches_row_oracle_on_flat_and_degenerate_clouds():
+    rng = np.random.default_rng(3)
+    planar = rng.standard_normal((257, 3)) * 5
+    planar[:, 1] = 0.1  # a flat axis whose mean would leave a residue
+    line = np.zeros((64, 3))
+    line[:, 2] = rng.uniform(-3.0, 7.0, 64)
+    clouds = (
+        planar, np.asfortranarray(planar), line, np.full((9, 3), 2.5), rng.standard_normal((1, 3)),
+    )
+    for points in clouds:
+        got = normalize_unit_sphere(PointCloud(points.copy(order="K"))).points
+        assert got.tobytes() == normalize_by_rows(points).tobytes()
