@@ -302,19 +302,20 @@ def layer_norm_affine(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6)
     """Normalize the last axis to zero mean / unit variance, then scale by
     gamma and shift by beta, as one node: the same bytes as a bare
     normalization followed by mul and add."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    width = x.data.shape[-1]
+
+    def mean(a):  # what a.mean(axis=-1, keepdims=True) computes, unwrapped
+        return np.add.reduce(a, axis=-1, keepdims=True) / width
+
+    xc = x.data - mean(x.data)
+    inv = 1.0 / np.sqrt(mean(xc * xc) + eps)
     xn = xc * inv
     out = xn * gamma.data
     out += beta.data
 
     def vjp(g):
         gxn = g * gamma.data
-        gm = gxn.mean(axis=-1, keepdims=True)
-        gdot = (gxn * xn).mean(axis=-1, keepdims=True)
-        gx = inv * (gxn - gm - xn * gdot)
+        gx = inv * (gxn - mean(gxn) - xn * mean(gxn * xn))
         return gx, _unbroadcast(g * xn, gamma.data.shape), _unbroadcast(g, beta.data.shape)
 
     return make_node(out, (x, gamma, beta), vjp)

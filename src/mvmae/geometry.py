@@ -72,19 +72,6 @@ def normalize_unit_sphere(cloud: PointCloud) -> PointCloud:
     return replace(cloud, points=centered)
 
 
-def _sq_dists(coords: np.ndarray, j: int, diff: np.ndarray, out: np.ndarray) -> None:
-    """Squared distances from the columns of a (3, N) coordinate-major
-    array to its column j, written into out (N,); diff is (3, N) scratch.
-
-    Summed x, y, z in that order, which is bit for bit what
-    np.sum(diff ** 2, axis=-1) gives over a length-3 axis.
-    """
-    np.subtract(coords[:, j, None], coords, out=diff)
-    diff *= diff
-    np.add(diff[0], diff[1], out=out)
-    out += diff[2]
-
-
 def farthest_point_sampling(
     points: np.ndarray, n_samples: int, start_index: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -92,8 +79,10 @@ def farthest_point_sampling(
 
     Returns the indices in selection order and the (n_samples, N) squared
     distances from each chosen point to every point, row i for chosen[i],
-    which is what knn selects from. The start index defaults to 0 so
-    patching is deterministic without threading an rng through.
+    which is what knn selects from. Each row sums x², y², z² in that
+    order, which is bit for bit np.sum(diff ** 2, axis=-1) over a length-3
+    axis. The start index defaults to 0 so patching is deterministic
+    without threading an rng through.
     """
     points = np.asarray(points, dtype=np.float64)
     n = len(points)
@@ -103,19 +92,23 @@ def farthest_point_sampling(
         raise ContractViolation(f"start_index {start_index} outside [0, {n})")
     coords = np.ascontiguousarray(points.T)
     diff = np.empty_like(coords)
+    dx, dy, dz = diff  # (3, N) scratch rows, unpacked once
     chosen = np.empty(n_samples, dtype=np.int64)
     d2 = np.empty((n_samples, n))
-    chosen[0] = start_index
-    _sq_dists(coords, start_index, diff, d2[0])
-    min_d2 = d2[0].copy()
-    # chosen entries get -1 so duplicates of a selected point can't win
-    min_d2[start_index] = -1.0
-    for i in range(1, n_samples):
-        nxt = int(np.argmax(min_d2))  # argmax takes the first max: lowest index
-        chosen[i] = nxt
-        _sq_dists(coords, nxt, diff, d2[i])
-        np.minimum(min_d2, d2[i], out=min_d2)
-        min_d2[nxt] = -1.0
+    # min(inf, d) is d bit for bit, so row 0 needs no case of its own
+    min_d2 = np.full(n, np.inf)
+    j = start_index
+    for i in range(n_samples):
+        chosen[i] = j
+        row = d2[i]
+        np.subtract(coords[:, j : j + 1], coords, out=diff)
+        diff *= diff
+        np.add(dx, dy, out=row)
+        row += dz
+        np.minimum(min_d2, row, out=min_d2)
+        # chosen entries get -1 so duplicates of a selected point can't win
+        min_d2[j] = -1.0
+        j = int(min_d2.argmax())  # argmax takes the first max: lowest index
     return chosen, d2
 
 
@@ -132,14 +125,23 @@ def knn(d2: np.ndarray, k: int) -> np.ndarray:
     # above" rather than "<=" keeps a row whole when its k-th entry is NaN,
     # and NaN sorts last in both sorts)
     kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
-    keep = ~(d2 > kth)
+    keep = d2 > kth
+    np.logical_not(keep, out=keep)
     flat = np.flatnonzero(keep)  # row-major: ascending index within a row
     rows, cols = np.divmod(flat, d2.shape[1])
+    counts = np.bincount(rows, minlength=len(d2))
+    # each row's candidates packed left into one table row, padded with
+    # +inf: a padded row holds an entry above its k-th distance, so that
+    # distance is finite and its k smallest candidates sort ahead of the
+    # padding (only NaN candidates sort behind it)
+    slot = np.arange(len(flat)) - (np.cumsum(counts) - counts)[rows]
+    dist = np.full((len(d2), counts.max()), np.inf)
+    dist[rows, slot] = d2.ravel()[flat]
+    index = np.zeros(dist.shape, dtype=np.intp)
+    index[rows, slot] = cols
     # stable: equal distances keep index order, as in the full stable sort
-    order = np.lexsort((d2.ravel()[flat], rows))
-    counts = np.count_nonzero(keep, axis=1)
-    starts = np.cumsum(counts) - counts
-    return cols[order[starts[:, None] + np.arange(k)]]
+    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    return np.take_along_axis(index, order, axis=1)
 
 
 def rotate_z(points: np.ndarray, angle: float) -> np.ndarray:

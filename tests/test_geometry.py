@@ -276,6 +276,13 @@ def test_knn_equals_full_stable_sort_with_nan_points():
         )
 
 
+def test_knn_pads_short_rows_above_every_distance():
+    # row 0 ties at its k-th distance and keeps three candidates, so row
+    # 1 is padded; its candidates lie near the top of the float range
+    d2 = np.array([[0.0, 0.0, 0.0, 1.0], [1.7e308, 1e308, 1.5e308, 1.6e308]])
+    np.testing.assert_array_equal(knn(d2, 2), np.argsort(d2, axis=1, kind="stable")[:, :2])
+
+
 def test_knn_k_below_one_rejected():
     with pytest.raises(ContractViolation):
         knn(np.zeros((1, 2)), 0)
