@@ -6,11 +6,12 @@ gather (its adjoint is scatter-add), sum and max reductions, layer
 normalization with its scale and shift (`layer_norm_affine`), GELU, and
 four fused ops for the hot spots of a training step: multi-head scaled
 dot-product attention on (L, heads * D) projections (heads split and
-merged inside the node), segment max+mean pooling, the patch Chamfer
-loss and the mean squared error. That is sufficient for the whole
-encoder/decoder and every loss. `mul` and `sum_` have no caller in the
-model any more; they stay because the benchmark's tests and the gradient
-tests build losses from them.
+merged inside the node, which keeps the unnormalized attention maps and
+their row sums for its adjoint, never the normalized maps), segment
+max+mean pooling, the patch Chamfer loss and the mean squared error.
+That is sufficient for the whole encoder/decoder and every loss. `mul`
+and `sum_` have no caller in the model any more; they stay because the
+benchmark's tests and the gradient tests build losses from them.
 """
 
 from __future__ import annotations
@@ -195,8 +196,12 @@ def max_(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     """softmax(q k^T / sqrt(D)) v per head over (L, heads * D) operands, as
-    one node that splits and merges the heads itself and keeps only the
-    attention maps for its adjoint."""
+    one node that splits and merges the heads itself.
+
+    The logits come from a scaled copy of q. The output is e v / S, with e
+    the unnormalized map exp(logits - rowmax) and S its row sums, so the
+    normalized map is never formed: the node keeps e and S for its
+    adjoint."""
     shape = q.data.shape
     equal = {k.data.shape, v.data.shape} == {shape}
     if len(shape) != 2 or not equal or heads < 1 or shape[1] % heads:
@@ -211,25 +216,29 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         np.ascontiguousarray(a.data.reshape(length, heads, d).transpose(1, 0, 2))
         for a in (q, k, v)
     )
-    s = qh @ kh.swapaxes(-1, -2)
-    s *= c
-    s -= s.max(axis=-1, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
-    out = s @ vh
+    qs = qh * c  # a copy: with one head, qh is a view of q's data
+    e = qs @ kh.swapaxes(-1, -2)
+    e -= e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    rowsum = e.sum(axis=-1, keepdims=True)
+    out = e @ vh
+    out /= rowsum
 
     def merge(a):  # (heads, L, D) -> (L, heads * D)
         return a.transpose(1, 0, 2).reshape(length, width)
 
     def vjp(g):
-        g = g.reshape(length, heads, d).transpose(1, 0, 2)  # a strided view, no copy
-        gv = s.swapaxes(-1, -2) @ g
-        gs = g @ vh.swapaxes(-1, -2)
-        # rowsum(gs * s) is rowsum(g * out): an (L, D) product, not (L, L)
-        gs -= (g * out).sum(axis=-1, keepdims=True)
-        gs *= s
-        gs *= c
-        return merge(gs @ kh), merge(gs.swapaxes(-1, -2) @ qh), merge(gv)
+        # g / S carries the adjoint through the normalization, so e stands
+        # in for the normalized map
+        gn = g.reshape(length, heads, d).transpose(1, 0, 2) / rowsum
+        gv = e.swapaxes(-1, -2) @ gn
+        ge = gn @ vh.swapaxes(-1, -2)
+        # the softmax row term rowsum(g * out) / S, an (L, D) product
+        ge -= (gn * out).sum(axis=-1, keepdims=True)
+        ge *= e
+        gq = ge @ kh
+        gq *= c
+        return merge(gq), merge(ge.swapaxes(-1, -2) @ qs), merge(gv)
 
     return make_node(merge(out), (q, k, v), vjp)
 

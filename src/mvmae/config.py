@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .fileio import read_input
+from .projection import CLIP_MARGIN
 
 CONFIG_VERSION = 1
 # integer fields that may be 0; every other integer field must be positive
@@ -87,7 +88,7 @@ class Config:
             (m.C % m.heads == 0, f"token width {m.C} not divisible by {m.heads} heads"),
             (0.0 < m.m < 1.0, f"mask ratio {m.m} outside (0, 1)"),
             (m.n >= 2, f"patch count {m.n} below 2"),
-            (m.radius > 1.0, f"camera radius {m.radius} inside the unit sphere"),
+            (m.radius > CLIP_MARGIN, f"camera radius {m.radius} puts the near plane behind the camera"),
             (0.0 < m.fov_deg < 180.0, f"fov {m.fov_deg} outside (0, 180)"),
             (self.data.n_points >= max(m.n, m.k), "cloud smaller than patch layout"),
             (self.train.lr > 0.0, f"lr {self.train.lr} must be positive"),

@@ -33,9 +33,10 @@ class CameraPose:
                 f"camera angles must be finite, got azimuth {self.azimuth_deg} "
                 f"and elevation {self.elevation_deg}"
             )
-        if not 1.0 < self.radius < math.inf:
+        if not CLIP_MARGIN < self.radius < math.inf:
             raise ContractViolation(
-                f"camera radius {self.radius} must be finite and exceed the unit sphere"
+                f"camera radius {self.radius} must be finite and exceed {CLIP_MARGIN}, "
+                "or the near clip plane falls behind the camera"
             )
         if not 0.0 < self.fov_deg < 180.0:
             raise ContractViolation(f"fov {self.fov_deg} outside (0, 180)")

@@ -116,6 +116,33 @@ def knn_stable_argsort(points: np.ndarray, centers: np.ndarray, k: int) -> np.nd
     return np.argsort(d2, axis=1, kind="stable")[:, :k]
 
 
+def attention_by_normalized_map(q, k, v, heads, g):
+    """Multi-head softmax(q k^T / sqrt(D)) v over (L, heads * D) arrays and
+    its adjoints for an incoming adjoint g, through the normalized map
+    P: out = P v, and the softmax adjoint P * (gP - rowsum(gP * P)) with
+    gP = g v^T. Returns (out, gq, gk, gv), each (L, heads * D)."""
+    length, width = q.shape
+    d = width // heads
+
+    def split(a):
+        return a.reshape(length, heads, d).transpose(1, 0, 2)
+
+    def merge(a):
+        return a.transpose(1, 0, 2).reshape(length, width)
+
+    qh, kh, vh, gh = map(split, (q, k, v, g))
+    c = 1.0 / math.sqrt(d)
+    logits = c * (qh @ kh.swapaxes(-1, -2))
+    p = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    out = p @ vh
+    gp = gh @ vh.swapaxes(-1, -2)
+    gs = c * p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+    return merge(out), merge(gs @ kh), merge(gs.swapaxes(-1, -2) @ qh), merge(
+        p.swapaxes(-1, -2) @ gh
+    )
+
+
 def gelu(x: np.ndarray) -> np.ndarray:
     return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
 

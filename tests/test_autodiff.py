@@ -9,7 +9,7 @@ from mvmae.autodiff import Parameter, Tensor, backward, no_grad, ops
 from mvmae.autodiff.tensor import make_node
 from mvmae.errors import ContractViolation
 
-from oracles import finite_difference, grad_rel_error
+from oracles import attention_by_normalized_map, finite_difference, grad_rel_error
 
 TOL = 1e-5
 
@@ -197,21 +197,21 @@ def test_attention_matches_unfused_composition():
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
 
 
-def test_attention_row_term_from_output_matches_map_form():
-    # the softmax adjoint's row term, rowsum(g * out), against rowsum(gs * s)
+@pytest.mark.parametrize(
+    "length,width,heads",
+    [(256, 64, 4), (37, 24, 3)],
+    ids=["256x64-4heads", "37x24-3heads"],
+)
+def test_attention_matches_normalized_map_oracle(length, width, heads):
+    # the node never forms the normalized map: it divides e v by the row
+    # sums and gets its adjoint from g / S, which moves results by rounding
     rng = np.random.default_rng(12)
-    q, k, v, g = (rng.standard_normal((4, 256, 16)) for _ in range(4))
-    c = 0.25  # four heads of width 16
-    q_in = Tensor(merge_heads(q), requires_grad=True)
-    node = ops.attention(q_in, Tensor(merge_heads(k)), Tensor(merge_heads(v)), 4)
-    got = node._vjp(merge_heads(g))
-    s = c * (q @ k.swapaxes(-1, -2))
-    s = np.exp(s - s.max(axis=-1, keepdims=True))
-    s /= s.sum(axis=-1, keepdims=True)
-    gs = g @ v.swapaxes(-1, -2)
-    gs = c * s * (gs - (gs * s).sum(axis=-1, keepdims=True))
-    want = (gs @ k, gs.swapaxes(-1, -2) @ q, s.swapaxes(-1, -2) @ g)
-    for a, b in zip(got, map(merge_heads, want)):
+    q, k, v, g = (rng.standard_normal((length, width)) * 3 for _ in range(4))
+    leaves = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+    node = ops.attention(*leaves, heads)
+    got = (node.data, *node._vjp(g))
+    want = attention_by_normalized_map(q, k, v, heads, g)
+    for a, b in zip(got, want):
         assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
 
 
@@ -219,6 +219,8 @@ def test_vjps_leave_incoming_adjoint_untouched():
     rng = np.random.default_rng(11)
     cases = [
         (lambda t: ops.attention(t, t, t, 2), rng.standard_normal((5, 6))),
+        # one head: the split is a view of q, so only a copy may be scaled
+        (lambda t: ops.attention(t, t, t, 1), rng.standard_normal((5, 6))),
         (lambda t: ops.segment_pool(t, SEG_IDX, SEG_STARTS), rng.standard_normal((5, 4))),
         (lambda t: ops.chamfer(t, T463), rng.standard_normal((4, 5, 3))),
         (lambda t: ops.linear(t, t, Tensor(VEC3)), rng.standard_normal((3, 3))),
@@ -297,20 +299,23 @@ def attention_heads_node(q, k, v, c):
     """The attention node over split (..., L, D) heads with a given scale,
     which the (L, heads * D) attention absorbed along with the head split
     and merge."""
-    s = q.data @ k.data.swapaxes(-1, -2)
-    s *= c
-    s -= s.max(axis=-1, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
-    out = s @ v.data
+    qs = q.data * c
+    e = qs @ k.data.swapaxes(-1, -2)
+    e -= e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    rowsum = e.sum(axis=-1, keepdims=True)
+    out = e @ v.data
+    out /= rowsum
 
     def vjp(g):
-        gv = s.swapaxes(-1, -2) @ g
-        gs = g @ v.data.swapaxes(-1, -2)
-        gs -= (g * out).sum(axis=-1, keepdims=True)
-        gs *= s
-        gs *= c
-        return gs @ k.data, gs.swapaxes(-1, -2) @ q.data, gv
+        gn = g / rowsum
+        gv = e.swapaxes(-1, -2) @ gn
+        ge = gn @ v.data.swapaxes(-1, -2)
+        ge -= (gn * out).sum(axis=-1, keepdims=True)
+        ge *= e
+        gq = ge @ k.data
+        gq *= c
+        return gq, ge.swapaxes(-1, -2) @ qs, gv
 
     return make_node(out, (q, k, v), vjp)
 

@@ -152,6 +152,20 @@ def test_pretrain_warmup_not_below_total_steps_exit_2(tmp_path, capsys, monkeypa
     assert not out.exists()
 
 
+def test_pretrain_radius_within_clip_margin_exit_2(tmp_path, capsys):
+    # radius 1.02 would put the near clip plane (radius - 1.05) behind the
+    # camera; the config is refused before --out is claimed
+    cfg = tiny_config()
+    near = dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, radius=1.02))
+    cfg_path = tmp_path / "near.json"
+    cfg_path.write_text(near.canonical_json())
+    out = tmp_path / "o"
+    code = main(["pretrain", "--config", str(cfg_path), "--out", str(out)])
+    assert code == 2
+    assert "camera radius 1.02" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -530,6 +544,8 @@ def bad_inputs(tmp_path):
     "argv",
     [
         "render --input {d}/cloud.xyz --pose inf,30,2.2,50 --out {d}/o.pgm",
+        # near plane at radius - 1.05 < 0: behind the camera
+        "render --input {d}/cloud.xyz --pose 0,30,1.02,50 --out {d}/o.pgm",
         "render --input {d}/dir --out {d}/o.pgm",
         "reconstruct --input {d}/dir --checkpoint {d}/micro.ckpt --out {d}/o",
         "reconstruct --input {d}/cloud.xyz --checkpoint {d}/dir --out {d}/o",
@@ -539,7 +555,7 @@ def bad_inputs(tmp_path):
         "probe --checkpoint {d}/six.ckpt",
     ],
     ids=[
-        "render_inf_pose", "render_dir_input", "reconstruct_dir_input",
+        "render_inf_pose", "render_near_plane_behind_camera", "render_dir_input", "reconstruct_dir_input",
         "reconstruct_dir_checkpoint", "probe_dir_checkpoint", "pretrain_dir_config",
         "reconstruct_non_utf8_input", "probe_six_classes",
     ],
