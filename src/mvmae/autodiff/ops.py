@@ -24,6 +24,7 @@ from .tensor import Tensor, make_node
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+LAYER_NORM_EPS = 1e-6  # added to the variance before its square root
 
 
 def as_tensor(x) -> Tensor:
@@ -307,7 +308,7 @@ def chamfer(pred: Tensor, target: np.ndarray) -> Tensor:
     return make_node(out, (pred,), vjp)
 
 
-def layer_norm_affine(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
+def layer_norm_affine(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale by
     gamma and shift by beta, as one node: the same bytes as a bare
     normalization followed by mul and add."""
@@ -317,7 +318,7 @@ def layer_norm_affine(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6)
         return np.add.reduce(a, axis=-1, keepdims=True) / width
 
     xc = x.data - mean(x.data)
-    inv = 1.0 / np.sqrt(mean(xc * xc) + eps)
+    inv = 1.0 / np.sqrt(mean(xc * xc) + LAYER_NORM_EPS)
     xn = xc * inv
     out = xn * gamma.data
     out += beta.data

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,6 @@ from .pipeline import (
     load_pretrained,
     pretrain,
     probe_features,
-    run_steps,
     summarize_accuracy,
 )
 from .projection import CameraPose, rasterize_depth, write_pgm
@@ -81,16 +80,12 @@ def _run_manifest(args, config_path: str, config_hash: str):
 
 def cmd_pretrain(args) -> int:
     cfg = preset_or_file(args.config)
-    run_steps(cfg, cfg.data.n_classes * cfg.data.instances_per_class, args.epochs)
+    if args.epochs is not None:
+        cfg = replace(cfg, train=replace(cfg.train, epochs=args.epochs)).validate()
     with _run_manifest(args, args.config, cfg.config_hash()) as out_dir:
         clouds, _ = make_dataset(cfg.data)
         result = pretrain(
-            cfg,
-            clouds,
-            out_dir,
-            run_seed=args.seed,
-            epochs=args.epochs,
-            resume_from=args.resume,
+            cfg, clouds, out_dir, run_seed=args.seed, resume_from=args.resume
         )
     print(
         f"pretrained {result.steps_run}/{result.total_steps} steps; "
@@ -128,12 +123,10 @@ def cmd_reconstruct(args) -> int:
     model, ckpt = load_pretrained(args.checkpoint)
     cloud = load_cloud(args.input)
     cfg = ckpt.config
-    views = args.views if args.views is not None else cfg.model.K
-    if not 1 <= views <= cfg.model.V:
-        raise ConfigError(f"views {views} outside [1, V={cfg.model.V}]")
-    model_cfg = dataclasses.replace(cfg.model, K=views)
+    if args.views is not None:
+        cfg = replace(cfg, model=replace(cfg.model, K=args.views)).validate()
     with _run_manifest(args, args.checkpoint, cfg.config_hash()) as out_dir:
-        plan = build_pretrain_plan(cloud, model_cfg, Rng(args.seed).derive("reconstruct"))
+        plan = build_pretrain_plan(cloud, cfg.model, Rng(args.seed).derive("reconstruct"))
         with no_grad():
             _, recon, diag = loss_from_plan(model, plan)
 
@@ -143,11 +136,11 @@ def cmd_reconstruct(args) -> int:
         predicted_abs = (recon.predicted_patches.data + centers[:, None, :]).reshape(-1, 3)
         write_xyz(out_dir / "reconstructed.xyz", PointCloud(predicted_abs))
         predicted = np.clip(recon.predicted_images.data, 0.0, 1.0)
-        for v in range(views):
+        for v in range(cfg.model.K):
             write_pgm(out_dir / f"gt_view{v}.pgm", recon.target_images[v])
             write_pgm(out_dir / f"pred_view{v}.pgm", predicted[v])
     print(
-        f"wrote 2 clouds and {2 * views} depth images to {out_dir} "
+        f"wrote 2 clouds and {2 * cfg.model.K} depth images to {out_dir} "
         f"(l3d={diag['l3d']:.6f}, l2d={diag['l2d']:.6f})"
     )
     return EXIT_OK

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
+from .data import MIN_POINTS, SHAPE_KINDS
 from .errors import ConfigError
 from .fileio import read_input
 from .projection import CLIP_MARGIN
+from .tokenizer import round_half_up
 
 CONFIG_VERSION = 1
 # integer fields that may be 0; every other integer field must be positive
@@ -78,7 +80,10 @@ class Config:
             part = getattr(self, section)
             for f in fields(part):
                 _check_field(section, f.name, f.type, getattr(part, f.name))
-        m = self.model
+        m, t, d = self.model, self.train, self.data
+        n_masked = round_half_up(m.m * m.n)
+        min_points = max(m.n, m.k, MIN_POINTS)
+        total_steps = t.epochs * -(-(d.n_classes * d.instances_per_class) // t.batch_size)
         checks = [
             (m.H_i % m.H_t == 0, f"H_i {m.H_i} not divisible by H_t {m.H_t}"),
             (m.W_i % m.W_t == 0, f"W_i {m.W_i} not divisible by W_t {m.W_t}"),
@@ -87,13 +92,16 @@ class Config:
             (m.C % 4 == 0, f"token width {m.C} must be divisible by 4"),
             (m.C % m.heads == 0, f"token width {m.C} not divisible by {m.heads} heads"),
             (0.0 < m.m < 1.0, f"mask ratio {m.m} outside (0, 1)"),
-            (m.n >= 2, f"patch count {m.n} below 2"),
+            (n_masked >= 1, f"mask ratio {m.m} leaves no masked patches at n={m.n}"),
+            (n_masked < m.n, f"mask ratio {m.m} leaves no visible patches at n={m.n}"),
             (m.radius > CLIP_MARGIN, f"camera radius {m.radius} puts the near plane behind the camera"),
             (0.0 < m.fov_deg < 180.0, f"fov {m.fov_deg} outside (0, 180)"),
-            (self.data.n_points >= max(m.n, m.k), "cloud smaller than patch layout"),
-            (self.train.lr > 0.0, f"lr {self.train.lr} must be positive"),
-            (self.train.lr_min >= 0.0, f"lr_min {self.train.lr_min} must be non-negative"),
-            (self.train.weight_decay >= 0.0, "weight decay must be non-negative"),
+            (d.n_points >= min_points, f"n_points {d.n_points} below {min_points}"),
+            (d.n_classes <= len(SHAPE_KINDS), f"at most {len(SHAPE_KINDS)} classes available, got {d.n_classes}"),
+            (t.lr > 0.0, f"lr {t.lr} must be positive"),
+            (t.lr_min >= 0.0, f"lr_min {t.lr_min} must be non-negative"),
+            (t.weight_decay >= 0.0, "weight decay must be non-negative"),
+            (t.warmup_steps < total_steps, f"warmup_steps {t.warmup_steps} must be below the run's {total_steps} steps"),
         ]
         for ok, message in checks:
             if not ok:
@@ -109,7 +117,8 @@ class Config:
 
 def _check_field(section: str, name: str, kind: str, value) -> None:
     """An int field holds an int (not a bool or a float) at least 1, or 0
-    where _MAY_BE_ZERO allows; a float field holds a finite number."""
+    where _MAY_BE_ZERO allows; a float field holds a finite number, an int
+    within a float's range included."""
     if kind == "int":
         low = 0 if name in _MAY_BE_ZERO else 1
         if not isinstance(value, int) or isinstance(value, bool) or value < low:
@@ -119,7 +128,7 @@ def _check_field(section: str, name: str, kind: str, value) -> None:
     elif (
         not isinstance(value, (int, float))
         or isinstance(value, bool)
-        or not math.isfinite(value)
+        or not abs(value) <= sys.float_info.max  # NaN compares false
     ):
         raise ConfigError(f"{section}.{name} must be a finite number, got {value!r}")
 
@@ -137,7 +146,15 @@ def config_from_dict(raw: dict) -> Config:
         )
     except TypeError as exc:  # unknown field names
         raise ConfigError(f"bad config structure: {exc}") from exc
-    return cfg.validate()
+    cfg.validate()
+    # a float field spelled as an integer holds that float, so "lr_min": 0
+    # hashes as "lr_min": 0.0 does; validate kept it within a float's range
+    return replace(cfg, **{
+        section: replace(part, **{
+            f.name: float(getattr(part, f.name)) for f in fields(part) if f.type == "float"
+        })
+        for section, part in (("model", cfg.model), ("train", cfg.train), ("data", cfg.data))
+    })
 
 
 def load_config(path: str | Path) -> Config:

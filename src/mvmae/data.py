@@ -11,15 +11,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import DataConfig
 from .errors import ContractViolation
 from .geometry import PointCloud, normalize_unit_sphere
 from .rng import Rng
 
+if TYPE_CHECKING:
+    from .config import DataConfig
+
 SHAPE_KINDS = ("sphere", "cube", "torus", "cylinder", "cone")
+MIN_POINTS = 8  # fewest points generate_shape samples
 
 
 @dataclass(frozen=True)
@@ -162,8 +166,8 @@ def generate_shape(shape: SyntheticShape) -> PointCloud:
     """
     if shape.kind not in _SAMPLERS:
         raise ContractViolation(f"unknown shape kind {shape.kind!r}")
-    if shape.n_points < 8:
-        raise ContractViolation(f"n_points {shape.n_points} below 8")
+    if shape.n_points < MIN_POINTS:
+        raise ContractViolation(f"n_points {shape.n_points} below {MIN_POINTS}")
     rng = Rng(shape.seed).derive("shape", shape.kind)
     pts = _SAMPLERS[shape.kind](rng, shape.n_points, shape.params)
     jitter = shape.params.get("jitter", 0.0)

@@ -72,24 +72,20 @@ def normalize_unit_sphere(cloud: PointCloud) -> PointCloud:
     return replace(cloud, points=centered)
 
 
-def farthest_point_sampling(
-    points: np.ndarray, n_samples: int, start_index: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
+def farthest_point_sampling(points: np.ndarray, n_samples: int) -> tuple[np.ndarray, np.ndarray]:
     """Greedy max-min subset selection, ties broken by lowest index.
 
     Returns the indices in selection order and the (n_samples, N) squared
     distances from each chosen point to every point, row i for chosen[i],
     which is what knn selects from. Each row sums x², y², z² in that
     order, which is bit for bit np.sum(diff ** 2, axis=-1) over a length-3
-    axis. The start index defaults to 0 so patching is deterministic
+    axis. Selection starts at index 0, so patching is deterministic
     without threading an rng through.
     """
     points = np.asarray(points, dtype=np.float64)
     n = len(points)
     if not 1 <= n_samples <= n:
         raise ContractViolation(f"n_samples {n_samples} outside [1, {n}]")
-    if not 0 <= start_index < n:
-        raise ContractViolation(f"start_index {start_index} outside [0, {n})")
     coords = np.ascontiguousarray(points.T)
     diff = np.empty_like(coords)
     dx, dy, dz = diff  # (3, N) scratch rows, unpacked once
@@ -97,7 +93,7 @@ def farthest_point_sampling(
     d2 = np.empty((n_samples, n))
     # min(inf, d) is d bit for bit, so row 0 needs no case of its own
     min_d2 = np.full(n, np.inf)
-    j = start_index
+    j = 0
     for i in range(n_samples):
         chosen[i] = j
         row = d2[i]

@@ -85,8 +85,6 @@ class MultiheadSelfAttention:
     q·b_k it would add, so such a bias could never learn."""
 
     def __init__(self, reg: ParamRegistry, name: str, dim: int, heads: int):
-        if dim % heads != 0:
-            raise ContractViolation(f"width {dim} not divisible by {heads} heads")
         self.heads = heads
         self.wq = Linear(reg, f"{name}.wq", dim, dim)
         self.wk = reg.normal(f"{name}.wk.weight", (dim, dim))

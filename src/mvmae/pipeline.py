@@ -8,7 +8,7 @@ run resumed from any checkpoint replays the remaining steps bit for bit.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +17,7 @@ from .autodiff import backward, ops
 from .autodiff.optim import AdamWState, adamw_step, cosine_lr
 from .checkpoint import Checkpoint, load_checkpoint, restore_params, save_checkpoint
 from .config import Config
-from .errors import CheckpointError, ConfigError, ContractViolation, TrainingAborted
+from .errors import CheckpointError, ContractViolation, TrainingAborted
 from .fileio import read_input, write_atomic
 from .geometry import PointCloud, augment
 from .model import MultiviewMae, encoder_features, forward_pretrain
@@ -82,29 +82,11 @@ def _bookkeeping_int(ckpt: Checkpoint, key: str, path) -> int:
     return value
 
 
-def run_steps(cfg: Config, n_clouds: int, epochs: int | None = None) -> tuple[int, int]:
-    """(steps per epoch, total steps) of a pretraining run over n_clouds
-    clouds; ConfigError for fewer than one epoch, or a warmup that is not
-    below the total. The CLI asks before it writes anything."""
-    epochs = cfg.train.epochs if epochs is None else epochs
-    if epochs < 1:
-        raise ConfigError(f"epochs must be at least 1, got {epochs}")
-    steps_per_epoch = -(-n_clouds // cfg.train.batch_size)
-    total_steps = epochs * steps_per_epoch
-    if cfg.train.warmup_steps >= total_steps:
-        raise ConfigError(
-            f"warmup_steps {cfg.train.warmup_steps} must be below the run's "
-            f"{total_steps} steps"
-        )
-    return steps_per_epoch, total_steps
-
-
 def pretrain(
     cfg: Config,
     clouds: list[PointCloud],
     out_dir: str | Path,
     run_seed: int,
-    epochs: int | None = None,
     resume_from: str | Path | None = None,
     stop_after_step: int | None = None,
 ) -> PretrainResult:
@@ -118,7 +100,8 @@ def pretrain(
     if not clouds:
         raise ContractViolation("pretraining needs a non-empty dataset")
     cfg.validate()
-    steps_per_epoch, total_steps = run_steps(cfg, len(clouds), epochs)
+    steps_per_epoch = -(-len(clouds) // cfg.train.batch_size)
+    total_steps = cfg.train.epochs * steps_per_epoch
     out_dir = Path(out_dir)
     metrics_path = out_dir / "metrics.tsv"
     batch = cfg.train.batch_size
@@ -129,10 +112,14 @@ def pretrain(
     metrics_lines = [METRICS_HEADER]
     if resume_from is not None:
         ckpt = load_checkpoint(resume_from)
-        if ckpt.config.config_hash() != cfg.config_hash():
-            raise CheckpointError(
-                "checkpoint config does not match the requested config"
-            )
+        saved, wanted = asdict(ckpt.config), asdict(cfg)
+        differing = [
+            f"{s}.{name} (checkpoint {saved[s][name]!r}, requested {value!r})"
+            for s in ("model", "train", "data") for name, value in wanted[s].items()
+            if saved[s][name] != value
+        ]
+        if differing:
+            raise CheckpointError(f"{resume_from}: checkpoint config differs in {', '.join(differing)}")
         saved_seed = _bookkeeping_int(ckpt, "run_seed", resume_from)
         if saved_seed != run_seed:
             raise CheckpointError(
@@ -143,7 +130,7 @@ def pretrain(
         if saved_total != total_steps:
             raise CheckpointError(
                 f"{resume_from}: checkpoint belongs to a {saved_total}-step run, "
-                f"this run has {total_steps} steps (different --epochs?)"
+                f"this run has {total_steps} steps"
             )
         restore_params(model.params, ckpt)
         opt = ckpt.opt

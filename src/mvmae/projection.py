@@ -61,8 +61,6 @@ def make_pose_pool(
     v: int, elevation_deg: float, radius: float, fov_deg: float
 ) -> list[CameraPose]:
     """V poses on a ring: uniform azimuths, fixed elevation/radius/fov."""
-    if v < 1:
-        raise ContractViolation(f"pose pool size {v} must be at least 1")
     return [
         CameraPose(360.0 * i / v, elevation_deg, radius, fov_deg) for i in range(v)
     ]

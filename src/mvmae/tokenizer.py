@@ -76,8 +76,6 @@ class PatchEmbed:
     over the k points of each patch. Invariant to point order."""
 
     def __init__(self, reg: ParamRegistry, name: str, dim: int):
-        if dim % 2 != 0:
-            raise ContractViolation(f"token width {dim} must be even")
         self.fc1 = Linear(reg, f"{name}.fc1", 3, dim // 2)
         self.fc2 = Linear(reg, f"{name}.fc2", dim // 2, dim)
 

@@ -480,8 +480,9 @@ def test_chamfer_tie_routes_to_first_nearest_point():
 def test_layer_norm_moments():
     rng = np.random.default_rng(8)
     x = Tensor(rng.standard_normal((40, 64)) * 5 + 3)
-    y = ops.layer_norm_affine(x, Tensor(np.ones(64)), Tensor(np.zeros(64)), eps=1e-12).data
+    y = ops.layer_norm_affine(x, Tensor(np.ones(64)), Tensor(np.zeros(64))).data
     assert np.max(np.abs(y.mean(axis=-1))) < 1e-9
+    # variance ~25 in, so the eps shifts the normalized variance by ~4e-8
     assert np.max(np.abs(y.var(axis=-1) - 1.0)) < 1e-6
 
 

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 import mvmae
-from mvmae.checkpoint import save_checkpoint
+from mvmae.checkpoint import load_checkpoint, save_checkpoint
 from mvmae.autodiff.optim import AdamWState
 from mvmae.cli import main
-from mvmae.config import Config, DataConfig, ModelConfig, TrainConfig, tiny_config
+from mvmae.config import Config, DataConfig, ModelConfig, TrainConfig, load_config, tiny_config
 from mvmae.model import MultiviewMae
 from mvmae.projection import read_pgm
 from mvmae.rng import Rng
@@ -105,7 +105,7 @@ def test_pretrain_resume_with_other_epochs_exit_2(tiny_run, tmp_path, capsys):
         "--resume", str(tiny_run / "ckpt_00000008.ckpt"),
     ])
     assert code == 2
-    assert "steps" in capsys.readouterr().err
+    assert "train.epochs (checkpoint 2, requested 3)" in capsys.readouterr().err
     assert not (tmp_path / "o" / "final.ckpt").exists()
 
 
@@ -127,8 +127,71 @@ def test_pretrain_epochs_below_one_exit_2(tmp_path, capsys, epochs):
     for _ in range(2):
         code = main(["pretrain", "--config", "tiny", "--out", str(out), f"--epochs={epochs}"])
         assert code == 2
-        assert "epochs must be at least 1" in capsys.readouterr().err
+        assert f"train.epochs must be an integer >= 1, got {epochs}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "edits, rule",
+    [
+        ({"model": {"m": 0.05}}, "mask ratio 0.05 leaves no masked patches at n=8"),
+        ({"model": {"m": 0.97}}, "mask ratio 0.97 leaves no visible patches at n=8"),
+        ({"data": {"n_classes": 6}}, "at most 5 classes available, got 6"),
+        ({"model": {"n": 2, "k": 2, "m": 0.5}, "data": {"n_points": 4}}, "n_points 4 below 8"),
+    ],
+    ids=["none_masked", "none_visible", "n_classes", "n_points"],
+)
+def test_refused_config_writes_nothing(tmp_path, capsys, edits, rule):
+    raw = json.loads(tiny_config().canonical_json())
+    for section, values in edits.items():
+        raw[section].update(values)
+    cfg_path = tmp_path / "refused.json"
+    cfg_path.write_text(json.dumps(raw))
+    out = tmp_path / "o"
+    for _ in range(2):  # refused again: the first attempt claimed nothing
+        code = main(["pretrain", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        assert rule in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_epochs_override_is_the_runs_config(tmp_path, capsys):
+    whole = tmp_path / "whole"
+    assert main(["pretrain", "--config", "tiny", "--out", str(whole), "--epochs", "1"]) == 0
+    cfg = tiny_config()
+    effective = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, epochs=1))
+    assert load_checkpoint(whole / "final.ckpt").config == effective
+    manifest = json.loads((whole / "manifest.json").read_text())
+    assert manifest["config_hash"] == effective.config_hash()
+    # a run stopped after step 4 of its 10 resumes to the same bytes
+    cut = tmp_path / "cut"
+    cut.mkdir()
+    for name in ("ckpt_00000004.ckpt", "metrics.tsv"):
+        (cut / name).write_bytes((whole / name).read_bytes())
+    resume = ["pretrain", "--config", "tiny", "--resume", str(cut / "ckpt_00000004.ckpt")]
+    assert main([*resume, "--out", str(cut), "--epochs", "1"]) == 0
+    for name in ("final.ckpt", "metrics.tsv"):
+        assert (cut / name).read_bytes() == (whole / name).read_bytes()
+    # a resume that forgets --epochs asks for the preset's 2 epochs
+    capsys.readouterr()
+    assert main([*resume, "--out", str(tmp_path / "o")]) == 2
+    assert "train.epochs (checkpoint 1, requested 2)" in capsys.readouterr().err
+
+
+def test_int_spelled_float_fields_keep_the_presets_hash(tiny_run, tmp_path):
+    raw = json.loads(tiny_config().canonical_json())
+    raw["train"]["lr_min"] = 0
+    raw["model"].update(elevation_deg=30, fov_deg=50)
+    cfg_path = tmp_path / "tiny_ints.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert load_config(cfg_path).config_hash() == tiny_config().config_hash()
+    out = tmp_path / "o"
+    code = main([
+        "pretrain", "--config", str(cfg_path), "--out", str(out), "--seed", "5",
+        "--resume", str(tiny_run / "ckpt_00000008.ckpt"),
+    ])
+    assert code == 0
+    assert (out / "final.ckpt").read_bytes() == (tiny_run / "final.ckpt").read_bytes()
 
 
 def test_pretrain_warmup_not_below_total_steps_exit_2(tmp_path, capsys, monkeypatch):
@@ -150,6 +213,15 @@ def test_pretrain_warmup_not_below_total_steps_exit_2(tmp_path, capsys, monkeypa
         err = capsys.readouterr().err
         assert "warmup_steps 100" in err and "20 steps" in err
     assert not out.exists()
+
+
+def test_checkpoint_with_warmup_past_its_run_exit_2(tmp_path, capsys):
+    # written before validate counted a config's steps: tiny runs 20
+    cfg = tiny_config()
+    ckpt = tmp_path / "warm.ckpt"
+    untrained_checkpoint(ckpt, dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, warmup_steps=20)))
+    assert main(["probe", "--checkpoint", str(ckpt)]) == 2
+    assert "warmup_steps 20 must be below the run's 20 steps" in capsys.readouterr().err
 
 
 def test_pretrain_radius_within_clip_margin_exit_2(tmp_path, capsys):
@@ -373,11 +445,14 @@ def test_reconstruct_views_override(tiny_run, tmp_path):
 
 def test_reconstruct_views_out_of_range(tiny_run, tmp_path, capsys):
     cloud = shape_cloud(tmp_path)
-    code = main([
-        "reconstruct", "--checkpoint", str(tiny_run / "final.ckpt"),
-        "--input", str(cloud), "--out", str(tmp_path / "bad"), "--views", "99",
-    ])
-    assert code == 2
+    for views, rule in (("0", "model.K must be an integer >= 1"), ("99", "K 99 outside [1, V=4]")):
+        code = main([
+            "reconstruct", "--checkpoint", str(tiny_run / "final.ckpt"),
+            "--input", str(cloud), "--out", str(tmp_path / "bad"), "--views", views,
+        ])
+        assert code == 2
+        assert rule in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
 
 
 def test_reconstruct_untrained_is_near_constant(tmp_path):

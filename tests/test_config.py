@@ -27,8 +27,8 @@ def test_shipped_config_matches_preset(name):
 def bad_field_values():
     """(section, field, value) for every field of the config dataclasses:
     zero (where the field must be positive), negative, float and string
-    values for integer fields; non-finite, bool and string values for
-    float fields."""
+    values for integer fields; non-finite, bool, string and too-large
+    integer values for float fields."""
     cases = []
     for section, cls in (("model", ModelConfig), ("train", TrainConfig), ("data", DataConfig)):
         for f in fields(cls):
@@ -36,9 +36,12 @@ def bad_field_values():
                 zero = [] if f.name in ("dec_depth", "warmup_steps", "dataset_seed") else [0]
                 values = zero + [-1, 2.0, 2.5, "2", True]
             else:
-                values = [float("nan"), float("inf"), -float("inf"), True, "0.5"]
+                values = [float("nan"), float("inf"), -float("inf"), True, "0.5", 10**400]
             cases += [
-                pytest.param(section, f.name, v, id=f"{section}.{f.name}={v!r}")
+                pytest.param(
+                    section, f.name, v,
+                    id=f"{section}.{f.name}={'10**400' if v == 10**400 else repr(v)}",
+                )
                 for v in values
             ]
     return cases

@@ -190,9 +190,8 @@ def test_knn_matches_bruteforce_oracle_on_grid_ties(points, centers, data):
 def test_fps_matches_exhaustive_greedy_oracle_on_grid_ties(points, data):
     pts = np.array(points, dtype=np.float64)
     n_samples = data.draw(st.integers(1, len(pts)), label="n_samples")
-    start = data.draw(st.integers(0, len(pts) - 1), label="start_index")
-    got = farthest_point_sampling(pts, n_samples, start_index=start)[0].tolist()
-    assert got == fps_greedy(pts, n_samples, start_index=start)
+    got = farthest_point_sampling(pts, n_samples)[0].tolist()
+    assert got == fps_greedy(pts, n_samples)
 
 
 def dataset_cloud(n_points: int) -> np.ndarray:

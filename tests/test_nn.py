@@ -115,8 +115,9 @@ def test_attention_output_shape_and_determinism():
 
 
 def test_attention_head_count_must_divide_width():
-    with pytest.raises(ContractViolation):
-        MultiheadSelfAttention(ParamRegistry(Rng(0)), "a", 10, 3)
+    attn = MultiheadSelfAttention(ParamRegistry(Rng(0)), "a", 10, 3)
+    with pytest.raises(ContractViolation, match="divisible by 3 heads"):
+        attn(Tensor(np.zeros((4, 10))))
 
 
 def test_attention_permutation_equivariance():

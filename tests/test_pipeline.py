@@ -43,6 +43,10 @@ def corpus():
     return cfg, clouds, labels
 
 
+def with_epochs(cfg, epochs):
+    return dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, epochs=epochs))
+
+
 @pytest.fixture(scope="module")
 def trained(corpus, tmp_path_factory):
     cfg, clouds, _ = corpus
@@ -84,8 +88,9 @@ def test_checkpoint_cadence(trained):
 
 def test_identical_seeds_identical_metrics(corpus, tmp_path):
     cfg, clouds, _ = corpus
-    a = pretrain(cfg, clouds, tmp_path / "a", run_seed=3, epochs=1)
-    b = pretrain(cfg, clouds, tmp_path / "b", run_seed=3, epochs=1)
+    cfg = with_epochs(cfg, 1)
+    a = pretrain(cfg, clouds, tmp_path / "a", run_seed=3)
+    b = pretrain(cfg, clouds, tmp_path / "b", run_seed=3)
     assert a.metrics_path.read_bytes() == b.metrics_path.read_bytes()
     assert (tmp_path / "a" / "final.ckpt").read_bytes() == (
         tmp_path / "b" / "final.ckpt"
@@ -94,8 +99,9 @@ def test_identical_seeds_identical_metrics(corpus, tmp_path):
 
 def test_different_seed_different_run(corpus, tmp_path):
     cfg, clouds, _ = corpus
-    a = pretrain(cfg, clouds, tmp_path / "a", run_seed=3, epochs=1)
-    b = pretrain(cfg, clouds, tmp_path / "b", run_seed=4, epochs=1)
+    cfg = with_epochs(cfg, 1)
+    a = pretrain(cfg, clouds, tmp_path / "a", run_seed=3)
+    b = pretrain(cfg, clouds, tmp_path / "b", run_seed=4)
     assert a.metrics_path.read_bytes() != b.metrics_path.read_bytes()
 
 
@@ -313,7 +319,7 @@ def test_resume_rejects_other_config(corpus, tmp_path):
     other = dataclasses.replace(
         cfg, train=dataclasses.replace(cfg.train, lr=cfg.train.lr * 2)
     )
-    with pytest.raises(CheckpointError, match="does not match"):
+    with pytest.raises(CheckpointError, match=r"in train\.lr \(checkpoint 0\.001, requested 0\.002\)$"):
         pretrain(
             other, clouds, tmp_path / "b", run_seed=1,
             resume_from=run.checkpoint_path,
@@ -388,23 +394,37 @@ def test_resume_without_run_seed_rejected(corpus, tmp_path):
 
 def test_resume_with_other_epochs_rejected(corpus, tmp_path):
     cfg, clouds, _ = corpus
-    run = pretrain(cfg, clouds, tmp_path / "a", run_seed=1, epochs=1, stop_after_step=2)
+    one = with_epochs(cfg, 1)
+    run = pretrain(one, clouds, tmp_path / "a", run_seed=1, stop_after_step=2)
     assert load_checkpoint(run.checkpoint_path).rng_state == {
         "run_seed": 1, "total_steps": run.total_steps,
     }
-    with pytest.raises(CheckpointError, match="-step run"):
+    with pytest.raises(CheckpointError, match=r"in train\.epochs \(checkpoint 1, requested 2\)"):
         pretrain(
-            cfg, clouds, tmp_path / "a", run_seed=1, epochs=2,
+            cfg, clouds, tmp_path / "a", run_seed=1,
             resume_from=run.checkpoint_path,
         )
     # the same epochs resumes, and matches an uninterrupted run
     resumed = pretrain(
-        cfg, clouds, tmp_path / "a", run_seed=1, epochs=1,
+        one, clouds, tmp_path / "a", run_seed=1,
         resume_from=run.checkpoint_path,
     )
-    whole = pretrain(cfg, clouds, tmp_path / "b", run_seed=1, epochs=1)
+    whole = pretrain(one, clouds, tmp_path / "b", run_seed=1)
     assert resumed.metrics_path.read_bytes() == whole.metrics_path.read_bytes()
     assert resumed.checkpoint_path.read_bytes() == whole.checkpoint_path.read_bytes()
+
+
+def test_corpus_smaller_than_the_configs(corpus, tmp_path):
+    # Config.validate counts the steps of the config's own corpus; a Python
+    # caller may pass fewer clouds, which makes a shorter run
+    cfg, clouds, _ = corpus
+    run = pretrain(cfg, clouds, tmp_path / "a", run_seed=1, stop_after_step=4)
+    with pytest.raises(CheckpointError, match="a 20-step run, this run has 4 steps$"):
+        pretrain(cfg, clouds[:4], tmp_path / "a", run_seed=1, resume_from=run.checkpoint_path)
+    warm = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, warmup_steps=4))
+    with pytest.raises(ContractViolation, match="warmup_steps 4"):
+        pretrain(warm, clouds[:4], tmp_path / "w", run_seed=1)
+    assert read_metrics(tmp_path / "w" / "metrics.tsv") == []
 
 
 def test_resume_without_total_steps_rejected(corpus, tmp_path):

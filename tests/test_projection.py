@@ -50,11 +50,6 @@ def test_pose_pool_three():
     assert [p.azimuth_deg for p in ring(3)] == [0.0, 120.0, 240.0]
 
 
-def test_pose_pool_empty_rejected():
-    with pytest.raises(ContractViolation):
-        ring(0)
-
-
 def test_pose_pool_distinct():
     pool = ring(24)
     assert len({p.azimuth_deg for p in pool}) == 24

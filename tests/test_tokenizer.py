@@ -148,11 +148,6 @@ def test_patch_embed_zero_patch_follows_bias_path():
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
-def test_patch_embed_odd_width_rejected():
-    with pytest.raises(ContractViolation):
-        PatchEmbed(ParamRegistry(Rng(0)), "pe", 15)
-
-
 def test_pos_embed_shape_and_consistency():
     reg = ParamRegistry(Rng(12))
     pos = PosEmbed3D(reg, "pos", 16)
