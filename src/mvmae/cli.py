@@ -32,6 +32,7 @@ from .pipeline import (
     load_pretrained,
     pretrain,
     probe_features,
+    resume_point,
     summarize_accuracy,
 )
 from .projection import CameraPose, rasterize_depth, write_pgm
@@ -82,8 +83,10 @@ def cmd_pretrain(args) -> int:
     cfg = preset_or_file(args.config)
     if args.epochs is not None:
         cfg = replace(cfg, train=replace(cfg.train, epochs=args.epochs)).validate()
+    clouds, _ = make_dataset(cfg.data)
+    if args.resume is not None:  # refuse before --out is claimed
+        resume_point(cfg, len(clouds), args.out, args.seed, args.resume)
     with _run_manifest(args, args.config, cfg.config_hash()) as out_dir:
-        clouds, _ = make_dataset(cfg.data)
         result = pretrain(
             cfg, clouds, out_dir, run_seed=args.seed, resume_from=args.resume
         )
@@ -146,16 +149,8 @@ def cmd_reconstruct(args) -> int:
     return EXIT_OK
 
 
-def _report_dict(report) -> dict:
-    out = {
-        "accuracy": report.accuracy,
-        "confusion": report.confusion.tolist(),
-        "seeds": report.seeds,
-    }
-    if report.n_way is not None:
-        out["n_way"] = report.n_way
-        out["m_shot"] = report.m_shot
-    return out
+def _report_dict(report, **provenance) -> dict:
+    return {"accuracy": report.accuracy, "confusion": report.confusion.tolist(), **provenance}
 
 
 def cmd_probe(args) -> int:
@@ -164,16 +159,13 @@ def cmd_probe(args) -> int:
     rng = Rng(args.seed)
     features = extract_features(model, clouds)
     if args.mode == "linear":
-        report = probe_features(features, labels, rng.derive("probe"))
-        payload = {"mode": "linear", **_report_dict(report)}
+        stream = rng.derive("probe")
+        report = probe_features(features, labels, stream)
+        payload = {"mode": "linear", **_report_dict(report, seeds=[stream.seed])}
     else:
+        stream = rng.derive("fewshot")
         reports = fewshot_trials(
-            features,
-            labels,
-            args.n_way,
-            args.m_shot,
-            args.trials,
-            rng.derive("fewshot"),
+            features, labels, args.n_way, args.m_shot, args.trials, stream
         )
         mean, std = summarize_accuracy(reports)
         payload = {
@@ -183,7 +175,10 @@ def cmd_probe(args) -> int:
             "trials": args.trials,
             "mean": mean,
             "std": std,
-            "reports": [_report_dict(r) for r in reports],
+            "reports": [
+                _report_dict(r, seeds=[stream.seed, t], n_way=args.n_way, m_shot=args.m_shot)
+                for t, r in enumerate(reports)
+            ],
         }
     print(json.dumps(payload, sort_keys=True))
     return EXIT_OK

@@ -8,7 +8,7 @@ run resumed from any checkpoint replays the remaining steps bit for bit.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +82,50 @@ def _bookkeeping_int(ckpt: Checkpoint, key: str, path) -> int:
     return value
 
 
+def _total_steps(cfg: Config, n_clouds: int) -> int:
+    return cfg.train.epochs * -(-n_clouds // cfg.train.batch_size)
+
+
+def resume_point(
+    cfg: Config, n_clouds: int, out_dir: str | Path, run_seed: int, resume_from: str | Path
+) -> tuple[Checkpoint, list[str]]:
+    """Load the checkpoint a run resumes from and refuse it unless it holds
+    this run's config, seed and step count and `out_dir`'s metrics rows
+    parse. Returns it with the metrics lines (header first) that the run
+    keeps. It writes nothing, so a caller can decide every resume refusal
+    before it claims `out_dir`."""
+    ckpt = load_checkpoint(resume_from)
+    saved, wanted = asdict(ckpt.config), asdict(cfg)
+    differing = [
+        f"{s}.{name} (checkpoint {saved[s][name]!r}, requested {value!r})"
+        for s in ("model", "train", "data") for name, value in wanted[s].items()
+        if saved[s][name] != value
+    ]
+    if differing:
+        raise CheckpointError(f"{resume_from}: checkpoint config differs in {', '.join(differing)}")
+    saved_seed = _bookkeeping_int(ckpt, "run_seed", resume_from)
+    if saved_seed != run_seed:
+        raise CheckpointError(
+            f"{resume_from}: checkpoint belongs to a run with seed {saved_seed}, "
+            f"this run has seed {run_seed} (different --seed?)"
+        )
+    saved_total = _bookkeeping_int(ckpt, "total_steps", resume_from)
+    total_steps = _total_steps(cfg, n_clouds)
+    if saved_total != total_steps:
+        raise CheckpointError(
+            f"{resume_from}: checkpoint belongs to a {saved_total}-step run, "
+            f"this run has {total_steps} steps"
+        )
+    metrics_lines = [METRICS_HEADER]
+    metrics_path = Path(out_dir) / "metrics.tsv"
+    if metrics_path.exists():  # drop rows a crashed run wrote past its checkpoint
+        metrics_lines += [
+            "\t".join(fields) for fields in _metrics_rows(metrics_path)
+            if int(fields[0]) < ckpt.step
+        ]
+    return ckpt, metrics_lines
+
+
 def pretrain(
     cfg: Config,
     clouds: list[PointCloud],
@@ -100,8 +144,8 @@ def pretrain(
     if not clouds:
         raise ContractViolation("pretraining needs a non-empty dataset")
     cfg.validate()
-    steps_per_epoch = -(-len(clouds) // cfg.train.batch_size)
-    total_steps = cfg.train.epochs * steps_per_epoch
+    total_steps = _total_steps(cfg, len(clouds))
+    steps_per_epoch = total_steps // cfg.train.epochs
     out_dir = Path(out_dir)
     metrics_path = out_dir / "metrics.tsv"
     batch = cfg.train.batch_size
@@ -111,35 +155,10 @@ def pretrain(
     start_step = 0
     metrics_lines = [METRICS_HEADER]
     if resume_from is not None:
-        ckpt = load_checkpoint(resume_from)
-        saved, wanted = asdict(ckpt.config), asdict(cfg)
-        differing = [
-            f"{s}.{name} (checkpoint {saved[s][name]!r}, requested {value!r})"
-            for s in ("model", "train", "data") for name, value in wanted[s].items()
-            if saved[s][name] != value
-        ]
-        if differing:
-            raise CheckpointError(f"{resume_from}: checkpoint config differs in {', '.join(differing)}")
-        saved_seed = _bookkeeping_int(ckpt, "run_seed", resume_from)
-        if saved_seed != run_seed:
-            raise CheckpointError(
-                f"{resume_from}: checkpoint belongs to a run with seed {saved_seed}, "
-                f"this run has seed {run_seed} (different --seed?)"
-            )
-        saved_total = _bookkeeping_int(ckpt, "total_steps", resume_from)
-        if saved_total != total_steps:
-            raise CheckpointError(
-                f"{resume_from}: checkpoint belongs to a {saved_total}-step run, "
-                f"this run has {total_steps} steps"
-            )
+        ckpt, metrics_lines = resume_point(cfg, len(clouds), out_dir, run_seed, resume_from)
         restore_params(model.params, ckpt)
         opt = ckpt.opt
         start_step = ckpt.step
-        if metrics_path.exists():  # drop rows a crashed run wrote past its checkpoint
-            metrics_lines += [
-                "\t".join(fields) for fields in _metrics_rows(metrics_path)
-                if int(fields[0]) < start_step
-            ]
     last_step = total_steps if stop_after_step is None else min(stop_after_step, total_steps)
     if last_step < start_step:
         raise ContractViolation(
@@ -149,6 +168,14 @@ def pretrain(
 
     bookkeeping = {"run_seed": run_seed, "total_steps": total_steps}
     root = Rng(run_seed)
+
+    def save(done: int) -> Path:
+        path = out_dir / ("final.ckpt" if done == total_steps else f"ckpt_{done:08d}.ckpt")
+        save_checkpoint(
+            path, cfg, {name: p.data for name, p in model.params.items()}, opt, bookkeeping
+        )
+        return path
+
     order_epoch, order = -1, None
 
     with metrics_path.open("a") as metrics:
@@ -193,30 +220,12 @@ def pretrain(
             metrics.write(format_metrics_row(step, lr, l3d, l2d, l3d + l2d) + "\n")
             metrics.flush()
 
-            done = step + 1
-            if done % cfg.train.ckpt_every == 0 and done < total_steps:
-                save_checkpoint(
-                    out_dir / f"ckpt_{done:08d}.ckpt",
-                    cfg,
-                    {name: p.data for name, p in model.params.items()},
-                    opt,
-                    bookkeeping,
-                )
+            if (step + 1) % cfg.train.ckpt_every == 0 and step + 1 < last_step:
+                save(step + 1)
 
-    if last_step == total_steps:
-        checkpoint_path = out_dir / "final.ckpt"
-    else:
-        checkpoint_path = out_dir / f"ckpt_{last_step:08d}.ckpt"
-    save_checkpoint(
-        checkpoint_path,
-        cfg,
-        {name: p.data for name, p in model.params.items()},
-        opt,
-        bookkeeping,
-    )
     return PretrainResult(
         model=model,
-        checkpoint_path=checkpoint_path,
+        checkpoint_path=save(last_step),
         metrics_path=metrics_path,
         steps_run=last_step,
         total_steps=total_steps,
@@ -230,13 +239,20 @@ def pretrain(
 class ProbeReport:
     accuracy: float
     confusion: np.ndarray  # (classes, classes): rows true, cols predicted
-    n_way: int | None = None
-    m_shot: int | None = None
-    seeds: list[int] = field(default_factory=list)
 
-    def __post_init__(self):
-        if not 0.0 <= self.accuracy <= 1.0:
-            raise ContractViolation(f"accuracy {self.accuracy} outside [0, 1]")
+
+def _score(truth: np.ndarray, predicted: np.ndarray, classes: int) -> ProbeReport:
+    confusion = np.zeros((classes, classes), dtype=np.int64)
+    np.add.at(confusion, (truth, predicted), 1)
+    return ProbeReport(accuracy=float((predicted == truth).mean()), confusion=confusion)
+
+
+def _class_count(labels: np.ndarray) -> int:
+    """C, for labels that are exactly the class indices 0..C-1."""
+    classes = np.unique(labels)
+    if not np.array_equal(classes, np.arange(len(classes))):
+        raise ContractViolation("labels must be 0..n_classes-1")
+    return len(classes)
 
 
 def extract_features(model: MultiviewMae, clouds: list[PointCloud]) -> np.ndarray:
@@ -284,11 +300,9 @@ def probe_features(
     """Linear softmax classifier on standardized features, fixed-budget
     full-batch gradient descent, 80/20 per-class split."""
     labels = np.asarray(labels)
-    classes = np.unique(labels)
-    if len(classes) < 2:
+    c = _class_count(labels)
+    if c < 2:
         raise ContractViolation("probe needs at least 2 classes")
-    if not np.array_equal(classes, np.arange(len(classes))):
-        raise ContractViolation("labels must be 0..n_classes-1")
     train_idx, test_idx = _split_per_class(labels, rng)
 
     mu = features[train_idx].mean(axis=0)
@@ -299,7 +313,6 @@ def probe_features(
     y_train = labels[train_idx]
 
     n, d = x_train.shape
-    c = len(classes)
     weight = np.zeros((d, c))
     bias = np.zeros(c)
     onehot = np.zeros((n, c))
@@ -310,15 +323,7 @@ def probe_features(
         weight -= PROBE_LR * (x_train.T @ err + PROBE_WEIGHT_DECAY * weight)
         bias -= PROBE_LR * err.sum(axis=0)
 
-    predicted = np.argmax(x_test @ weight + bias, axis=1)
-    truth = labels[test_idx]
-    confusion = np.zeros((c, c), dtype=np.int64)
-    np.add.at(confusion, (truth, predicted), 1)
-    return ProbeReport(
-        accuracy=float((predicted == truth).mean()),
-        confusion=confusion,
-        seeds=[rng.seed],
-    )
+    return _score(labels[test_idx], np.argmax(x_test @ weight + bias, axis=1), c)
 
 
 def fewshot_trials(
@@ -332,14 +337,12 @@ def fewshot_trials(
     """Nearest-centroid episodes on L2-normalized features: per trial,
     n_way classes, m_shot supports and QUERIES_PER_CLASS queries each."""
     labels = np.asarray(labels)
-    classes = np.unique(labels)
-    if not np.array_equal(classes, np.arange(len(classes))):
-        raise ContractViolation("labels must be 0..n_classes-1")
-    if n_way < 2 or n_way > len(classes):
-        raise ContractViolation(f"n_way {n_way} outside [2, {len(classes)}]")
+    n_classes = _class_count(labels)
+    if n_way < 2 or n_way > n_classes:
+        raise ContractViolation(f"n_way {n_way} outside [2, {n_classes}]")
     if m_shot < 1 or trials < 1:
         raise ContractViolation("m_shot and trials must be positive")
-    counts = {int(c): int((labels == c).sum()) for c in classes}
+    counts = {c: int((labels == c).sum()) for c in range(n_classes)}
     short = {c: k for c, k in counts.items() if k < m_shot + QUERIES_PER_CLASS}
     if short:
         raise ContractViolation(
@@ -354,7 +357,7 @@ def fewshot_trials(
     reports = []
     for t in range(trials):
         trial = rng.derive("trial", t)
-        chosen = np.sort(trial.choice(len(classes), n_way, replace=False))
+        chosen = np.sort(trial.choice(n_classes, n_way, replace=False))
         centroids = np.zeros((n_way, unit.shape[1]))
         query_rows, query_truth = [], []
         for local, cls in enumerate(chosen):
@@ -368,18 +371,7 @@ def fewshot_trials(
         queries = np.concatenate(query_rows)
         truth = np.concatenate(query_truth)
         d2 = ((queries[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        predicted = np.argmin(d2, axis=1)
-        confusion = np.zeros((n_way, n_way), dtype=np.int64)
-        np.add.at(confusion, (truth, predicted), 1)
-        reports.append(
-            ProbeReport(
-                accuracy=float((predicted == truth).mean()),
-                confusion=confusion,
-                n_way=n_way,
-                m_shot=m_shot,
-                seeds=[rng.seed, t],
-            )
-        )
+        reports.append(_score(truth, np.argmin(d2, axis=1), n_way))
     return reports
 
 

@@ -121,6 +121,36 @@ def test_pretrain_resume_with_other_seed_exit_2(tiny_run, tmp_path, capsys):
     assert not (tmp_path / "o" / "final.ckpt").exists()
 
 
+def test_refused_resume_claims_no_out(tiny_run, tmp_path, capsys):
+    # refused at the config check, the resume leaves --out unclaimed, so
+    # the corrected command then runs without --force
+    out = tmp_path / "o"
+    resume = [
+        "pretrain", "--config", "tiny", "--out", str(out), "--seed", "5",
+        "--resume", str(tiny_run / "ckpt_00000008.ckpt"),
+    ]
+    assert main([*resume, "--epochs", "3"]) == 2
+    assert "train.epochs" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(resume) == 0
+    assert (out / "final.ckpt").read_bytes() == (tiny_run / "final.ckpt").read_bytes()
+
+
+def test_refused_resume_with_force_keeps_the_run(tmp_path, capsys):
+    # --force into a finished run: the seed check refuses the resume, and
+    # its manifest, metrics and checkpoints stay as they were
+    run = tmp_path / "a"
+    assert main(["pretrain", "--config", "tiny", "--out", str(run), "--epochs", "1"]) == 0
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    code = main([
+        "pretrain", "--config", "tiny", "--out", str(run), "--epochs", "1", "--seed", "7",
+        "--resume", str(run / "ckpt_00000004.ckpt"), "--force",
+    ])
+    assert code == 2
+    assert "seed 7" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
 @pytest.mark.parametrize("epochs", ["0", "-2"])
 def test_pretrain_epochs_below_one_exit_2(tmp_path, capsys, epochs):
     out = tmp_path / "o"
@@ -518,7 +548,9 @@ def test_probe_linear_json(tiny_run, capsys):
     ])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
+    assert set(payload) == {"mode", "accuracy", "confusion", "seeds"}
     assert payload["mode"] == "linear"
+    assert payload["seeds"] == [Rng(1).derive("probe").seed]
     assert 0.0 <= payload["accuracy"] <= 1.0
     confusion = np.array(payload["confusion"])
     assert confusion.shape == (5, 5)
@@ -549,10 +581,18 @@ def test_probe_fewshot_json(tmp_path, capsys):
     ])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
+    assert set(payload) == {"mode", "n_way", "m_shot", "trials", "mean", "std", "reports"}
     assert payload["mode"] == "fewshot"
-    assert payload["n_way"] == 2 and payload["m_shot"] == 1
-    assert len(payload["reports"]) == 3
+    assert payload["n_way"] == 2 and payload["m_shot"] == 1 and payload["trials"] == 3
     assert 0.0 <= payload["mean"] <= 1.0 and payload["std"] >= 0.0
+    stream = Rng(2).derive("fewshot").seed
+    assert len(payload["reports"]) == 3
+    for t, report in enumerate(payload["reports"]):
+        assert set(report) == {"accuracy", "confusion", "seeds", "n_way", "m_shot"}
+        assert report["seeds"] == [stream, t]
+        assert report["n_way"] == 2 and report["m_shot"] == 1
+        assert 0.0 <= report["accuracy"] <= 1.0
+        assert np.array(report["confusion"]).sum(axis=1).tolist() == [20, 20]
 
 
 def test_probe_insufficient_data_exit_2(tiny_run, capsys):

@@ -200,6 +200,22 @@ def test_malformed_metrics_row_rejected(corpus, tmp_path, row):
         pretrain(cfg, clouds, tmp_path / "a", run_seed=1, resume_from=run.checkpoint_path)
 
 
+def test_each_checkpoint_written_once(corpus, tmp_path, monkeypatch):
+    cfg, clouds, _ = corpus
+    written = []
+
+    def recording(path, *rest):
+        written.append(Path(path).name)
+        save_checkpoint(path, *rest)
+
+    monkeypatch.setattr("mvmae.pipeline.save_checkpoint", recording)
+    run = pretrain(cfg, clouds, tmp_path / "a", run_seed=1, stop_after_step=4)
+    assert written == ["ckpt_00000004.ckpt"]
+    written.clear()
+    pretrain(cfg, clouds, tmp_path / "a", run_seed=1, resume_from=run.checkpoint_path)
+    assert written == [f"ckpt_{s:08d}.ckpt" for s in (8, 12, 16)] + ["final.ckpt"]
+
+
 class HalfWrite:
     """A file whose write stores half its bytes, then fails."""
 
@@ -578,7 +594,7 @@ def test_fewshot_separable_features_perfect():
     assert len(reports) == 5
     for r in reports:
         assert r.accuracy == 1.0
-        assert r.n_way == 3 and r.m_shot == 2
+        assert r.confusion.shape == (3, 3)
         assert r.confusion.sum(axis=1).tolist() == [QUERIES_PER_CLASS] * 3
     mean, std = summarize_accuracy(reports)
     assert mean == 1.0 and std == 0.0
@@ -627,11 +643,6 @@ def test_fewshot_on_encoder_insufficient_data(corpus, trained):
     with pytest.raises(ContractViolation, match="fewer than"):
         fewshot_trials(extract_features(result.model, clouds), labels,
                        n_way=2, m_shot=1, trials=2, rng=Rng(0).derive("f"))
-
-
-def test_probe_report_validates_accuracy():
-    with pytest.raises(ContractViolation, match="accuracy"):
-        ProbeReport(accuracy=1.5, confusion=np.zeros((2, 2), dtype=np.int64))
 
 
 def test_summarize_accuracy_values():
