@@ -176,9 +176,9 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return make_node(out, (a,), vjp)
 
 
-def max_(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
+def max_(a: Tensor, axis: int) -> Tensor:
     axis = axis % a.data.ndim
-    out = np.max(a.data, axis=axis, keepdims=keepdims)
+    out = np.max(a.data, axis=axis)
 
     def vjp(g):
         # subgradient routed to the first maximum along the axis
@@ -186,10 +186,8 @@ def max_(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
         # still holds the forward's input, as nothing writes into an input
         # between the forward and the backward
         sel = np.argmax(a.data, axis=axis, keepdims=True)
-        if not keepdims:
-            g = np.expand_dims(g, axis)
         ga = np.zeros_like(a.data)
-        np.put_along_axis(ga, sel, g, axis=axis)
+        np.put_along_axis(ga, sel, np.expand_dims(g, axis), axis=axis)
         return (ga,)
 
     return make_node(out, (a,), vjp)

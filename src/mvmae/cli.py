@@ -140,7 +140,7 @@ def cmd_reconstruct(args) -> int:
         write_xyz(out_dir / "reconstructed.xyz", PointCloud(predicted_abs))
         predicted = np.clip(recon.predicted_images.data, 0.0, 1.0)
         for v in range(cfg.model.K):
-            write_pgm(out_dir / f"gt_view{v}.pgm", recon.target_images[v])
+            write_pgm(out_dir / f"gt_view{v}.pgm", plan.target_images[v])
             write_pgm(out_dir / f"pred_view{v}.pgm", predicted[v])
     print(
         f"wrote 2 clouds and {2 * cfg.model.K} depth images to {out_dir} "

@@ -56,6 +56,10 @@ class TrainConfig:
     batch_size: int = 8
     ckpt_every: int = 200  # steps between periodic checkpoints
 
+    def total_steps(self, n_clouds: int) -> int:
+        """Steps in a run over n_clouds: a short last batch is a step."""
+        return self.epochs * -(-n_clouds // self.batch_size)
+
 
 @dataclass(frozen=True)
 class DataConfig:
@@ -83,7 +87,7 @@ class Config:
         m, t, d = self.model, self.train, self.data
         n_masked = round_half_up(m.m * m.n)
         min_points = max(m.n, m.k, MIN_POINTS)
-        total_steps = t.epochs * -(-(d.n_classes * d.instances_per_class) // t.batch_size)
+        total_steps = t.total_steps(d.n_classes * d.instances_per_class)
         checks = [
             (m.H_i % m.H_t == 0, f"H_i {m.H_i} not divisible by H_t {m.H_t}"),
             (m.W_i % m.W_t == 0, f"W_i {m.W_i} not divisible by W_t {m.W_t}"),

@@ -176,7 +176,7 @@ def generate_shape(shape: SyntheticShape) -> PointCloud:
     orientation = shape.params.get("orientation")
     if orientation is not None:
         pts = pts @ quaternion_to_matrix(np.asarray(orientation)).T
-    cloud = PointCloud(pts, label=None, source_id=f"{shape.kind}:{shape.seed}")
+    cloud = PointCloud(pts, source_id=f"{shape.kind}:{shape.seed}")
     return normalize_unit_sphere(cloud)
 
 
@@ -218,8 +218,7 @@ def make_dataset(cfg: DataConfig) -> tuple[list[PointCloud], np.ndarray]:
         )
     root = Rng(cfg.dataset_seed)
     clouds: list[PointCloud] = []
-    labels = np.empty(cfg.n_classes * cfg.instances_per_class, dtype=np.int64)
-    for class_idx, kind in enumerate(SHAPE_KINDS[: cfg.n_classes]):
+    for kind in SHAPE_KINDS[: cfg.n_classes]:
         for j in range(cfg.instances_per_class):
             item = root.derive("item", kind, j)
             shape = SyntheticShape(
@@ -228,8 +227,6 @@ def make_dataset(cfg: DataConfig) -> tuple[list[PointCloud], np.ndarray]:
                 seed=item.derive("sample").seed,
                 params=_instance_params(kind, item.derive("params")),
             )
-            cloud = generate_shape(shape)
-            cloud.label = class_idx
-            clouds.append(cloud)
-            labels[class_idx * cfg.instances_per_class + j] = class_idx
+            clouds.append(generate_shape(shape))
+    labels = np.repeat(np.arange(cfg.n_classes, dtype=np.int64), cfg.instances_per_class)
     return clouds, labels

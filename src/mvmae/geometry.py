@@ -34,7 +34,6 @@ class PointCloud:
     sphere with centroid at the origin."""
 
     points: np.ndarray
-    label: int | None = None
     source_id: str = ""
 
     def __post_init__(self):

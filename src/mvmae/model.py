@@ -179,8 +179,6 @@ class MultiviewMae:
 class Reconstruction:
     predicted_patches: Tensor  # (M, k, 3), center-relative
     predicted_images: Tensor  # (K, H_i, W_i)
-    target_patches: np.ndarray
-    target_images: np.ndarray  # (K, H_i, W_i)
 
 
 # --- losses ------------------------------------------------------------
@@ -280,16 +278,10 @@ def loss_from_plan(
     )
     decoded = model.joint_decode(seq, pos)
     pred_patches, pred_images = model.project_heads(decoded, plan.mask.masked_idx)
-    target_patches = plan.patches.patches[plan.mask.masked_idx]
-    l3d = loss_3d(pred_patches, target_patches)
+    l3d = loss_3d(pred_patches, plan.patches.patches[plan.mask.masked_idx])
     l2d = loss_2d(pred_images, plan.target_images)
     loss = total_loss(l3d, l2d)
-    recon = Reconstruction(
-        predicted_patches=pred_patches,
-        predicted_images=pred_images,
-        target_patches=target_patches,
-        target_images=plan.target_images,
-    )
+    recon = Reconstruction(predicted_patches=pred_patches, predicted_images=pred_images)
     diagnostics = {
         "l3d": float(l3d.data),
         "l2d": float(l2d.data),

@@ -35,10 +35,10 @@ def format_metrics_row(step: int, lr: float, l3d: float, l2d: float, total: floa
     return f"{step}\t{lr!r}\t{l3d!r}\t{l2d!r}\t{total!r}"
 
 
-def _metrics_rows(path: Path) -> list[list[str]]:
-    """The rows of a metrics file below its header, split into fields and
-    checked: an integer step, then four numbers. A last line without its
-    newline is a row that a crash cut short, and is left out."""
+def _metrics_rows(path: Path) -> list[tuple[int, str]]:
+    """The rows of a metrics file below its header as (step, line) pairs,
+    each checked: an integer step, then four numbers. A last line without
+    its newline is a row that a crash cut short, and is left out."""
     lines = read_input(path, ContractViolation, "metrics file").split("\n")[:-1]
     if not lines or lines[0] != METRICS_HEADER:
         raise ContractViolation(f"{path} is not a metrics file (empty or foreign header)")
@@ -54,7 +54,7 @@ def _metrics_rows(path: Path) -> list[list[str]]:
             raise ContractViolation(
                 f"{path}:{number}: want an integer step and four numbers, got {line!r}"
             ) from None
-        rows.append(fields)
+        rows.append((int(fields[0]), line))
     return rows
 
 
@@ -68,7 +68,6 @@ def param_fingerprint(params: dict) -> str:
 
 @dataclass
 class PretrainResult:
-    model: MultiviewMae
     checkpoint_path: Path
     metrics_path: Path
     steps_run: int
@@ -82,18 +81,15 @@ def _bookkeeping_int(ckpt: Checkpoint, key: str, path) -> int:
     return value
 
 
-def _total_steps(cfg: Config, n_clouds: int) -> int:
-    return cfg.train.epochs * -(-n_clouds // cfg.train.batch_size)
-
-
 def resume_point(
     cfg: Config, n_clouds: int, out_dir: str | Path, run_seed: int, resume_from: str | Path
 ) -> tuple[Checkpoint, list[str]]:
     """Load the checkpoint a run resumes from and refuse it unless it holds
-    this run's config, seed and step count and `out_dir`'s metrics rows
-    parse. Returns it with the metrics lines (header first) that the run
-    keeps. It writes nothing, so a caller can decide every resume refusal
-    before it claims `out_dir`."""
+    this run's config, seed and step count, and `out_dir`'s metrics rows
+    parse, are consecutive ascending steps and, when any comes before the
+    checkpoint, reach the step just before it. Returns it with the metrics
+    lines (header first) that the run keeps. It writes nothing, so a caller
+    can decide every resume refusal before it claims `out_dir`."""
     ckpt = load_checkpoint(resume_from)
     saved, wanted = asdict(ckpt.config), asdict(cfg)
     differing = [
@@ -110,20 +106,28 @@ def resume_point(
             f"this run has seed {run_seed} (different --seed?)"
         )
     saved_total = _bookkeeping_int(ckpt, "total_steps", resume_from)
-    total_steps = _total_steps(cfg, n_clouds)
+    total_steps = cfg.train.total_steps(n_clouds)
     if saved_total != total_steps:
         raise CheckpointError(
             f"{resume_from}: checkpoint belongs to a {saved_total}-step run, "
             f"this run has {total_steps} steps"
         )
-    metrics_lines = [METRICS_HEADER]
     metrics_path = Path(out_dir) / "metrics.tsv"
-    if metrics_path.exists():  # drop rows a crashed run wrote past its checkpoint
-        metrics_lines += [
-            "\t".join(fields) for fields in _metrics_rows(metrics_path)
-            if int(fields[0]) < ckpt.step
-        ]
-    return ckpt, metrics_lines
+    rows = _metrics_rows(metrics_path) if metrics_path.exists() else []
+    # line numbers: the header is line 1, rows[i] is line i + 2
+    for number, ((before, _), (step, _)) in enumerate(zip(rows, rows[1:]), start=3):
+        if step != before + 1:
+            raise ContractViolation(
+                f"{metrics_path}:{number}: step {step} follows step {before}; "
+                "a run's rows are consecutive ascending steps"
+            )
+    if rows and rows[0][0] < ckpt.step and rows[-1][0] < ckpt.step - 1:
+        raise ContractViolation(
+            f"{metrics_path}:{len(rows) + 1}: rows end at step {rows[-1][0]}, but "
+            f"{resume_from} resumes at step {ckpt.step} (another run's checkpoint?)"
+        )
+    # rows a crashed run wrote past its checkpoint are dropped
+    return ckpt, [METRICS_HEADER] + [line for step, line in rows if step < ckpt.step]
 
 
 def pretrain(
@@ -144,7 +148,7 @@ def pretrain(
     if not clouds:
         raise ContractViolation("pretraining needs a non-empty dataset")
     cfg.validate()
-    total_steps = _total_steps(cfg, len(clouds))
+    total_steps = cfg.train.total_steps(len(clouds))
     steps_per_epoch = total_steps // cfg.train.epochs
     out_dir = Path(out_dir)
     metrics_path = out_dir / "metrics.tsv"
@@ -224,7 +228,6 @@ def pretrain(
                 save(step + 1)
 
     return PretrainResult(
-        model=model,
         checkpoint_path=save(last_step),
         metrics_path=metrics_path,
         steps_run=last_step,

@@ -3,7 +3,8 @@
 A pose ring around the unit sphere supplies views; each view projects
 patch centers to pixels, buckets them into the image-token grid, and
 rasterizes the full cloud into a z-buffered depth map that serves as the
-2D reconstruction target. Depth maps round-trip through 16-bit PGM.
+2D reconstruction target. Depth maps are written as 16-bit PGM, an output
+format only: nothing here reads one back.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ContractViolation
-from .fileio import read_input, write_atomic
+from .fileio import write_atomic
 
 CLIP_MARGIN = 1.05  # near/far = radius -/+ this margin
 
@@ -196,39 +197,3 @@ def write_pgm(path: str | Path, values: np.ndarray) -> None:
     h, w = values.shape
     quantized = np.rint(values * 65535.0).astype(">u2")
     write_atomic(path, f"P5\n{w} {h}\n65535\n".encode("ascii") + quantized.tobytes())
-
-
-def read_pgm(path: str | Path) -> np.ndarray:
-    """Inverse of write_pgm; returns floats in [0, 1]."""
-    blob = read_input(path, ContractViolation, "PGM file", binary=True)
-    tokens: list[bytes] = []
-    i = 0
-    while len(tokens) < 4:
-        while i < len(blob) and blob[i : i + 1].isspace():
-            i += 1
-        if i < len(blob) and blob[i : i + 1] == b"#":  # comment line
-            while i < len(blob) and blob[i] != 0x0A:
-                i += 1
-            continue
-        start = i
-        while i < len(blob) and not blob[i : i + 1].isspace():
-            i += 1
-        if start == i:
-            raise ContractViolation(f"truncated PGM header in {path}")
-        tokens.append(blob[start:i])
-    i += 1  # single whitespace byte separates header from raster
-    if tokens[0] != b"P5":
-        raise ContractViolation(f"not a binary PGM: magic {tokens[0]!r}")
-    try:
-        w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    except ValueError:
-        raise ContractViolation(f"non-numeric PGM header in {path}") from None
-    if w < 1 or h < 1:
-        raise ContractViolation(f"PGM size {w}x{h} in {path} is not positive")
-    if maxval != 65535:
-        raise ContractViolation(f"expected 16-bit PGM, maxval {maxval}")
-    raster = blob[i : i + 2 * w * h]
-    if len(raster) != 2 * w * h:
-        raise ContractViolation(f"PGM raster truncated in {path}")
-    data = np.frombuffer(raster, dtype=">u2").reshape(h, w)
-    return data.astype(np.float64) / 65535.0

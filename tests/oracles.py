@@ -240,6 +240,17 @@ def read_metrics(path) -> list[dict]:
     return out
 
 
+def read_pgm(path) -> np.ndarray:
+    """A depth image the package wrote, as floats in [0, 1]. Parses only
+    the header write_pgm emits: lines "P5", "{w} {h}" and "65535"."""
+    with open(path, "rb") as fh:
+        magic, size, maxval, raster = fh.read().split(b"\n", 3)
+    assert (magic, maxval) == (b"P5", b"65535"), (magic, maxval)
+    w, h = (int(v) for v in size.split(b" "))
+    assert len(raster) == 2 * w * h, (len(raster), w, h)
+    return np.frombuffer(raster, dtype=">u2").reshape(h, w) / 65535.0
+
+
 # --- the synthetic corpus, as first written -------------------------------
 # Per-column writes, np.linalg.norm and an eager generator per stream: the
 # corpus bytes that data.make_dataset must keep reproducing.

@@ -398,7 +398,7 @@ def segment_pool_by_loop(a, idx, starts):
         members = ops.gather_rows(a, idx[lo:hi])
         rows.append(
             ops.add(
-                ops.max_(members, axis=0, keepdims=True),
+                ops.reshape(ops.max_(members, axis=0), (1, a.shape[1])),
                 ops.scale(ops.sum_(members, axis=0, keepdims=True), 1.0 / (hi - lo)),
             )
         )

@@ -14,10 +14,9 @@ from mvmae.autodiff.optim import AdamWState
 from mvmae.cli import main
 from mvmae.config import Config, DataConfig, ModelConfig, TrainConfig, load_config, tiny_config
 from mvmae.model import MultiviewMae
-from mvmae.projection import read_pgm
 from mvmae.rng import Rng
 
-from oracles import read_metrics
+from oracles import read_metrics, read_pgm
 
 
 def micro_config() -> Config:
@@ -149,6 +148,23 @@ def test_refused_resume_with_force_keeps_the_run(tmp_path, capsys):
     assert code == 2
     assert "seed 7" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
+def test_resume_onto_another_runs_rows_exit_2(tiny_run, tmp_path, capsys):
+    # --out holds the rows of steps 0 and 1 only: continuing them from
+    # tiny_run's step-4 checkpoint would skip steps 2 and 3
+    out = tmp_path / "o"
+    out.mkdir()
+    rows = (tiny_run / "metrics.tsv").read_text().splitlines(keepends=True)
+    (out / "metrics.tsv").write_text("".join(rows[:3]))
+    code = main([
+        "pretrain", "--config", "tiny", "--out", str(out), "--seed", "5",
+        "--resume", str(tiny_run / "ckpt_00000004.ckpt"),
+    ])
+    assert code == 2
+    assert "metrics.tsv:3: rows end at step 1" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["metrics.tsv"]
+    assert (out / "metrics.tsv").read_text() == "".join(rows[:3])
 
 
 @pytest.mark.parametrize("epochs", ["0", "-2"])

@@ -102,7 +102,7 @@ def test_dataset_layout_and_determinism():
     assert len(clouds) == 15
     np.testing.assert_array_equal(labels, np.repeat(np.arange(5), 3))
     for cloud, label in zip(clouds, labels):
-        assert cloud.label == label
+        assert cloud.source_id.split(":")[0] == SHAPE_KINDS[label]
         assert len(cloud.points) == 128
     clouds2, labels2 = make_dataset(cfg)
     np.testing.assert_array_equal(labels, labels2)
@@ -146,9 +146,9 @@ def test_make_dataset_matches_column_oracle_byte_for_byte():
     clouds, labels = make_dataset(cfg)
     want = dataset_by_columns(cfg, SHAPE_KINDS)
     assert len(clouds) == len(want)
-    for cloud, (points, label, source_id) in zip(clouds, want):
+    for cloud, (points, _, source_id) in zip(clouds, want):
         assert cloud.points.tobytes() == points.tobytes(), source_id
-        assert (cloud.label, cloud.source_id) == (label, source_id)
+        assert cloud.source_id == source_id
     np.testing.assert_array_equal(labels, [label for _, label, _ in want])
 
 

@@ -473,10 +473,12 @@ def test_loss_gradients_are_additive():
 
     total = grads_for(lambda loss, recon: loss)
     g3d = grads_for(
-        lambda loss, recon: loss_3d(recon.predicted_patches, recon.target_patches)
+        lambda loss, recon: loss_3d(
+            recon.predicted_patches, plan.patches.patches[plan.mask.masked_idx]
+        )
     )
     g2d = grads_for(
-        lambda loss, recon: loss_2d(recon.predicted_images, recon.target_images)
+        lambda loss, recon: loss_2d(recon.predicted_images, plan.target_images)
     )
     for name in total:
         np.testing.assert_allclose(
@@ -524,16 +526,16 @@ def test_ensure_min_points_cycles():
 def test_encoder_never_sees_masked_patch_contents():
     model = tiny_model()
     plan = build_pretrain_plan(torus_cloud(), model.cfg, Rng(10).derive("s"))
-    _, recon_a, _ = loss_from_plan(model, plan)
+    _, recon_a, diag_a = loss_from_plan(model, plan)
     plan.patches.patches[plan.mask.masked_idx] += 5.0  # corrupt hidden content
-    _, recon_b, _ = loss_from_plan(model, plan)
+    _, recon_b, diag_b = loss_from_plan(model, plan)
     np.testing.assert_array_equal(
         recon_a.predicted_patches.data, recon_b.predicted_patches.data
     )
     np.testing.assert_array_equal(
         recon_a.predicted_images.data, recon_b.predicted_images.data
     )
-    assert not np.array_equal(recon_a.target_patches, recon_b.target_patches)
+    assert diag_a["l3d"] != diag_b["l3d"]  # the corrupted content is the 3D target
 
 
 def graph_nodes(loss):

@@ -25,9 +25,11 @@ from mvmae.pipeline import (
     ProbeReport,
     extract_features,
     fewshot_trials,
+    load_pretrained,
     param_fingerprint,
     pretrain,
     probe_features,
+    resume_point,
     summarize_accuracy,
 )
 from mvmae.projection import write_pgm
@@ -329,6 +331,53 @@ def test_resume_drops_row_cut_short_by_crash(corpus, trained, tmp_path):
     assert resumed.metrics_path.read_bytes() == full_result.metrics_path.read_bytes()
 
 
+def test_resume_refuses_rows_that_stop_short_of_the_checkpoint(corpus, trained, tmp_path):
+    # rows 0 and 1 of a run stopped after step 2 cannot go on from another
+    # run's step-4 checkpoint: the file would splice two runs and skip 2, 3
+    cfg, clouds, _ = corpus
+    _, full_dir = trained
+    run = pretrain(cfg, clouds, tmp_path / "b", run_seed=11, stop_after_step=2)
+    before = run.metrics_path.read_bytes()
+    with pytest.raises(ContractViolation, match="metrics.tsv:3: rows end at step 1, "):
+        pretrain(
+            cfg, clouds, tmp_path / "b", run_seed=11,
+            resume_from=full_dir / "ckpt_00000004.ckpt",
+        )
+    assert run.metrics_path.read_bytes() == before
+
+
+def test_resume_refuses_rows_out_of_order(corpus, tmp_path):
+    cfg, clouds, _ = corpus
+    run = pretrain(cfg, clouds, tmp_path / "a", run_seed=1, stop_after_step=4)
+    header, step0, _, step2, _ = run.metrics_path.read_text().splitlines()
+    run.metrics_path.write_text("\n".join([header, step2, step2, step0]) + "\n")
+    with pytest.raises(ContractViolation, match="metrics.tsv:3: step 2 follows step 2"):
+        resume_point(cfg, len(clouds), tmp_path / "a", 1, run.checkpoint_path)
+    run.metrics_path.write_text("\n".join([header, step2, step0]) + "\n")
+    with pytest.raises(ContractViolation, match="metrics.tsv:3: step 0 follows step 2"):
+        resume_point(cfg, len(clouds), tmp_path / "a", 1, run.checkpoint_path)
+
+
+def test_resume_keeps_a_tail_directory(corpus, trained, tmp_path):
+    # a directory resumed from another run's step-8 checkpoint starts at
+    # row 8. Resumed again from that checkpoint, all its rows lie past it
+    # and are dropped; resumed from its own step-12 checkpoint, it keeps
+    # rows 8 to 11. Either way it ends with the full run's tail.
+    cfg, clouds, _ = corpus
+    full_result, full_dir = trained
+    tail = tmp_path / "tail"
+    for _ in range(2):
+        pretrain(
+            cfg, clouds, tail, run_seed=11,
+            resume_from=full_dir / "ckpt_00000008.ckpt", stop_after_step=14,
+        )
+        assert [row["step"] for row in read_metrics(tail / "metrics.tsv")] == list(range(8, 14))
+    resumed = pretrain(cfg, clouds, tail, run_seed=11, resume_from=tail / "ckpt_00000012.ckpt")
+    want = [row for row in read_metrics(full_result.metrics_path) if row["step"] >= 8]
+    assert read_metrics(resumed.metrics_path) == want
+    assert (tail / "final.ckpt").read_bytes() == (full_dir / "final.ckpt").read_bytes()
+
+
 def test_resume_rejects_other_config(corpus, tmp_path):
     cfg, clouds, _ = corpus
     run = pretrain(cfg, clouds, tmp_path / "a", run_seed=1, stop_after_step=4)
@@ -477,7 +526,8 @@ def test_pretraining_lowers_heldout_losses(corpus, tmp_path):
         for i, cloud in enumerate(heldout)
     ]
     before = heldout_losses(MultiviewMae(cfg.model, Rng(0).derive("init")), plans)
-    after = heldout_losses(pretrain(cfg, clouds, tmp_path, run_seed=0).model, plans)
+    result = pretrain(cfg, clouds, tmp_path, run_seed=0)
+    after = heldout_losses(load_pretrained(result.checkpoint_path)[0], plans)
     for name, b, a in zip(("l3d", "l2d"), before, after):
         assert a <= 0.9 * b, f"{name} {b:.4f} -> {a:.4f}"
 
@@ -539,11 +589,11 @@ def test_probe_rejects_sparse_labels():
 
 def test_linear_probe_on_encoder_keeps_params(corpus, trained):
     _, clouds, labels = corpus
-    result, _ = trained
-    before = param_fingerprint(result.model.params)
-    features = extract_features(result.model, clouds)
+    model, _ = load_pretrained(trained[0].checkpoint_path)
+    before = param_fingerprint(model.params)
+    features = extract_features(model, clouds)
     report = probe_features(features, labels, Rng(7).derive("p"))
-    assert param_fingerprint(result.model.params) == before
+    assert param_fingerprint(model.params) == before
     assert 0.0 <= report.accuracy <= 1.0
     # 4 instances/class at tiny scale -> 3 train / 1 test per class
     assert report.confusion.sum(axis=1).tolist() == [1, 1, 1, 1, 1]
@@ -551,7 +601,7 @@ def test_linear_probe_on_encoder_keeps_params(corpus, trained):
 
 def test_extract_features_guard_detects_mutation(corpus, trained, monkeypatch):
     _, clouds, _ = corpus
-    result, _ = trained
+    model, _ = load_pretrained(trained[0].checkpoint_path)
     import mvmae.pipeline as pipeline_mod
 
     real = pipeline_mod.encoder_features
@@ -563,25 +613,23 @@ def test_extract_features_guard_detects_mutation(corpus, trained, monkeypatch):
 
     monkeypatch.setattr(pipeline_mod, "encoder_features", hostile)
     with pytest.raises(ContractViolation, match="mutated"):
-        extract_features(result.model, clouds[:2])
+        extract_features(model, clouds[:2])
 
 
 def test_nan_point_in_one_cloud_is_rejected(corpus, trained):
     _, clouds, _ = corpus
-    result, _ = trained
+    model, _ = load_pretrained(trained[0].checkpoint_path)
     assert len(clouds) == 20
     points = clouds[7].points.copy()
     points[3, 0] = np.nan
     with pytest.raises(ContractViolation, match="non-finite"):
-        PointCloud(points, label=clouds[7].label, source_id=clouds[7].source_id)
+        PointCloud(points, source_id=clouds[7].source_id)
     # a cloud whose points went non-finite after construction is caught
     # at its feature row instead of turning the probe into a constant
-    poisoned = [
-        PointCloud(c.points.copy(), label=c.label, source_id=c.source_id) for c in clouds
-    ]
+    poisoned = [PointCloud(c.points.copy(), source_id=c.source_id) for c in clouds]
     poisoned[7].points[3, 0] = np.nan
     with pytest.raises(ContractViolation, match=f"non-finite features.*{clouds[7].source_id}"):
-        extract_features(result.model, poisoned)
+        extract_features(model, poisoned)
 
 
 # --- few-shot episodes ----------------------------------------------------
@@ -639,9 +687,9 @@ def test_fewshot_rejects_labels_that_are_not_class_indices():
 
 def test_fewshot_on_encoder_insufficient_data(corpus, trained):
     _, clouds, labels = corpus
-    result, _ = trained
+    model, _ = load_pretrained(trained[0].checkpoint_path)
     with pytest.raises(ContractViolation, match="fewer than"):
-        fewshot_trials(extract_features(result.model, clouds), labels,
+        fewshot_trials(extract_features(model, clouds), labels,
                        n_way=2, m_shot=1, trials=2, rng=Rng(0).derive("f"))
 
 

@@ -12,12 +12,11 @@ from mvmae.projection import (
     make_pose_pool,
     project_points,
     rasterize_depth,
-    read_pgm,
     token_index,
     write_pgm,
 )
 
-from oracles import project_point_by_hand
+from oracles import project_point_by_hand, read_pgm
 
 POSE = CameraPose(0.0, 30.0, 2.2, 50.0)
 
@@ -245,16 +244,6 @@ def test_pgm_golden_header_and_layout(tmp_path):
     assert raster[4:6] == (32768).to_bytes(2, "big")
 
 
-def test_pgm_comment_tolerated(tmp_path):
-    values = np.full((2, 2), 0.25)
-    path = tmp_path / "d.pgm"
-    write_pgm(path, values)
-    blob = path.read_bytes()
-    patched = b"P5\n# a comment\n2 2\n65535\n" + blob.split(b"65535\n", 1)[1]
-    path.write_bytes(patched)
-    np.testing.assert_allclose(read_pgm(path), np.rint(values * 65535) / 65535)
-
-
 def test_pgm_rejects_bad_inputs(tmp_path):
     path = tmp_path / "bad.pgm"
     bad_images = (
@@ -264,20 +253,3 @@ def test_pgm_rejects_bad_inputs(tmp_path):
         with pytest.raises(ContractViolation):
             write_pgm(path, values)
         assert not path.exists()
-    write_pgm(path, np.zeros((4, 4)))
-    blob = path.read_bytes()
-    path.write_bytes(blob[:-3])
-    with pytest.raises(ContractViolation):
-        read_pgm(path)
-    path.write_bytes(b"P6" + blob[2:])
-    with pytest.raises(ContractViolation):
-        read_pgm(path)
-    # 8-bit maxval, non-numeric header fields, then sizes below 1 (negative
-    # sizes whose product matches the raster, and an empty width)
-    for header in (
-        b"P5\n2 2\n255\n", b"P5\nx 2\n65535\n", b"P5\n2 2\n6553five\n",
-        b"P5\n-1 -2\n65535\n", b"P5\n0 5\n65535\n",
-    ):
-        path.write_bytes(header + bytes(8))
-        with pytest.raises(ContractViolation):
-            read_pgm(path)
