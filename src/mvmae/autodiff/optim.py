@@ -32,8 +32,6 @@ def adamw_step(
     Decay multiplies the pre-update parameter (p -= lr*wd*p), independent
     of the moment-based step; moments use the standard bias correction.
     """
-    if lr < 0:
-        raise ContractViolation(f"lr must be non-negative, got {lr}")
     b1, b2 = BETAS
     state.step += 1
     t = state.step

@@ -84,12 +84,11 @@ def cmd_pretrain(args) -> int:
     if args.epochs is not None:
         cfg = replace(cfg, train=replace(cfg.train, epochs=args.epochs)).validate()
     clouds, _ = make_dataset(cfg.data)
+    resume = None
     if args.resume is not None:  # refuse before --out is claimed
-        resume_point(cfg, len(clouds), args.out, args.seed, args.resume)
+        resume = resume_point(cfg, len(clouds), args.out, args.seed, args.resume)
     with _run_manifest(args, args.config, cfg.config_hash()) as out_dir:
-        result = pretrain(
-            cfg, clouds, out_dir, run_seed=args.seed, resume_from=args.resume
-        )
+        result = pretrain(cfg, clouds, out_dir, run_seed=args.seed, resume=resume)
     print(
         f"pretrained {result.steps_run}/{result.total_steps} steps; "
         f"final checkpoint {result.checkpoint_path}"

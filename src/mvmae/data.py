@@ -23,7 +23,7 @@ if TYPE_CHECKING:
     from .config import DataConfig
 
 SHAPE_KINDS = ("sphere", "cube", "torus", "cylinder", "cone")
-MIN_POINTS = 8  # fewest points generate_shape samples
+MIN_POINTS = 8  # fewest points a corpus cloud may hold; Config.validate holds the rule
 
 
 @dataclass(frozen=True)
@@ -166,8 +166,6 @@ def generate_shape(shape: SyntheticShape) -> PointCloud:
     """
     if shape.kind not in _SAMPLERS:
         raise ContractViolation(f"unknown shape kind {shape.kind!r}")
-    if shape.n_points < MIN_POINTS:
-        raise ContractViolation(f"n_points {shape.n_points} below {MIN_POINTS}")
     rng = Rng(shape.seed).derive("shape", shape.kind)
     pts = _SAMPLERS[shape.kind](rng, shape.n_points, shape.params)
     jitter = shape.params.get("jitter", 0.0)
@@ -212,10 +210,6 @@ def _instance_params(kind: str, rng: Rng) -> dict:
 
 def make_dataset(cfg: DataConfig) -> tuple[list[PointCloud], np.ndarray]:
     """The labeled corpus: kind index is the class label."""
-    if cfg.n_classes > len(SHAPE_KINDS):
-        raise ContractViolation(
-            f"at most {len(SHAPE_KINDS)} classes available, got {cfg.n_classes}"
-        )
     root = Rng(cfg.dataset_seed)
     clouds: list[PointCloud] = []
     for kind in SHAPE_KINDS[: cfg.n_classes]:

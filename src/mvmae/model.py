@@ -18,7 +18,7 @@ import numpy as np
 
 from .autodiff import Tensor, no_grad, ops
 from .config import ModelConfig
-from .errors import ContractViolation, TrainingAborted
+from .errors import TrainingAborted
 from .geometry import PointCloud
 from .nn import (
     Linear,
@@ -115,14 +115,10 @@ class MultiviewMae:
         """The joint decoder's (sequence, position) pair: n point slots,
         then tokens_per_view slots for each view."""
         t_per_view = self.tokens_per_view
-        if len(poses) != len(groupings):
-            raise ContractViolation("one token grouping per pose required")
         slots = np.array(
             [v * t_per_view + token for v, g in enumerate(groupings) for token in g.groups],
             dtype=np.intp,
         )
-        if fused.shape[0] != len(slots):
-            raise ContractViolation("one fused row per non-empty image token required")
 
         # one row bank, one gather: a point slot holds its encoder output or
         # the point mask token; an image slot (views stacked) holds its fused
@@ -187,23 +183,12 @@ class Reconstruction:
 def loss_3d(predicted: Tensor, target: np.ndarray) -> Tensor:
     """Mean over masked patches of the per-patch Chamfer distance: the
     symmetric mean of squared nearest-neighbor distances."""
-    if predicted.shape[0] == 0:
-        raise ContractViolation("no masked patches to reconstruct")
-    if predicted.shape != tuple(target.shape):
-        raise ContractViolation(
-            f"prediction {predicted.shape} vs target {target.shape}"
-        )
     return ops.chamfer(predicted, np.asarray(target, dtype=np.float64))
 
 
 def loss_2d(predicted: Tensor, target: np.ndarray) -> Tensor:
     """Mean over views of the full-image mean squared error: every view
     has the same pixel count, so one MSE over the (K, H_i, W_i) stack."""
-    if predicted.shape != np.shape(target) or len(predicted.shape) != 3 or not predicted.shape[0]:
-        raise ContractViolation(
-            f"need equal non-empty (views, H, W) stacks, got prediction "
-            f"{predicted.shape} vs target {np.shape(target)}"
-        )
     return ops.mse(predicted, Tensor(target))
 
 
@@ -285,7 +270,6 @@ def loss_from_plan(
     diagnostics = {
         "l3d": float(l3d.data),
         "l2d": float(l2d.data),
-        "groups_per_view": [g.g for g in plan.groupings],
     }
     return loss, recon, diagnostics
 

@@ -115,8 +115,6 @@ def sincos_table_2d(h: int, w: int, dim: int) -> np.ndarray:
     Half the channels encode the row coordinate and half the column, each
     half split into interleaved sin/cos pairs with log-spaced frequencies.
     """
-    if dim % 4 != 0:
-        raise ContractViolation(f"sin-cos table width {dim} must be divisible by 4")
     half = dim // 2
     omega = 1.0 / 10000.0 ** (np.arange(half // 2, dtype=np.float64) / (half // 2))
     rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")

@@ -135,7 +135,7 @@ def pretrain(
     clouds: list[PointCloud],
     out_dir: str | Path,
     run_seed: int,
-    resume_from: str | Path | None = None,
+    resume: tuple[Checkpoint, list[str]] | None = None,
     stop_after_step: int | None = None,
 ) -> PretrainResult:
     """Run (or continue) masked multi-view pretraining.
@@ -143,7 +143,9 @@ def pretrain(
     Writes a metrics TSV (replaced whole at the start, then appended one
     row per step) and periodic binary checkpoints under out_dir. Raises
     TrainingAborted with the offending step when the loss or a gradient
-    goes non-finite, before that step's update.
+    goes non-finite, before that step's update. A resumed run takes the
+    (checkpoint, metrics lines) pair that `resume_point` returned for
+    this config, corpus, out_dir and seed.
     """
     if not clouds:
         raise ContractViolation("pretraining needs a non-empty dataset")
@@ -158,8 +160,8 @@ def pretrain(
     opt = AdamWState()
     start_step = 0
     metrics_lines = [METRICS_HEADER]
-    if resume_from is not None:
-        ckpt, metrics_lines = resume_point(cfg, len(clouds), out_dir, run_seed, resume_from)
+    if resume is not None:
+        ckpt, metrics_lines = resume
         restore_params(model.params, ckpt)
         opt = ckpt.opt
         start_step = ckpt.step

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation
+from .errors import ContractViolation
 from .fileio import write_atomic
 
 CLIP_MARGIN = 1.05  # near/far = radius -/+ this margin
@@ -146,10 +146,6 @@ def token_index(
     Tokens tile the image in (h_i/h_t) x (w_i/w_t) pixel cells, read in
     row-major order: index = cell_row * w_t + cell_col.
     """
-    if h_i % h_t != 0 or w_i % w_t != 0:
-        raise ConfigError(
-            f"image {h_i}x{w_i} not divisible by token grid {h_t}x{w_t}"
-        )
     return (rows // (h_i // h_t)) * w_t + (cols // (w_i // w_t))
 
 

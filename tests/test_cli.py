@@ -97,6 +97,34 @@ def test_pretrain_resume_reproduces_tail(tiny_run, tmp_path):
     assert (resumed / "final.ckpt").read_bytes() == (tiny_run / "final.ckpt").read_bytes()
 
 
+def test_resume_reads_its_checkpoint_and_rows_once(tiny_run, tmp_path, monkeypatch):
+    import mvmae.pipeline as pipeline
+
+    out = tmp_path / "o"
+    out.mkdir()
+    rows = (tiny_run / "metrics.tsv").read_text().splitlines(keepends=True)
+    (out / "metrics.tsv").write_text("".join(rows[:9]))  # steps 0 to 7
+    calls = []
+
+    def counted(name):
+        real = getattr(pipeline, name)
+
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+
+        return call
+
+    for name in ("load_checkpoint", "_metrics_rows"):
+        monkeypatch.setattr(pipeline, name, counted(name))
+    assert main([
+        "pretrain", "--config", "tiny", "--out", str(out), "--seed", "5",
+        "--resume", str(tiny_run / "ckpt_00000008.ckpt"),
+    ]) == 0
+    assert calls == ["load_checkpoint", "_metrics_rows"]
+    assert (out / "metrics.tsv").read_bytes() == (tiny_run / "metrics.tsv").read_bytes()
+
+
 def test_pretrain_resume_with_other_epochs_exit_2(tiny_run, tmp_path, capsys):
     code = main([
         "pretrain", "--config", "tiny", "--out", str(tmp_path / "o"), "--seed", "5",
@@ -184,8 +212,26 @@ def test_pretrain_epochs_below_one_exit_2(tmp_path, capsys, epochs):
         ({"model": {"m": 0.97}}, "mask ratio 0.97 leaves no visible patches at n=8"),
         ({"data": {"n_classes": 6}}, "at most 5 classes available, got 6"),
         ({"model": {"n": 2, "k": 2, "m": 0.5}, "data": {"n_points": 4}}, "n_points 4 below 8"),
+        ({"model": {"H_t": 5}}, "H_i 16 not divisible by H_t 5"),
+        ({"model": {"W_t": 3}}, "W_i 16 not divisible by W_t 3"),
+        ({"model": {"K": 5}}, "K 5 outside [1, V=4]"),
+        ({"model": {"dec_depth": 2}}, "dec_depth 2 must be below enc_depth 2"),
+        ({"model": {"C": 18}}, "token width 18 must be divisible by 4"),
+        ({"model": {"C": 20, "heads": 3}}, "token width 20 not divisible by 3 heads"),
+        ({"model": {"m": 1.5}}, "mask ratio 1.5 outside (0, 1)"),
+        ({"model": {"m": -0.25}}, "mask ratio -0.25 outside (0, 1)"),
+        ({"model": {"radius": 1.0}}, "camera radius 1.0 puts the near plane behind the camera"),
+        ({"model": {"fov_deg": 180.0}}, "fov 180.0 outside (0, 180)"),
+        ({"train": {"lr": 0.0}}, "lr 0.0 must be positive"),
+        ({"train": {"lr_min": -0.001}}, "lr_min -0.001 must be non-negative"),
+        ({"train": {"weight_decay": -0.05}}, "weight decay must be non-negative"),
+        ({"train": {"warmup_steps": 20}}, "warmup_steps 20 must be below the run's 20 steps"),
     ],
-    ids=["none_masked", "none_visible", "n_classes", "n_points"],
+    ids=[
+        "none_masked", "none_visible", "n_classes", "n_points", "H_t", "W_t", "K",
+        "dec_depth", "C_by_4", "C_by_heads", "m_above_1", "m_below_0", "radius",
+        "fov", "lr", "lr_min", "weight_decay", "warmup_steps",
+    ],
 )
 def test_refused_config_writes_nothing(tmp_path, capsys, edits, rule):
     raw = json.loads(tiny_config().canonical_json())

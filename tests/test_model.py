@@ -211,23 +211,6 @@ def test_assemble_views_differ_only_by_pose_embedding():
     np.testing.assert_array_equal(seg0(0), seg0(1))
 
 
-def test_assemble_rejects_view_count_mismatch():
-    model = tiny_model()
-    plan = build_pretrain_plan(torus_cloud(), model.cfg, Rng(3).derive("s"))
-    pos_all = model.pos3d(Tensor(plan.patches.centers))
-    encoded = Tensor(np.zeros((len(plan.mask.visible_idx), model.cfg.C)))
-    fused = model.fuse_image_tokens(encoded, plan.groupings)
-    with pytest.raises(ContractViolation):
-        model.assemble_decoder_input(
-            encoded, fused, plan.groupings[:1], plan.mask, plan.poses, pos_all
-        )
-    with pytest.raises(ContractViolation):
-        model.assemble_decoder_input(
-            encoded, fused, [TokenGrouping() for _ in plan.poses],
-            plan.mask, plan.poses, pos_all,
-        )
-
-
 # --- joint decoding -------------------------------------------------------
 
 
@@ -364,11 +347,6 @@ def test_chamfer_symmetry_exact():
     assert chamfer(p, q) == chamfer(q, p)
 
 
-def test_chamfer_empty_set_rejected():
-    with pytest.raises(ContractViolation):
-        loss_3d(Tensor(np.zeros((0, 3, 3))), np.zeros((0, 3, 3)))
-
-
 def test_chamfer_gradient_flows_to_prediction():
     p = Tensor(np.random.default_rng(21).normal(size=(1, 5, 3)), requires_grad=True)
     q = np.random.default_rng(22).normal(size=(1, 5, 3))
@@ -410,13 +388,6 @@ def test_loss_3d_equals_per_patch_chamfer_loop():
     assert abs(batched - looped) < 1e-12
 
 
-def test_loss_3d_contract_checks():
-    with pytest.raises(ContractViolation):
-        loss_3d(Tensor(np.zeros((0, 4, 3))), np.zeros((0, 4, 3)))
-    with pytest.raises(ContractViolation):
-        loss_3d(Tensor(np.zeros((2, 4, 3))), np.zeros((2, 5, 3)))
-
-
 def test_loss_2d_identical_zero():
     img = np.random.default_rng(26).uniform(0, 1, (1, 16, 16))
     assert float(loss_2d(Tensor(img.copy()), img).data) == 0.0
@@ -446,8 +417,6 @@ def test_loss_2d_shape_mismatch_rejected():
         loss_2d(Tensor(np.zeros((1, 4, 4))), np.zeros((1, 4, 5)))
     with pytest.raises(ContractViolation):
         loss_2d(Tensor(np.zeros((2, 4, 4))), np.zeros((3, 4, 4)))
-    with pytest.raises(ContractViolation):  # zero views
-        loss_2d(Tensor(np.zeros((0, 4, 4))), np.zeros((0, 4, 4)))
 
 
 def test_total_loss_values_and_nan_abort():
@@ -562,7 +531,7 @@ def test_desk_graph_size_does_not_grow_with_fused_tokens():
     for i, cloud in enumerate(clouds):
         plan = build_pretrain_plan(cloud, cfg, Rng(i).derive("s"))
         loss, _, diag = loss_from_plan(model, plan)
-        groups.append(tuple(diag["groups_per_view"]))
+        groups.append(tuple(g.g for g in plan.groupings))
         counts.append(graph_nodes(loss))
     assert len(set(groups)) == len(groups)
     assert groups[-1] == (0, 0, 0)

@@ -186,7 +186,3 @@ def test_sincos_table_separates_axes():
     # second half encodes the column index: constant along rows
     np.testing.assert_array_equal(grid[0, :, 8:], grid[2, :, 8:])
 
-
-def test_sincos_table_width_contract():
-    with pytest.raises(ContractViolation):
-        sincos_table_2d(2, 2, 10)

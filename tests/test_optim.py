@@ -113,9 +113,3 @@ def test_cosine_lr_contract_violations():
     with pytest.raises(ContractViolation):
         cosine_lr(0, 10, 1e-3, warmup_steps=10)
 
-
-def test_negative_lr_rejected():
-    p = make_param([1.0])
-    p.grad = np.array([1.0])
-    with pytest.raises(ContractViolation):
-        adamw_step({"p": p}, AdamWState(), lr=-0.1, weight_decay=0.05)

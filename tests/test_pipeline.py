@@ -49,6 +49,13 @@ def with_epochs(cfg, epochs):
     return dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, epochs=epochs))
 
 
+def resume_run(cfg, clouds, out_dir, run_seed, checkpoint, **kwargs):
+    """A run resumed from a checkpoint the way `mvmae pretrain --resume`
+    does it: resume_point refuses or accepts, pretrain takes its result."""
+    resume = resume_point(cfg, len(clouds), out_dir, run_seed, checkpoint)
+    return pretrain(cfg, clouds, out_dir, run_seed=run_seed, resume=resume, **kwargs)
+
+
 @pytest.fixture(scope="module")
 def trained(corpus, tmp_path_factory):
     cfg, clouds, _ = corpus
@@ -113,10 +120,7 @@ def test_resume_any_cut_reproduces_run(corpus, trained, tmp_path, cut):
     full_result, full_dir = trained
     part = pretrain(cfg, clouds, tmp_path / "p", run_seed=11, stop_after_step=cut)
     assert part.steps_run == cut
-    resumed = pretrain(
-        cfg, clouds, tmp_path / "p", run_seed=11,
-        resume_from=part.checkpoint_path,
-    )
+    resumed = resume_run(cfg, clouds, tmp_path / "p", 11, part.checkpoint_path)
     assert resumed.metrics_path.read_bytes() == full_result.metrics_path.read_bytes()
     assert (tmp_path / "p" / "final.ckpt").read_bytes() == (
         full_dir / "final.ckpt"
@@ -128,9 +132,8 @@ def test_resume_discards_rows_past_checkpoint(corpus, trained, tmp_path):
     cfg, clouds, _ = corpus
     full_result, _ = trained
     run = pretrain(cfg, clouds, tmp_path / "c", run_seed=11, stop_after_step=11)
-    resumed = pretrain(
-        cfg, clouds, tmp_path / "c", run_seed=11,
-        resume_from=tmp_path / "c" / "ckpt_00000008.ckpt",
+    resumed = resume_run(
+        cfg, clouds, tmp_path / "c", 11, tmp_path / "c" / "ckpt_00000008.ckpt",
     )
     assert resumed.metrics_path.read_bytes() == full_result.metrics_path.read_bytes()
 
@@ -140,10 +143,7 @@ def test_stop_before_start_step_rejected_before_any_write(corpus, trained, tmp_p
     _, full_dir = trained
     out = tmp_path / "s"
     with pytest.raises(ContractViolation, match="stop_after_step 3 is before the start step 8"):
-        pretrain(
-            cfg, clouds, out, run_seed=11,
-            resume_from=full_dir / "ckpt_00000008.ckpt", stop_after_step=3,
-        )
+        resume_run(cfg, clouds, out, 11, full_dir / "ckpt_00000008.ckpt", stop_after_step=3)
     with pytest.raises(ContractViolation, match="stop_after_step -1 is before the start step 0"):
         pretrain(cfg, clouds, out, run_seed=11, stop_after_step=-1)
     assert not out.exists()
@@ -163,7 +163,7 @@ def test_resume_rejects_malformed_metrics(corpus, tmp_path, text):
     run = pretrain(cfg, clouds, tmp_path / "a", run_seed=1, stop_after_step=4)
     (tmp_path / "a" / "metrics.tsv").write_text(text)
     with pytest.raises(ContractViolation, match="metrics.tsv"):
-        pretrain(cfg, clouds, tmp_path / "a", run_seed=1, resume_from=run.checkpoint_path)
+        resume_run(cfg, clouds, tmp_path / "a", 1, run.checkpoint_path)
 
 
 def test_resume_replaces_metrics_whole(corpus, tmp_path, monkeypatch):
@@ -179,10 +179,7 @@ def test_resume_replaces_metrics_whole(corpus, tmp_path, monkeypatch):
 
     monkeypatch.setattr("mvmae.fileio.os.replace", interrupted)
     with pytest.raises(OSError, match="interrupted"):
-        pretrain(
-            cfg, clouds, tmp_path / "a", run_seed=1,
-            resume_from=tmp_path / "a" / "ckpt_00000004.ckpt",
-        )
+        resume_run(cfg, clouds, tmp_path / "a", 1, tmp_path / "a" / "ckpt_00000004.ckpt")
     assert metrics.read_bytes() == before
     assert len(read_metrics(metrics)) == 6
 
@@ -199,7 +196,7 @@ def test_malformed_metrics_row_rejected(corpus, tmp_path, row):
     lines[3] = row  # the row of step 2, file line 4
     run.metrics_path.write_text("\n".join(lines))
     with pytest.raises(ContractViolation, match="metrics.tsv:4"):
-        pretrain(cfg, clouds, tmp_path / "a", run_seed=1, resume_from=run.checkpoint_path)
+        resume_run(cfg, clouds, tmp_path / "a", 1, run.checkpoint_path)
 
 
 def test_each_checkpoint_written_once(corpus, tmp_path, monkeypatch):
@@ -214,7 +211,7 @@ def test_each_checkpoint_written_once(corpus, tmp_path, monkeypatch):
     run = pretrain(cfg, clouds, tmp_path / "a", run_seed=1, stop_after_step=4)
     assert written == ["ckpt_00000004.ckpt"]
     written.clear()
-    pretrain(cfg, clouds, tmp_path / "a", run_seed=1, resume_from=run.checkpoint_path)
+    resume_run(cfg, clouds, tmp_path / "a", 1, run.checkpoint_path)
     assert written == [f"ckpt_{s:08d}.ckpt" for s in (8, 12, 16)] + ["final.ckpt"]
 
 
@@ -248,7 +245,7 @@ def test_failed_checkpoint_write_keeps_previous(corpus, trained, tmp_path, monke
     monkeypatch.undo()
     assert run.checkpoint_path.read_bytes() == before
     assert not list(run.checkpoint_path.parent.glob("*.tmp"))
-    resumed = pretrain(cfg, clouds, tmp_path / "p", run_seed=11, resume_from=run.checkpoint_path)
+    resumed = resume_run(cfg, clouds, tmp_path / "p", 11, run.checkpoint_path)
     assert resumed.metrics_path.read_bytes() == full_result.metrics_path.read_bytes()
     assert resumed.checkpoint_path.read_bytes() == (full_dir / "final.ckpt").read_bytes()
 
@@ -324,9 +321,8 @@ def test_resume_drops_row_cut_short_by_crash(corpus, trained, tmp_path):
     run = pretrain(cfg, clouds, tmp_path / "c", run_seed=11, stop_after_step=11)
     with run.metrics_path.open("a") as metrics:
         metrics.write("1")  # the row of step 11, cut after its first byte
-    resumed = pretrain(
-        cfg, clouds, tmp_path / "c", run_seed=11,
-        resume_from=tmp_path / "c" / "ckpt_00000008.ckpt",
+    resumed = resume_run(
+        cfg, clouds, tmp_path / "c", 11, tmp_path / "c" / "ckpt_00000008.ckpt",
     )
     assert resumed.metrics_path.read_bytes() == full_result.metrics_path.read_bytes()
 
@@ -339,10 +335,7 @@ def test_resume_refuses_rows_that_stop_short_of_the_checkpoint(corpus, trained, 
     run = pretrain(cfg, clouds, tmp_path / "b", run_seed=11, stop_after_step=2)
     before = run.metrics_path.read_bytes()
     with pytest.raises(ContractViolation, match="metrics.tsv:3: rows end at step 1, "):
-        pretrain(
-            cfg, clouds, tmp_path / "b", run_seed=11,
-            resume_from=full_dir / "ckpt_00000004.ckpt",
-        )
+        resume_run(cfg, clouds, tmp_path / "b", 11, full_dir / "ckpt_00000004.ckpt")
     assert run.metrics_path.read_bytes() == before
 
 
@@ -367,12 +360,9 @@ def test_resume_keeps_a_tail_directory(corpus, trained, tmp_path):
     full_result, full_dir = trained
     tail = tmp_path / "tail"
     for _ in range(2):
-        pretrain(
-            cfg, clouds, tail, run_seed=11,
-            resume_from=full_dir / "ckpt_00000008.ckpt", stop_after_step=14,
-        )
+        resume_run(cfg, clouds, tail, 11, full_dir / "ckpt_00000008.ckpt", stop_after_step=14)
         assert [row["step"] for row in read_metrics(tail / "metrics.tsv")] == list(range(8, 14))
-    resumed = pretrain(cfg, clouds, tail, run_seed=11, resume_from=tail / "ckpt_00000012.ckpt")
+    resumed = resume_run(cfg, clouds, tail, 11, tail / "ckpt_00000012.ckpt")
     want = [row for row in read_metrics(full_result.metrics_path) if row["step"] >= 8]
     assert read_metrics(resumed.metrics_path) == want
     assert (tail / "final.ckpt").read_bytes() == (full_dir / "final.ckpt").read_bytes()
@@ -385,10 +375,7 @@ def test_resume_rejects_other_config(corpus, tmp_path):
         cfg, train=dataclasses.replace(cfg.train, lr=cfg.train.lr * 2)
     )
     with pytest.raises(CheckpointError, match=r"in train\.lr \(checkpoint 0\.001, requested 0\.002\)$"):
-        pretrain(
-            other, clouds, tmp_path / "b", run_seed=1,
-            resume_from=run.checkpoint_path,
-        )
+        resume_run(other, clouds, tmp_path / "b", 1, run.checkpoint_path)
 
 
 def test_empty_dataset_rejected(corpus, tmp_path):
@@ -454,7 +441,7 @@ def test_resume_without_run_seed_rejected(corpus, tmp_path):
         path = tmp_path / "bad.ckpt"
         save_checkpoint(path, cfg, ckpt.params, ckpt.opt, bookkeeping)
         with pytest.raises(CheckpointError, match="run_seed"):
-            pretrain(cfg, clouds, tmp_path / "b", run_seed=1, resume_from=path)
+            resume_run(cfg, clouds, tmp_path / "b", 1, path)
 
 
 def test_resume_with_other_epochs_rejected(corpus, tmp_path):
@@ -465,15 +452,9 @@ def test_resume_with_other_epochs_rejected(corpus, tmp_path):
         "run_seed": 1, "total_steps": run.total_steps,
     }
     with pytest.raises(CheckpointError, match=r"in train\.epochs \(checkpoint 1, requested 2\)"):
-        pretrain(
-            cfg, clouds, tmp_path / "a", run_seed=1,
-            resume_from=run.checkpoint_path,
-        )
+        resume_run(cfg, clouds, tmp_path / "a", 1, run.checkpoint_path)
     # the same epochs resumes, and matches an uninterrupted run
-    resumed = pretrain(
-        one, clouds, tmp_path / "a", run_seed=1,
-        resume_from=run.checkpoint_path,
-    )
+    resumed = resume_run(one, clouds, tmp_path / "a", 1, run.checkpoint_path)
     whole = pretrain(one, clouds, tmp_path / "b", run_seed=1)
     assert resumed.metrics_path.read_bytes() == whole.metrics_path.read_bytes()
     assert resumed.checkpoint_path.read_bytes() == whole.checkpoint_path.read_bytes()
@@ -485,7 +466,7 @@ def test_corpus_smaller_than_the_configs(corpus, tmp_path):
     cfg, clouds, _ = corpus
     run = pretrain(cfg, clouds, tmp_path / "a", run_seed=1, stop_after_step=4)
     with pytest.raises(CheckpointError, match="a 20-step run, this run has 4 steps$"):
-        pretrain(cfg, clouds[:4], tmp_path / "a", run_seed=1, resume_from=run.checkpoint_path)
+        resume_run(cfg, clouds[:4], tmp_path / "a", 1, run.checkpoint_path)
     warm = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, warmup_steps=4))
     with pytest.raises(ContractViolation, match="warmup_steps 4"):
         pretrain(warm, clouds[:4], tmp_path / "w", run_seed=1)
@@ -500,7 +481,7 @@ def test_resume_without_total_steps_rejected(corpus, tmp_path):
         path = tmp_path / "bad.ckpt"
         save_checkpoint(path, cfg, ckpt.params, ckpt.opt, bookkeeping)
         with pytest.raises(CheckpointError, match="total_steps"):
-            pretrain(cfg, clouds, tmp_path / "b", run_seed=1, resume_from=path)
+            resume_run(cfg, clouds, tmp_path / "b", 1, path)
 
 
 # --- learning gate ----------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mvmae.config import ModelConfig
-from mvmae.errors import ConfigError, ContractViolation
+from mvmae.errors import ContractViolation
 from mvmae.geometry import rotate_z
 from mvmae.projection import (
     CameraPose,
@@ -135,13 +135,6 @@ def test_token_index_rectangular_grid():
     rows, cols = np.meshgrid(np.arange(32), np.arange(64), indexing="ij")
     idx = token_index(rows, cols, 32, 64, 4, 8)
     assert idx.min() == 0 and idx.max() == 31
-
-
-def test_token_index_divisibility_contract():
-    with pytest.raises(ConfigError):
-        token_index(0, 0, 224, 224, 15, 14)
-    with pytest.raises(ConfigError):
-        token_index(0, 0, 224, 224, 14, 13)
 
 
 def test_rasterize_empty_frustum_all_zero():

@@ -4,7 +4,9 @@ the tests: a command, training, evaluation or the benchmark.
 A reference is a use by name, by attribute or in an import, or an
 identifier string (the benchmark patches functions by attribute name).
 Docstrings and `__all__` entries do not count. Code that only tests read
-belongs in the tests."""
+belongs in the tests.
+
+Also, every module-level import in `src/mvmae` is used in its module."""
 
 import ast
 from pathlib import Path
@@ -108,3 +110,65 @@ def test_scan_counts_each_kind_of_reference(tmp_path):
     )
     unused = scan({tmp_path / "lib.py"}, {tmp_path / "reader.py"})
     assert unused == {"by_doc", "by_all", "recursive"}
+
+
+def _imported_names(tree: ast.Module) -> set[str]:
+    """Names bound by the module-level imports of a module (those under a
+    top-level `if`, such as `if TYPE_CHECKING:`, included); `__future__`
+    imports aside."""
+    names = set()
+    for statement in tree.body:
+        for node in [statement, *(statement.body if isinstance(statement, ast.If) else [])]:
+            if isinstance(node, ast.Import):
+                names |= {(a.asname or a.name).split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names |= {a.asname or a.name for a in node.names}
+    return names
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """Names a module loads, with those in string annotations and the
+    entries of its `__all__`."""
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    annotations = [
+        n.annotation for n in ast.walk(tree) if isinstance(n, (ast.arg, ast.AnnAssign))
+    ] + [n.returns for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for annotation in filter(None, annotations):
+        for c in ast.walk(annotation):
+            if isinstance(c, ast.Constant) and isinstance(c.value, str):
+                used |= _used_names(ast.parse(c.value))
+    entries = _all_entries(tree)
+    used |= {c.value for c in ast.walk(tree) if id(c) in entries and isinstance(c.value, str)}
+    return used
+
+
+def unused_imports(path) -> set[str]:
+    tree = ast.parse(Path(path).read_text(), filename=str(path))
+    return _imported_names(tree) - _used_names(tree)
+
+
+def test_every_src_import_is_used():
+    unused = {
+        f"{path.relative_to(ROOT)}: {name}"
+        for path in (ROOT / "src" / "mvmae").rglob("*.py")
+        for name in unused_imports(path)
+    }
+    assert unused == set()
+
+
+def test_import_scan_counts_each_kind_of_use(tmp_path):
+    path = tmp_path / "lib.py"
+    path.write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as js\n"
+        "from typing import TYPE_CHECKING\n"
+        "from a import by_call, by_string_annotation, by_all, unused\n"
+        "if TYPE_CHECKING:\n"
+        "    from b import under_if, unused_under_if\n"
+        '__all__ = ["by_all"]\n'
+        'def f(x: "under_if") -> "list[by_string_annotation]":\n'
+        "    return by_call(js, x)\n"
+        "os.path.join\n"
+    )
+    assert unused_imports(path) == {"unused", "unused_under_if"}
