@@ -5,6 +5,11 @@ closure that maps the output adjoint to parent adjoints. Graphs are
 plain DAGs built eagerly by the ops module; `backward` runs a single
 topological sweep. Everything is float64 and single-threaded by design:
 determinism is a contract here, not an aspiration.
+
+A graph is consumed by its backward: each interior node drops its parents
+and its closure (and with them the arrays the forward saved) once its VJP
+has run. A second backward through a consumed node raises
+ContractViolation; run the forward again to get a fresh graph.
 """
 
 from __future__ import annotations
@@ -62,6 +67,11 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={self.shape})"
 
 
+# the VJP of a node that a backward has consumed: not None, so the node
+# never passes for a leaf
+_CONSUMED = object()
+
+
 def make_node(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     """Internal: build a graph node. Records parents only when grad is on
     and some parent requires it."""
@@ -80,6 +90,12 @@ def backward(loss: Tensor) -> None:
     buffer created (or added to) here; leaves the caller zeroed but the
     graph never reached keep their zeros, which is the documented
     "unreachable means zero gradient" contract.
+
+    The graph is consumed: each interior node releases its parents and VJP
+    closure as soon as that VJP has run, so the forward's saved arrays are
+    freed during the sweep. Backward through a graph that an earlier
+    backward consumed raises ContractViolation before any grad changes;
+    rebuild the graph by running the forward again.
     """
     if loss.data.shape != ():
         raise ContractViolation(
@@ -98,6 +114,11 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in visited:
             continue
+        if node._vjp is _CONSUMED:
+            raise ContractViolation(
+                "backward through a graph that an earlier backward consumed; "
+                "rebuild the graph by running the forward again"
+            )
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
@@ -105,18 +126,24 @@ def backward(loss: Tensor) -> None:
                 stack.append((p, False))
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
-    for node in reversed(topo):
+    # popping drops the list's reference, so a node whose children have run
+    # is freed once its own VJP has run
+    while topo:
+        node = topo.pop()
         g = grads.pop(id(node), None)
+        parents, vjp = node._parents, node._vjp
+        if vjp is not None:
+            node._parents, node._vjp = (), _CONSUMED
         if g is None:
             continue
-        if node._vjp is None:
+        if vjp is None:
             # leaf: publish the accumulated adjoint in a buffer of its own
             if node.grad is None:
                 node.grad = np.array(g, dtype=np.float64, copy=True)
             else:
                 node.grad += g
             continue
-        for parent, pg in zip(node._parents, node._vjp(g)):
+        for parent, pg in zip(parents, vjp(g)):
             if not parent.requires_grad:
                 continue
             # a VJP may return its own adjoint or a view of it, so one array

@@ -51,8 +51,12 @@ class Checkpoint:
 
 
 class _Writer:
+    """A file as the buffers to write in order: packed header fields and the
+    parameter arrays themselves. A C-contiguous little-endian float64 array
+    is its own record payload, so no array is copied."""
+
     def __init__(self):
-        self.chunks: list[bytes] = []
+        self.chunks: list[bytes | np.ndarray] = []
 
     def raw(self, data: bytes) -> None:
         self.chunks.append(data)
@@ -78,10 +82,7 @@ class _Writer:
         self.u32(values.ndim)
         for dim in values.shape:
             self.u64(dim)
-        self.raw(np.ascontiguousarray(values, dtype="<f8").tobytes())
-
-    def blob(self) -> bytes:
-        return b"".join(self.chunks)
+        self.chunks.append(np.ascontiguousarray(values, dtype="<f8"))
 
 
 class _Reader:
@@ -180,7 +181,7 @@ def save_checkpoint(
 
     w.u64(opt.step)
     w.sized(_canonical(rng_state))
-    write_atomic(path, w.blob())
+    write_atomic(path, w.chunks)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+from collections.abc import Sequence
 from pathlib import Path
 
 
@@ -23,17 +24,25 @@ def read_input(path: str | Path, error: type[Exception], what: str, binary: bool
         raise error(f"{what} {path} is not text: {exc}") from None
 
 
-def write_atomic(path: str | Path, data: bytes | str) -> None:
+def write_atomic(path: str | Path, data: bytes | str | Sequence) -> None:
     """Create the parent directory, write a temp file beside `path`, fsync
     it, rename it over `path`, then fsync the directory so that the rename
     survives a power loss. A crash at any instant leaves the old file or the
-    new one. A failed write removes the temp file and re-raises."""
+    new one. A failed write removes the temp file and re-raises.
+
+    `data` is text (written as utf-8), one bytes-like buffer, or a list or
+    tuple of C-contiguous buffers (bytes, ndarrays) that are written in
+    order, one `write` each, so the file is their concatenation without
+    ever joining them in memory."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     scratch = path.with_name(path.name + ".tmp")
     try:
         with open(scratch, "wb") as fh:
-            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+            if isinstance(data, str):
+                data = data.encode("utf-8")
+            for chunk in data if isinstance(data, (list, tuple)) else (data,):
+                fh.write(chunk)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(scratch, path)

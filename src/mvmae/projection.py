@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -68,14 +69,26 @@ def make_pose_pool(
 
 
 def camera_basis(pose: CameraPose) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Right-handed look-at frame: (eye, right, true_up, forward)."""
+    """Right-handed look-at frame: (eye, right, true_up, forward), computed
+    once per pose and returned as read-only arrays."""
+    # poses with 0.0 and -0.0 angles are equal, but their frames can differ
+    # in the sign of a zero
+    signs = math.copysign(1.0, pose.azimuth_deg), math.copysign(1.0, pose.elevation_deg)
+    return _look_at(pose, signs)
+
+
+@lru_cache(maxsize=64)
+def _look_at(pose: CameraPose, _signs: tuple[float, float]) -> tuple[np.ndarray, ...]:
     eye = pose.eye()
     fwd = -eye / np.linalg.norm(eye)
     up = np.array([0.0, 0.0, 1.0])
     right = np.cross(fwd, up)
     right /= np.linalg.norm(right)
     true_up = np.cross(right, fwd)
-    return eye, right, true_up, fwd
+    frame = (eye, right, true_up, fwd)
+    for axis in frame:
+        axis.flags.writeable = False
+    return frame
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,9 @@ a comparison.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
+import struct
 
 import numpy as np
 from scipy.special import erf
@@ -249,6 +251,35 @@ def read_pgm(path) -> np.ndarray:
     w, h = (int(v) for v in size.split(b" "))
     assert len(raster) == 2 * w * h, (len(raster), w, h)
     return np.frombuffer(raster, dtype=">u2").reshape(h, w) / 65535.0
+
+
+def checkpoint_by_join(config, params, opt, rng_state) -> bytes:
+    """The bytes of a format-2 checkpoint, built as the first writer built
+    them: every field and array copied out with `tobytes`, then one
+    `b"".join` of them all."""
+    chunks = []
+
+    def sized(data):
+        chunks.extend([struct.pack("<I", len(data)), data])
+
+    def record(name, values):
+        sized(name.encode("utf-8"))
+        chunks.append(struct.pack("<BI", 0, values.ndim))
+        chunks.extend(struct.pack("<Q", dim) for dim in values.shape)
+        chunks.append(np.asarray(values, dtype="<f8").tobytes(order="C"))
+
+    chunks.extend([b"MVMAE\x00", struct.pack("<I", 2)])
+    sized(config.canonical_json().encode("utf-8"))
+    chunks.append(struct.pack("<I", len(params)))
+    for name in sorted(params):
+        record(name, params[name])
+    chunks.append(struct.pack("<I", len(opt.m)))
+    for name in sorted(opt.m):
+        record(name, opt.m[name])
+        record(name, opt.v[name])
+    chunks.append(struct.pack("<Q", opt.step))
+    sized(json.dumps(rng_state, sort_keys=True, separators=(",", ":")).encode("utf-8"))
+    return b"".join(chunks)
 
 
 # --- the synthetic corpus, as first written -------------------------------

@@ -144,6 +144,23 @@ def test_grad_accumulates_on_reuse():
     np.testing.assert_allclose(x.grad, [2 * 1.5 + 3.0])
 
 
+def test_backward_through_a_consumed_graph_raises():
+    x = Parameter(np.array([2.0, -1.0]), "x")
+    h = ops.mul(x, x)
+    loss = ops.sum_(h)
+    backward(loss)
+    with pytest.raises(ContractViolation, match="rebuild the graph"):
+        backward(loss)
+    # a new root over a consumed node is refused too: the node must not
+    # pass for a leaf and swallow the adjoint
+    with pytest.raises(ContractViolation, match="rebuild the graph"):
+        backward(ops.sum_(ops.scale(h, 3.0)))
+    assert h.grad is None
+    np.testing.assert_array_equal(x.grad, [4.0, -2.0])  # added once
+    backward(ops.sum_(ops.mul(x, x)))  # a rebuilt graph runs
+    np.testing.assert_array_equal(x.grad, [8.0, -4.0])
+
+
 def test_matmul_rejects_3d_right_operand():
     with pytest.raises(ContractViolation, match="2-d right operand"):
         ops.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 4, 5))))

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import struct
 import tempfile
+import tracemalloc
 from functools import cache
 from pathlib import Path
 
@@ -21,11 +22,13 @@ from mvmae.checkpoint import (
     restore_params,
     save_checkpoint,
 )
-from mvmae.config import tiny_config
+from mvmae.config import desk_config, tiny_config
 from mvmae.data import SyntheticShape, generate_shape
 from mvmae.errors import CheckpointError
 from mvmae.model import MultiviewMae, forward_pretrain
 from mvmae.rng import Rng
+
+from oracles import checkpoint_by_join
 
 
 def trained_state(steps=3, seed=0):
@@ -89,6 +92,57 @@ def test_checkpoints_at_different_steps_differ(tmp_path):
         for n in model3.params
     ]
     assert max(deltas) > 0
+
+
+def test_save_matches_the_join_oracle(tmp_path):
+    cfg, model, opt = trained_state()
+    path = tmp_path / "a.ckpt"
+    save_state(path, cfg, model, opt)
+    params = {name: p.data for name, p in model.params.items()}
+    assert path.read_bytes() == checkpoint_by_join(cfg, params, opt, {"run_seed": 7})
+
+    # 0-d, empty-dimension, strided and big-endian arrays
+    grid = np.arange(12.0).reshape(3, 4)
+    crafted = {
+        "a": np.array(-1.5),
+        "b": np.zeros((3, 0, 2)),
+        "c": np.zeros(0),
+        "d": grid.T,
+        "e": grid.astype(">f8"),
+    }
+    state = AdamWState(
+        step=9,
+        m={name: np.asarray(v) * 0.5 for name, v in crafted.items()},
+        v={name: np.asarray(v) ** 2 for name, v in crafted.items()},
+    )
+    save_checkpoint(path, cfg, crafted, state, {"run_seed": 1})
+    assert path.read_bytes() == checkpoint_by_join(cfg, crafted, state, {"run_seed": 1})
+    back = load_checkpoint(path)
+    for name, values in crafted.items():
+        assert back.params[name].shape == values.shape
+        np.testing.assert_array_equal(back.params[name], values)
+
+
+def test_save_allocates_far_less_than_the_file(tmp_path):
+    # the arrays go to the file as they are: no per-array copy, no join
+    cfg = desk_config()
+    model = MultiviewMae(cfg.model, Rng(0).derive("init"))
+    params = {name: p.data for name, p in model.params.items()}
+    opt = AdamWState(
+        step=1,
+        m={name: v * 0.5 for name, v in params.items()},
+        v={name: v * v for name, v in params.items()},
+    )
+    path = tmp_path / "a.ckpt"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        save_checkpoint(path, cfg, params, opt, {"run_seed": 7})
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak < 0.1 * size, (peak, size)
 
 
 def test_missing_file():
@@ -165,7 +219,7 @@ def test_unknown_dtype_tag(tmp_path):
     w.raw(name)
     w.u8(7)  # not a known tag
     path = tmp_path / "bad.ckpt"
-    path.write_bytes(w.blob())
+    path.write_bytes(b"".join(w.chunks))
     with pytest.raises(CheckpointError, match="dtype tag 7"):
         load_checkpoint(path)
 
@@ -179,7 +233,7 @@ def test_duplicate_parameter_rejected(tmp_path):
     w.array("p", np.zeros(2))
     w.array("p", np.ones(2))
     path = tmp_path / "dup.ckpt"
-    path.write_bytes(w.blob())
+    path.write_bytes(b"".join(w.chunks))
     with pytest.raises(CheckpointError, match="duplicate"):
         load_checkpoint(path)
 
@@ -207,7 +261,7 @@ def single_record(name: bytes, dims: tuple[int, ...], payload: bytes) -> bytes:
     for dim in dims:
         w.u64(dim)
     w.raw(payload)
-    return w.blob()
+    return b"".join(w.chunks)
 
 
 def test_huge_dims_rejected(tmp_path):

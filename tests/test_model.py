@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -567,6 +569,25 @@ def test_pooled_descriptor_invariant_to_token_order():
 
 
 # --- end-to-end gradient check at micro scale ---------------------------
+
+
+def test_backward_frees_the_forward_graph():
+    model = tiny_model()
+    plan = build_pretrain_plan(torus_cloud(), tiny_config().model, Rng(2).derive("s"))
+    for p in model.params.values():
+        p.grad = np.zeros_like(p.data)  # backward adds into these in place
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = loss_from_plan(model, plan)[0]
+        forward = tracemalloc.get_traced_memory()[0] - base
+        backward(loss)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held < 0.05 * forward, (held, forward)
+    with pytest.raises(ContractViolation, match="rebuild the graph"):
+        backward(loss)
 
 
 def test_micro_end_to_end_gradcheck():

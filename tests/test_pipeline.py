@@ -263,6 +263,23 @@ def test_failed_pgm_write_keeps_previous(tmp_path, monkeypatch):
 
 
 
+def test_write_atomic_writes_a_buffer_sequence_in_order(tmp_path):
+    chunks = [
+        b"head",
+        np.arange(6.0).reshape(2, 3),
+        np.array(2.5),
+        b"",
+        np.zeros((3, 0)),
+        np.array([1, -2], dtype="<i4"),
+        b"tail",
+    ]
+    fileio.write_atomic(tmp_path / "a.bin", chunks)
+    want = b"".join(c.tobytes() if isinstance(c, np.ndarray) else c for c in chunks)
+    assert (tmp_path / "a.bin").read_bytes() == want
+    fileio.write_atomic(tmp_path / "a.bin", (b"x", b"y"))
+    assert (tmp_path / "a.bin").read_bytes() == b"xy"
+
+
 def test_write_atomic_syncs_the_directory_after_the_rename(tmp_path, monkeypatch):
     # only the order of the calls is checked: whether the rename survives
     # a power loss cannot be observed from a test

@@ -1,13 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from mvmae.config import ModelConfig
+from mvmae import projection
 from mvmae.errors import ContractViolation
 from mvmae.geometry import rotate_z
 from mvmae.projection import (
     CameraPose,
+    camera_basis,
     group_by_image_token,
     make_pose_pool,
     project_points,
@@ -214,6 +217,53 @@ def test_grouping_keys_sorted():
     grouping = group_by_image_token(ball_cloud(7, 32), POSE, 64, 64, 8, 8)
     keys = list(grouping.groups)
     assert keys == sorted(keys)
+
+
+def frame_uncached(pose):
+    """camera_basis as first written: recomputed on every call, writable."""
+    eye = pose.eye()
+    fwd = -eye / np.linalg.norm(eye)
+    right = np.cross(fwd, np.array([0.0, 0.0, 1.0]))
+    right /= np.linalg.norm(right)
+    return eye, right, np.cross(right, fwd), fwd
+
+
+# 0.0 and -0.0 poses are equal, yet their frames differ in signed zeros
+FRAME_POSES = [
+    POSE,
+    CameraPose(0.0, 0.0, 2.2, 50.0),
+    CameraPose(-0.0, -0.0, 2.2, 50.0),
+    *ring(6),
+]
+
+
+def view_outputs(points, pose):
+    proj = project_points(points, pose, 32, 48)
+    depth = rasterize_depth(points, pose, 32, 48)
+    grouping = group_by_image_token(points[:64], pose, 32, 48, 4, 6)
+    arrays = [proj.rows, proj.cols, proj.depth, proj.in_frustum, depth]
+    arrays += [np.array(list(grouping.groups), dtype=np.int64), *grouping.groups.values()]
+    return [a.tobytes() for a in arrays]
+
+
+def test_cached_camera_frame_gives_the_uncached_bytes(monkeypatch):
+    points = ball_cloud(8)
+    points[0] = [0.0, -0.0, -0.0]
+    cached = [view_outputs(points, pose) for pose in FRAME_POSES * 2]
+    monkeypatch.setattr(projection, "camera_basis", frame_uncached)
+    uncached = [view_outputs(points, pose) for pose in FRAME_POSES * 2]
+    assert cached == uncached
+
+
+def test_camera_frame_is_computed_once_and_read_only():
+    for pose in FRAME_POSES:
+        frame = camera_basis(pose)
+        assert camera_basis(CameraPose(*dataclasses.astuple(pose))) is frame
+        for got, want in zip(frame, frame_uncached(pose)):
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0] = 1.0
 
 
 def test_pgm_round_trip(tmp_path):
