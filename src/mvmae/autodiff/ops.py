@@ -132,13 +132,13 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return make_node(out, (a,), vjp)
 
 
-def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+def concat(tensors: list[Tensor]) -> Tensor:
+    """Stack the tensors' rows (axis 0)."""
+    out = np.concatenate([t.data for t in tensors])
+    splits = np.cumsum([len(t.data) for t in tensors])[:-1]
 
     def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
+        return tuple(np.split(g, splits))
 
     return make_node(out, tuple(tensors), vjp)
 

@@ -7,7 +7,7 @@ Little-endian layout:
     u32 count  | per parameter: array record
     u32 count  | per parameter: two array records (AdamW first, second moment)
     u64 step   | AdamW updates taken
-    u32 length | rng/bookkeeping JSON
+    u32 length | bookkeeping JSON (run seed, total steps)
 
 The file holds no optimizer settings: the rate, the decay and the
 schedule come from the config block, and AdamW's betas and eps are
@@ -43,46 +43,11 @@ class Checkpoint:
     config: Config
     params: dict[str, np.ndarray]
     opt: AdamWState
-    rng_state: dict
+    bookkeeping: dict  # run_seed and total_steps
 
     @property
     def step(self) -> int:
         return self.opt.step
-
-
-class _Writer:
-    """A file as the buffers to write in order: packed header fields and the
-    parameter arrays themselves. A C-contiguous little-endian float64 array
-    is its own record payload, so no array is copied."""
-
-    def __init__(self):
-        self.chunks: list[bytes | np.ndarray] = []
-
-    def raw(self, data: bytes) -> None:
-        self.chunks.append(data)
-
-    def u8(self, value: int) -> None:
-        self.raw(struct.pack("<B", value))
-
-    def u32(self, value: int) -> None:
-        self.raw(struct.pack("<I", value))
-
-    def u64(self, value: int) -> None:
-        self.raw(struct.pack("<Q", value))
-
-    def sized(self, data: bytes) -> None:
-        self.u32(len(data))
-        self.raw(data)
-
-    def array(self, name: str, values: np.ndarray) -> None:
-        encoded = name.encode("utf-8")
-        self.u32(len(encoded))
-        self.raw(encoded)
-        self.u8(_DTYPE_F64)
-        self.u32(values.ndim)
-        for dim in values.shape:
-            self.u64(dim)
-        self.chunks.append(np.ascontiguousarray(values, dtype="<f8"))
 
 
 class _Reader:
@@ -103,17 +68,13 @@ class _Reader:
         self.offset += size
         return out
 
-    def u8(self) -> int:
-        return struct.unpack("<B", self.take(1))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
+    def unpack(self, fmt: str) -> int:
+        """One little-endian field of struct format `fmt`: "B", "I" or "Q"."""
+        (value,) = struct.unpack("<" + fmt, self.take(struct.calcsize("<" + fmt)))
+        return value
 
     def sized(self) -> bytes:
-        return self.take(self.u32())
+        return self.take(self.unpack("I"))
 
     def json_block(self, what: str) -> dict:
         raw = self.sized()
@@ -127,14 +88,14 @@ class _Reader:
 
     def array(self) -> tuple[str, np.ndarray]:
         try:
-            name = self.take(self.u32()).decode("utf-8")
+            name = self.take(self.unpack("I")).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise self.fail(f"parameter name is not utf-8: {exc}") from exc
-        tag = self.u8()
+        tag = self.unpack("B")
         if tag != _DTYPE_F64:
             raise self.fail(f"unknown dtype tag {tag} for {name}")
-        rank = self.u32()
-        shape = tuple(self.u64() for _ in range(rank))
+        rank = self.unpack("I")
+        shape = tuple(self.unpack("Q") for _ in range(rank))
         # exact integer product (a numpy int64 product can wrap on huge
         # dims), checked before it grows past the bytes left
         left = len(self.data) - self.offset
@@ -156,32 +117,40 @@ def _canonical(obj: dict) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
+def _sized(data: bytes) -> list[bytes]:
+    return [struct.pack("<I", len(data)), data]
+
+
+def _record(name: str, values: np.ndarray) -> list:
+    """An array record as [header, payload]. The payload is the array itself
+    when it is C-contiguous little-endian float64, so nothing is copied. The
+    rank and dims are read first: `ascontiguousarray` makes a 0-d array 1-d."""
+    encoded = name.encode("utf-8")
+    rank = values.ndim
+    header = struct.pack(
+        f"<I{len(encoded)}sBI{rank}Q", len(encoded), encoded, _DTYPE_F64, rank, *values.shape
+    )
+    return [header, np.ascontiguousarray(values, dtype="<f8")]
+
+
 def save_checkpoint(
     path: str | Path,
     config: Config,
     params: dict[str, np.ndarray],
     opt: AdamWState,
-    rng_state: dict,
+    bookkeeping: dict,
 ) -> None:
-    w = _Writer()
-    w.raw(MAGIC)
-    w.u32(CHECKPOINT_VERSION)
-    w.sized(config.canonical_json().encode("utf-8"))
-
-    names = sorted(params)
-    w.u32(len(names))
-    for name in names:
-        w.array(name, np.asarray(params[name], dtype=np.float64))
-
-    moment_names = sorted(opt.m)
-    w.u32(len(moment_names))
-    for name in moment_names:
-        w.array(name, opt.m[name])
-        w.array(name, opt.v[name])
-
-    w.u64(opt.step)
-    w.sized(_canonical(rng_state))
-    write_atomic(path, w.chunks)
+    chunks = [MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
+    chunks += _sized(config.canonical_json().encode("utf-8"))
+    chunks.append(struct.pack("<I", len(params)))
+    for name in sorted(params):
+        chunks += _record(name, np.asarray(params[name], dtype=np.float64))
+    chunks.append(struct.pack("<I", len(opt.m)))
+    for name in sorted(opt.m):
+        chunks += _record(name, opt.m[name]) + _record(name, opt.v[name])
+    chunks.append(struct.pack("<Q", opt.step))
+    chunks += _sized(_canonical(bookkeeping))
+    write_atomic(path, chunks)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -190,7 +159,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if r.take(len(MAGIC)) != MAGIC:
         r.offset = 0
         raise r.fail("bad magic, not a checkpoint file")
-    version = r.u32()
+    version = r.unpack("I")
     if version != CHECKPOINT_VERSION:
         r.offset = len(MAGIC)
         raise r.fail(
@@ -202,14 +171,14 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise r.fail(f"invalid config: {exc}") from exc
 
     params: dict[str, np.ndarray] = {}
-    for _ in range(r.u32()):
+    for _ in range(r.unpack("I")):
         name, values = r.array()
         if name in params:
             raise r.fail(f"duplicate parameter {name}")
         params[name] = values
 
     opt = AdamWState()
-    for _ in range(r.u32()):
+    for _ in range(r.unpack("I")):
         name_m, m = r.array()
         name_v, v = r.array()
         if name_m != name_v:
@@ -222,10 +191,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         opt.m[name_m] = m
         opt.v[name_m] = v
 
-    opt.step = r.u64()
-    rng_state = r.json_block("rng state")
+    opt.step = r.unpack("Q")
+    bookkeeping = r.json_block("bookkeeping")
     r.done()
-    return Checkpoint(config=config, params=params, opt=opt, rng_state=rng_state)
+    return Checkpoint(config=config, params=params, opt=opt, bookkeeping=bookkeeping)
 
 
 def restore_params(model_params: dict, ckpt: Checkpoint) -> None:

@@ -15,7 +15,6 @@ from .rng import Rng
 
 __all__ = [
     "PointCloud",
-    "Rng",
     "normalize_unit_sphere",
     "farthest_point_sampling",
     "knn",

@@ -123,7 +123,7 @@ class MultiviewMae:
         # one row bank, one gather: a point slot holds its encoder output or
         # the point mask token; an image slot (views stacked) holds its fused
         # token, or the image mask token when no visible center is in it
-        bank = ops.concat([encoded, self.mask_token_point, fused, self.mask_token_image], axis=0)
+        bank = ops.concat([encoded, self.mask_token_point, fused, self.mask_token_image])
         n, n_visible = self.cfg.n, len(plan_mask.visible_idx)
         source = np.full(n + len(poses) * t_per_view, n_visible + 1 + len(slots), dtype=np.intp)
         source[plan_mask.visible_idx] = np.arange(n_visible)
@@ -136,8 +136,8 @@ class MultiviewMae:
         view_pos = ops.add(self.sincos, ops.reshape(pose_vec, (len(poses), 1, self.cfg.C)))
         view_pos = ops.reshape(view_pos, (len(poses) * t_per_view, self.cfg.C))
         embeddings = [ops.add(pos_all, modality_point), ops.add(view_pos, modality_image)]
-        seq = ops.add(ops.gather_rows(bank, source), ops.concat(embeddings, axis=0))
-        pos = ops.concat([pos_all, view_pos], axis=0)
+        seq = ops.add(ops.gather_rows(bank, source), ops.concat(embeddings))
+        pos = ops.concat([pos_all, view_pos])
         return seq, pos
 
     # --- joint decoding ----------------------------------------------

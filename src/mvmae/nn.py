@@ -17,6 +17,8 @@ from .autodiff import Parameter, Tensor, ops
 from .errors import ContractViolation
 from .rng import Rng
 
+INIT_STD = 0.02  # of every normal-initialized weight
+
 
 class ParamRegistry:
     """Creates and tracks named parameters for one model instance."""
@@ -32,8 +34,8 @@ class ParamRegistry:
         self._params[name] = p
         return p
 
-    def normal(self, name: str, shape: tuple[int, ...], std: float = 0.02) -> Parameter:
-        data = self._rng.derive("init", name).normal(0.0, std, shape)
+    def normal(self, name: str, shape: tuple[int, ...]) -> Parameter:
+        data = self._rng.derive("init", name).normal(0.0, INIT_STD, shape)
         return self._register(name, data)
 
     def zeros(self, name: str, shape: tuple[int, ...]) -> Parameter:

@@ -75,7 +75,7 @@ class PretrainResult:
 
 
 def _bookkeeping_int(ckpt: Checkpoint, key: str, path) -> int:
-    value = ckpt.rng_state.get(key)
+    value = ckpt.bookkeeping.get(key)
     if not isinstance(value, int) or isinstance(value, bool):
         raise CheckpointError(f"{path}: bookkeeping has no integer {key}")
     return value
@@ -85,11 +85,12 @@ def resume_point(
     cfg: Config, n_clouds: int, out_dir: str | Path, run_seed: int, resume_from: str | Path
 ) -> tuple[Checkpoint, list[str]]:
     """Load the checkpoint a run resumes from and refuse it unless it holds
-    this run's config, seed and step count, and `out_dir`'s metrics rows
-    parse, are consecutive ascending steps and, when any comes before the
-    checkpoint, reach the step just before it. Returns it with the metrics
-    lines (header first) that the run keeps. It writes nothing, so a caller
-    can decide every resume refusal before it claims `out_dir`."""
+    this run's config, seed and step count at a step inside that run, and
+    `out_dir`'s metrics rows parse, are consecutive ascending steps and,
+    when any comes before the checkpoint, reach the step just before it.
+    Returns it with the metrics lines (header first) that the run keeps. It
+    writes nothing, so a caller can decide every resume refusal before it
+    claims `out_dir`."""
     ckpt = load_checkpoint(resume_from)
     saved, wanted = asdict(ckpt.config), asdict(cfg)
     differing = [
@@ -111,6 +112,11 @@ def resume_point(
         raise CheckpointError(
             f"{resume_from}: checkpoint belongs to a {saved_total}-step run, "
             f"this run has {total_steps} steps"
+        )
+    if ckpt.step > total_steps:
+        raise CheckpointError(
+            f"{resume_from}: checkpoint is at step {ckpt.step}, "
+            f"past the end of its {total_steps}-step run"
         )
     metrics_path = Path(out_dir) / "metrics.tsv"
     rows = _metrics_rows(metrics_path) if metrics_path.exists() else []

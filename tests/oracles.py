@@ -253,7 +253,7 @@ def read_pgm(path) -> np.ndarray:
     return np.frombuffer(raster, dtype=">u2").reshape(h, w) / 65535.0
 
 
-def checkpoint_by_join(config, params, opt, rng_state) -> bytes:
+def checkpoint_by_join(config, params, opt, bookkeeping) -> bytes:
     """The bytes of a format-2 checkpoint, built as the first writer built
     them: every field and array copied out with `tobytes`, then one
     `b"".join` of them all."""
@@ -278,7 +278,7 @@ def checkpoint_by_join(config, params, opt, rng_state) -> bytes:
         record(name, opt.m[name])
         record(name, opt.v[name])
     chunks.append(struct.pack("<Q", opt.step))
-    sized(json.dumps(rng_state, sort_keys=True, separators=(",", ":")).encode("utf-8"))
+    sized(json.dumps(bookkeeping, sort_keys=True, separators=(",", ":")).encode("utf-8"))
     return b"".join(chunks)
 
 

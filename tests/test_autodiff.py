@@ -77,7 +77,7 @@ B34 = RNG.standard_normal((3, 4))
         ("matmul_stacked_r", lambda t: ops.matmul(Tensor(A234), t), A34.T),
         ("transpose", lambda t: ops.transpose(t, (2, 0, 1)), A234),
         ("reshape", lambda t: ops.reshape(t, (6, 4)), A234),
-        ("concat", lambda t: ops.concat([t, Tensor(A34)], axis=0), A34),
+        ("concat", lambda t: ops.concat([t, Tensor(A34)]), A34),
         ("gather_repeat", lambda t: ops.gather_rows(t, [0, 2, 2, 1, 0]), A34),
         ("sum_all", lambda t: ops.sum_(t), A234),
         ("sum_axis", lambda t: ops.sum_(t, axis=1), A234),
@@ -419,7 +419,7 @@ def segment_pool_by_loop(a, idx, starts):
                 ops.scale(ops.sum_(members, axis=0, keepdims=True), 1.0 / (hi - lo)),
             )
         )
-    return ops.concat(rows, axis=0)
+    return ops.concat(rows)
 
 
 @st.composite

@@ -17,7 +17,7 @@ from mvmae.checkpoint import (
     CHECKPOINT_VERSION,
     MAGIC,
     _Reader,
-    _Writer,
+    _record,
     load_checkpoint,
     restore_params,
     save_checkpoint,
@@ -45,13 +45,13 @@ def trained_state(steps=3, seed=0):
     return cfg, model, opt
 
 
-def save_state(path, cfg, model, opt, rng_state=None):
+def save_state(path, cfg, model, opt, bookkeeping=None):
     save_checkpoint(
         path,
         cfg,
         {name: p.data for name, p in model.params.items()},
         opt,
-        rng_state if rng_state is not None else {"run_seed": 7},
+        bookkeeping if bookkeeping is not None else {"run_seed": 7},
     )
 
 
@@ -62,7 +62,7 @@ def test_round_trip_bit_exact(tmp_path):
     ckpt = load_checkpoint(path)
     assert ckpt.config == cfg
     assert ckpt.step == ckpt.opt.step == 3
-    assert ckpt.rng_state == {"run_seed": 7}
+    assert ckpt.bookkeeping == {"run_seed": 7}
     assert set(ckpt.params) == set(model.params)
     for name, p in model.params.items():
         np.testing.assert_array_equal(ckpt.params[name], p.data)
@@ -80,7 +80,7 @@ def test_save_load_save_byte_identical(tmp_path):
     save_state(first, cfg, model, opt)
     ckpt = load_checkpoint(first)
     second = tmp_path / "b.ckpt"
-    save_checkpoint(second, ckpt.config, ckpt.params, ckpt.opt, ckpt.rng_state)
+    save_checkpoint(second, ckpt.config, ckpt.params, ckpt.opt, ckpt.bookkeeping)
     assert first.read_bytes() == second.read_bytes()
 
 
@@ -207,33 +207,24 @@ def test_trailing_bytes_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def header(n_params: int) -> bytes:
+    """A file's magic, version, tiny config block and parameter count."""
+    config = tiny_config().canonical_json().encode()
+    fields = struct.pack(f"<II{len(config)}sI", CHECKPOINT_VERSION, len(config), config, n_params)
+    return MAGIC + fields
+
+
 def test_unknown_dtype_tag(tmp_path):
-    w = _Writer()
-    w.raw(MAGIC)
-    w.u32(CHECKPOINT_VERSION)
-    cfg = tiny_config()
-    w.sized(cfg.canonical_json().encode())
-    w.u32(1)
-    name = b"p"
-    w.u32(len(name))
-    w.raw(name)
-    w.u8(7)  # not a known tag
     path = tmp_path / "bad.ckpt"
-    path.write_bytes(b"".join(w.chunks))
+    path.write_bytes(header(1) + struct.pack("<I1sB", 1, b"p", 7))  # 7: not a known tag
     with pytest.raises(CheckpointError, match="dtype tag 7"):
         load_checkpoint(path)
 
 
 def test_duplicate_parameter_rejected(tmp_path):
-    w = _Writer()
-    w.raw(MAGIC)
-    w.u32(CHECKPOINT_VERSION)
-    w.sized(tiny_config().canonical_json().encode())
-    w.u32(2)
-    w.array("p", np.zeros(2))
-    w.array("p", np.ones(2))
+    chunks = [header(2), *_record("p", np.zeros(2)), *_record("p", np.ones(2))]
     path = tmp_path / "dup.ckpt"
-    path.write_bytes(b"".join(w.chunks))
+    path.write_bytes(b"".join(chunks))
     with pytest.raises(CheckpointError, match="duplicate"):
         load_checkpoint(path)
 
@@ -249,19 +240,8 @@ def test_misshaped_moments_rejected(tmp_path, moment):
 
 
 def single_record(name: bytes, dims: tuple[int, ...], payload: bytes) -> bytes:
-    w = _Writer()
-    w.raw(MAGIC)
-    w.u32(CHECKPOINT_VERSION)
-    w.sized(tiny_config().canonical_json().encode())
-    w.u32(1)
-    w.u32(len(name))
-    w.raw(name)
-    w.u8(0)
-    w.u32(len(dims))
-    for dim in dims:
-        w.u64(dim)
-    w.raw(payload)
-    return b"".join(w.chunks)
+    fields = struct.pack(f"<I{len(name)}sBI{len(dims)}Q", len(name), name, 0, len(dims), *dims)
+    return header(1) + fields + payload
 
 
 def test_huge_dims_rejected(tmp_path):
@@ -295,26 +275,26 @@ def fuzz_base() -> tuple[bytes, tuple[int, ...], tuple[range, ...]]:
     spans = []
 
     def json_block():
-        size = r.u32()
+        size = r.unpack("I")
         spans.append(range(r.offset, r.offset + size))
         r.take(size)
 
     def record():
-        r.take(r.u32())
-        r.u8()
-        rank = r.u32()
+        r.take(r.unpack("I"))
+        r.unpack("B")
+        rank = r.unpack("I")
         offsets.extend(r.offset + 8 * i for i in range(rank))
-        r.take(8 * math.prod(r.u64() for _ in range(rank)))
+        r.take(8 * math.prod(r.unpack("Q") for _ in range(rank)))
 
     r.take(len(MAGIC))
-    r.u32()
+    r.unpack("I")
     json_block()
-    for _ in range(r.u32()):
+    for _ in range(r.unpack("I")):
         record()
-    for _ in range(r.u32()):
+    for _ in range(r.unpack("I")):
         record()
         record()
-    r.u64()
+    r.unpack("Q")
     json_block()
     return blob, tuple(offsets), tuple(spans)
 
@@ -396,7 +376,7 @@ def test_header_layout_golden(tmp_path):
     # and bookkeeping, with no optimizer settings anywhere
     cfg, model, opt = trained_state(steps=1)
     path = tmp_path / "a.ckpt"
-    save_state(path, cfg, model, opt, rng_state={"run_seed": 7, "total_steps": 20})
+    save_state(path, cfg, model, opt, bookkeeping={"run_seed": 7, "total_steps": 20})
     blob = path.read_bytes()
     off = 0
 

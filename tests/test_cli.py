@@ -195,6 +195,25 @@ def test_resume_onto_another_runs_rows_exit_2(tiny_run, tmp_path, capsys):
     assert (out / "metrics.tsv").read_text() == "".join(rows[:3])
 
 
+def test_resume_past_the_runs_end_claims_no_out(tiny_run, tmp_path, capsys):
+    # a checkpoint whose step is beyond its run's total steps is refused
+    # by name before --out gets a manifest
+    ckpt = load_checkpoint(tiny_run / "ckpt_00000008.ckpt")
+    ckpt.opt.step = 99
+    path = tmp_path / "past.ckpt"
+    save_checkpoint(path, ckpt.config, ckpt.params, ckpt.opt, ckpt.bookkeeping)
+    out = tmp_path / "o"
+    out.mkdir()
+    code = main([
+        "pretrain", "--config", "tiny", "--out", str(out), "--seed", "5",
+        "--resume", str(path),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "step 99" in err and f"{ckpt.bookkeeping['total_steps']}-step run" in err
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("epochs", ["0", "-2"])
 def test_pretrain_epochs_below_one_exit_2(tmp_path, capsys, epochs):
     out = tmp_path / "o"

@@ -241,7 +241,7 @@ def test_failed_checkpoint_write_keeps_previous(corpus, trained, tmp_path, monke
     ckpt = load_checkpoint(run.checkpoint_path)
     ckpt.opt.step += 1
     with pytest.raises(OSError, match="No space"):
-        save_checkpoint(run.checkpoint_path, cfg, ckpt.params, ckpt.opt, ckpt.rng_state)
+        save_checkpoint(run.checkpoint_path, cfg, ckpt.params, ckpt.opt, ckpt.bookkeeping)
     monkeypatch.undo()
     assert run.checkpoint_path.read_bytes() == before
     assert not list(run.checkpoint_path.parent.glob("*.tmp"))
@@ -465,7 +465,7 @@ def test_resume_with_other_epochs_rejected(corpus, tmp_path):
     cfg, clouds, _ = corpus
     one = with_epochs(cfg, 1)
     run = pretrain(one, clouds, tmp_path / "a", run_seed=1, stop_after_step=2)
-    assert load_checkpoint(run.checkpoint_path).rng_state == {
+    assert load_checkpoint(run.checkpoint_path).bookkeeping == {
         "run_seed": 1, "total_steps": run.total_steps,
     }
     with pytest.raises(CheckpointError, match=r"in train\.epochs \(checkpoint 1, requested 2\)"):
