@@ -22,16 +22,18 @@ save -> load -> save reproduces the file byte for byte.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
 from .autodiff.optim import AdamWState
 from .config import Config, config_from_dict
 from .errors import CheckpointError
-from .fileio import read_input, write_atomic
+from .fileio import open_input, write_atomic
 
 MAGIC = b"MVMAE\x00"
 CHECKPOINT_VERSION = 2
@@ -51,20 +53,27 @@ class Checkpoint:
 
 
 class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
+    """Fields and records read in file order from an open binary file of
+    `size` bytes. Every read is checked against the bytes that remain
+    before anything is allocated for it."""
+
+    def __init__(self, fh: BinaryIO, size: int):
+        self.fh = fh
+        self.size = size
         self.offset = 0
 
     def fail(self, message: str) -> "CheckpointError":
         return CheckpointError(f"{message} (at byte {self.offset})")
 
+    def _truncated(self, size: int) -> "CheckpointError":
+        return self.fail(f"truncated: wanted {size} bytes, {self.size - self.offset} remain")
+
     def take(self, size: int) -> bytes:
-        if self.offset + size > len(self.data):
-            raise self.fail(
-                f"truncated: wanted {size} bytes, "
-                f"{len(self.data) - self.offset} remain"
-            )
-        out = self.data[self.offset : self.offset + size]
+        if self.offset + size > self.size:
+            raise self._truncated(size)
+        out = self.fh.read(size)
+        if len(out) != size:  # the file shrank after it was opened
+            raise self._truncated(size)
         self.offset += size
         return out
 
@@ -87,6 +96,8 @@ class _Reader:
         return parsed
 
     def array(self) -> tuple[str, np.ndarray]:
+        """One array record. Its payload is read from the file straight
+        into the array that is returned: nothing is copied."""
         try:
             name = self.take(self.unpack("I")).decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -95,22 +106,24 @@ class _Reader:
         if tag != _DTYPE_F64:
             raise self.fail(f"unknown dtype tag {tag} for {name}")
         rank = self.unpack("I")
-        shape = tuple(self.unpack("Q") for _ in range(rank))
+        shape = struct.unpack(f"<{rank}Q", self.take(8 * rank))
         # exact integer product (a numpy int64 product can wrap on huge
         # dims), checked before it grows past the bytes left
-        left = len(self.data) - self.offset
+        left = self.size - self.offset
         count = 0 if 0 in shape else 1
         for n in shape:
             count *= n
             if count * 8 > left:
                 raise self.fail(f"truncated: {name} ({rank} dims) needs more than {left} bytes")
-        buf = self.take(count * 8)
-        values = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
+        values = np.empty(shape, dtype="<f8")
+        if self.fh.readinto(values) != values.nbytes:  # the file shrank after it was opened
+            raise self._truncated(values.nbytes)
+        self.offset += values.nbytes
         return name, values
 
     def done(self) -> None:
-        if self.offset != len(self.data):
-            raise self.fail(f"{len(self.data) - self.offset} trailing bytes")
+        if self.offset != self.size:
+            raise self.fail(f"{self.size - self.offset} trailing bytes")
 
 
 def _canonical(obj: dict) -> bytes:
@@ -154,63 +167,46 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    r = _Reader(read_input(path, CheckpointError, "checkpoint", binary=True))
-
-    if r.take(len(MAGIC)) != MAGIC:
-        r.offset = 0
-        raise r.fail("bad magic, not a checkpoint file")
-    version = r.unpack("I")
-    if version != CHECKPOINT_VERSION:
-        r.offset = len(MAGIC)
-        raise r.fail(
-            f"format version {version} unsupported (expected {CHECKPOINT_VERSION})"
-        )
-    try:
-        config = config_from_dict(r.json_block("config"))
-    except (TypeError, ValueError) as exc:  # ConfigError is a ValueError
-        raise r.fail(f"invalid config: {exc}") from exc
-
-    params: dict[str, np.ndarray] = {}
-    for _ in range(r.unpack("I")):
-        name, values = r.array()
-        if name in params:
-            raise r.fail(f"duplicate parameter {name}")
-        params[name] = values
-
-    opt = AdamWState()
-    for _ in range(r.unpack("I")):
-        name_m, m = r.array()
-        name_v, v = r.array()
-        if name_m != name_v:
-            raise r.fail(f"moment pair mismatch: {name_m} vs {name_v}")
-        if name_m not in params:
-            raise r.fail(f"moments for unknown parameter {name_m}")
-        if not m.shape == v.shape == params[name_m].shape:
-            shapes = f"{m.shape}, {v.shape} vs {params[name_m].shape}"
-            raise r.fail(f"moment shapes of {name_m} differ from the parameter: {shapes}")
-        opt.m[name_m] = m
-        opt.v[name_m] = v
-
-    opt.step = r.unpack("Q")
-    bookkeeping = r.json_block("bookkeeping")
-    r.done()
-    return Checkpoint(config=config, params=params, opt=opt, bookkeeping=bookkeeping)
-
-
-def restore_params(model_params: dict, ckpt: Checkpoint) -> None:
-    """Copy checkpoint arrays into live parameters; validates first so a
-    mismatch mutates nothing."""
-    missing = sorted(set(model_params) - set(ckpt.params))
-    extra = sorted(set(ckpt.params) - set(model_params))
-    if missing or extra:
-        raise CheckpointError(
-            f"parameter set mismatch: missing {missing}, unexpected {extra}"
-        )
-    for name, p in model_params.items():
-        if p.data.shape != ckpt.params[name].shape:
-            raise CheckpointError(
-                f"shape mismatch for {name}: "
-                f"{p.data.shape} vs {ckpt.params[name].shape}"
+    """Read a checkpoint file record by record: each array is read from the
+    file into its own buffer, so loading holds about the file's size."""
+    with open_input(path, CheckpointError, "checkpoint") as fh:
+        r = _Reader(fh, os.fstat(fh.fileno()).st_size)
+        if r.take(len(MAGIC)) != MAGIC:
+            r.offset = 0
+            raise r.fail("bad magic, not a checkpoint file")
+        version = r.unpack("I")
+        if version != CHECKPOINT_VERSION:
+            r.offset = len(MAGIC)
+            raise r.fail(
+                f"format version {version} unsupported (expected {CHECKPOINT_VERSION})"
             )
-    for name, p in model_params.items():
-        p.data[...] = ckpt.params[name]
+        try:
+            config = config_from_dict(r.json_block("config"))
+        except (TypeError, ValueError) as exc:  # ConfigError is a ValueError
+            raise r.fail(f"invalid config: {exc}") from exc
+
+        params: dict[str, np.ndarray] = {}
+        for _ in range(r.unpack("I")):
+            name, values = r.array()
+            if name in params:
+                raise r.fail(f"duplicate parameter {name}")
+            params[name] = values
+
+        opt = AdamWState()
+        for _ in range(r.unpack("I")):
+            name_m, m = r.array()
+            name_v, v = r.array()
+            if name_m != name_v:
+                raise r.fail(f"moment pair mismatch: {name_m} vs {name_v}")
+            if name_m not in params:
+                raise r.fail(f"moments for unknown parameter {name_m}")
+            if not m.shape == v.shape == params[name_m].shape:
+                shapes = f"{m.shape}, {v.shape} vs {params[name_m].shape}"
+                raise r.fail(f"moment shapes of {name_m} differ from the parameter: {shapes}")
+            opt.m[name_m] = m
+            opt.v[name_m] = v
+
+        opt.step = r.unpack("Q")
+        bookkeeping = r.json_block("bookkeeping")
+        r.done()
+        return Checkpoint(config=config, params=params, opt=opt, bookkeeping=bookkeeping)

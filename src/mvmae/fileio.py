@@ -10,18 +10,36 @@ from collections.abc import Sequence
 from pathlib import Path
 
 
-def read_input(path: str | Path, error: type[Exception], what: str, binary: bool = False):
-    """The text (or bytes) of an input file. A missing, unreadable or
-    undecodable file raises `error` with the path in its message."""
-    path = Path(path)
+@contextlib.contextmanager
+def _input_errors(path: Path, error: type[Exception], what: str):
+    """Raise `error`, with the path in its message, for a missing,
+    unreadable or undecodable input met inside the block."""
     try:
-        return path.read_bytes() if binary else path.read_text()
+        yield
     except FileNotFoundError:
         raise error(f"{what} not found: {path}") from None
     except OSError as exc:
         raise error(f"cannot read {what} {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise error(f"{what} {path} is not text: {exc}") from None
+
+
+def read_input(path: str | Path, error: type[Exception], what: str) -> str:
+    """The text of an input file. A missing, unreadable or undecodable file
+    raises `error` with the path in its message."""
+    path = Path(path)
+    with _input_errors(path, error, what):
+        return path.read_text()
+
+
+@contextlib.contextmanager
+def open_input(path: str | Path, error: type[Exception], what: str):
+    """An input file open for binary reading, for the length of the block.
+    Failing to open it, or a read inside the block that fails, raises
+    `error` with the path in its message."""
+    path = Path(path)
+    with _input_errors(path, error, what), path.open("rb") as fh:
+        yield fh
 
 
 def write_atomic(path: str | Path, data: bytes | str | Sequence) -> None:

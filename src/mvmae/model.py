@@ -12,6 +12,7 @@ per-view image MSE.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,11 +51,13 @@ IMAGE_MODALITY = np.array([[0.0, 1.0]])
 
 
 class MultiviewMae:
-    """All trainable state plus the frozen 2-D sinusoidal table."""
+    """All trainable state plus the frozen 2-D sinusoidal table. `init` is
+    the Rng that draws fresh parameters, or a checkpoint's arrays by name,
+    which become the parameters as they are (see `nn.ParamRegistry`)."""
 
-    def __init__(self, cfg: ModelConfig, init_rng: Rng):
+    def __init__(self, cfg: ModelConfig, init: Rng | Mapping[str, np.ndarray]):
         self.cfg = cfg
-        reg = ParamRegistry(init_rng)
+        reg = ParamRegistry(init)
         self.patch_embed = PatchEmbed(reg, "patch_embed", cfg.C)
         self.pos3d = PosEmbed3D(reg, "pos3d", cfg.C)
         self.enc_blocks = [

@@ -6,45 +6,72 @@ attention over (L, C) projections, GELU) so the finite-difference
 gradient gate covers the whole network.
 Parameters are created through a registry that derives one rng stream
 per parameter name, making initialization independent of construction
-order.
+order, or that hands each name its array from a checkpoint.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 import numpy as np
 
 from .autodiff import Parameter, Tensor, ops
-from .errors import ContractViolation
+from .errors import CheckpointError, ContractViolation
 from .rng import Rng
 
 INIT_STD = 0.02  # of every normal-initialized weight
 
 
 class ParamRegistry:
-    """Creates and tracks named parameters for one model instance."""
+    """Creates and tracks named parameters for one model instance.
 
-    def __init__(self, rng: Rng):
-        self._rng = rng
+    `init` is an Rng, from which each parameter draws fresh values, or a
+    mapping from name to array (a checkpoint's), which hands each
+    registered name its array as it is: no draw and no copy. `params()`
+    refuses arrays whose names were never registered, names with no
+    array, and arrays of the wrong shape."""
+
+    def __init__(self, init: Rng | Mapping[str, np.ndarray]):
+        self._init = init
         self._params: dict[str, Parameter] = {}
+        self._misshaped: list[str] = []
 
-    def _register(self, name: str, data: np.ndarray) -> Parameter:
+    def _register(self, name: str, shape: tuple[int, ...], fresh) -> Parameter:
         if name in self._params:
             raise ContractViolation(f"duplicate parameter name {name!r}")
+        if isinstance(self._init, Rng):
+            data = fresh()
+        elif name in self._init:
+            data = self._init[name]
+            if data.shape != shape:
+                self._misshaped.append(f"shape mismatch for {name}: {shape} vs {data.shape}")
+        else:
+            data = np.zeros(shape)  # a missing name, which params() refuses
         p = Parameter(data, name=name)
         self._params[name] = p
         return p
 
     def normal(self, name: str, shape: tuple[int, ...]) -> Parameter:
-        data = self._rng.derive("init", name).normal(0.0, INIT_STD, shape)
-        return self._register(name, data)
+        return self._register(
+            name, shape, lambda: self._init.derive("init", name).normal(0.0, INIT_STD, shape)
+        )
 
     def zeros(self, name: str, shape: tuple[int, ...]) -> Parameter:
-        return self._register(name, np.zeros(shape))
+        return self._register(name, shape, lambda: np.zeros(shape))
 
     def ones(self, name: str, shape: tuple[int, ...]) -> Parameter:
-        return self._register(name, np.ones(shape))
+        return self._register(name, shape, lambda: np.ones(shape))
 
     def params(self) -> dict[str, Parameter]:
+        if not isinstance(self._init, Rng):
+            missing = sorted(set(self._params) - set(self._init))
+            extra = sorted(set(self._init) - set(self._params))
+            if missing or extra:
+                raise CheckpointError(
+                    f"parameter set mismatch: missing {missing}, unexpected {extra}"
+                )
+            if self._misshaped:
+                raise CheckpointError(self._misshaped[0])
         return dict(self._params)
 
 

@@ -7,7 +7,6 @@ run resumed from any checkpoint replays the remaining steps bit for bit.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -15,7 +14,7 @@ import numpy as np
 
 from .autodiff import backward, ops
 from .autodiff.optim import AdamWState, adamw_step, cosine_lr
-from .checkpoint import Checkpoint, load_checkpoint, restore_params, save_checkpoint
+from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import Config
 from .errors import CheckpointError, ContractViolation, TrainingAborted
 from .fileio import read_input, write_atomic
@@ -56,14 +55,6 @@ def _metrics_rows(path: Path) -> list[tuple[int, str]]:
             ) from None
         rows.append((int(fields[0]), line))
     return rows
-
-
-def param_fingerprint(params: dict) -> str:
-    digest = hashlib.sha256()
-    for name in sorted(params):
-        digest.update(name.encode("utf-8"))
-        digest.update(np.ascontiguousarray(params[name].data, dtype="<f8").tobytes())
-    return digest.hexdigest()
 
 
 @dataclass
@@ -162,13 +153,14 @@ def pretrain(
     metrics_path = out_dir / "metrics.tsv"
     batch = cfg.train.batch_size
 
-    model = MultiviewMae(cfg.model, Rng(run_seed).derive("init"))
-    opt = AdamWState()
-    start_step = 0
-    metrics_lines = [METRICS_HEADER]
-    if resume is not None:
+    if resume is None:
+        model = MultiviewMae(cfg.model, Rng(run_seed).derive("init"))
+        opt = AdamWState()
+        start_step = 0
+        metrics_lines = [METRICS_HEADER]
+    else:
         ckpt, metrics_lines = resume
-        restore_params(model.params, ckpt)
+        model = MultiviewMae(cfg.model, ckpt.params)
         opt = ckpt.opt
         start_step = ckpt.step
     last_step = total_steps if stop_after_step is None else min(stop_after_step, total_steps)
@@ -269,11 +261,27 @@ def _class_count(labels: np.ndarray) -> int:
 def extract_features(model: MultiviewMae, clouds: list[PointCloud]) -> np.ndarray:
     """Frozen-encoder descriptors for a whole corpus, with guards that
     feature extraction never changes a parameter and that no descriptor
-    is non-finite (one NaN row would silently ruin a whole probe)."""
-    before = param_fingerprint(model.params)
-    features = np.stack([encoder_features(model, cloud) for cloud in clouds])
-    if param_fingerprint(model.params) != before:
-        raise ContractViolation("feature extraction mutated encoder parameters")
+    is non-finite (one NaN row would silently ruin a whole probe).
+
+    The parameter arrays are read-only while the encoder runs, so a write
+    into one fails where it happens; each parameter must still hold the
+    same array afterwards. Their write flags are put back either way."""
+    arrays = {name: p.data for name, p in model.params.items()}
+    writeable = {name: a.flags.writeable for name, a in arrays.items()}
+    for a in arrays.values():
+        a.flags.writeable = False
+    try:
+        features = np.stack([encoder_features(model, cloud) for cloud in clouds])
+    except ValueError as exc:
+        if isinstance(exc, ContractViolation) or "read-only" not in str(exc):
+            raise
+        raise ContractViolation(f"feature extraction mutated encoder parameters: {exc}") from exc
+    finally:
+        for name, a in arrays.items():
+            a.flags.writeable = writeable[name]
+    rebound = [name for name, p in model.params.items() if p.data is not arrays[name]]
+    if rebound:
+        raise ContractViolation(f"feature extraction mutated encoder parameters {rebound}")
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if len(bad):
         raise ContractViolation(
@@ -393,8 +401,7 @@ def summarize_accuracy(reports: list[ProbeReport]) -> tuple[float, float]:
 
 
 def load_pretrained(path: str | Path) -> tuple[MultiviewMae, Checkpoint]:
-    """Rebuild a model from a checkpoint file."""
+    """Rebuild a model from a checkpoint file. The model's parameters are
+    the checkpoint's arrays themselves: nothing is drawn or copied."""
     ckpt = load_checkpoint(path)
-    model = MultiviewMae(ckpt.config.model, Rng(0).derive("init"))
-    restore_params(model.params, ckpt)
-    return model, ckpt
+    return MultiviewMae(ckpt.config.model, ckpt.params), ckpt

@@ -282,6 +282,15 @@ def checkpoint_by_join(config, params, opt, bookkeeping) -> bytes:
     return b"".join(chunks)
 
 
+def param_fingerprint(params: dict) -> str:
+    """sha256 over the names and float64 bytes of a model's parameters."""
+    digest = hashlib.sha256()
+    for name in sorted(params):
+        digest.update(name.encode("utf-8"))
+        digest.update(np.ascontiguousarray(params[name].data, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
 # --- the synthetic corpus, as first written -------------------------------
 # Per-column writes, np.linalg.norm and an eager generator per stream: the
 # corpus bytes that data.make_dataset must keep reproducing.

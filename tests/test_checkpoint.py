@@ -1,5 +1,7 @@
 import dataclasses
+import io
 import math
+import re
 import struct
 import tempfile
 import tracemalloc
@@ -19,13 +21,13 @@ from mvmae.checkpoint import (
     _Reader,
     _record,
     load_checkpoint,
-    restore_params,
     save_checkpoint,
 )
 from mvmae.config import desk_config, tiny_config
 from mvmae.data import SyntheticShape, generate_shape
 from mvmae.errors import CheckpointError
 from mvmae.model import MultiviewMae, forward_pretrain
+from mvmae.pipeline import load_pretrained
 from mvmae.rng import Rng
 
 from oracles import checkpoint_by_join
@@ -123,8 +125,8 @@ def test_save_matches_the_join_oracle(tmp_path):
         np.testing.assert_array_equal(back.params[name], values)
 
 
-def test_save_allocates_far_less_than_the_file(tmp_path):
-    # the arrays go to the file as they are: no per-array copy, no join
+def desk_state():
+    """Desk-size parameters and AdamW moments: an ~8 MB checkpoint."""
     cfg = desk_config()
     model = MultiviewMae(cfg.model, Rng(0).derive("init"))
     params = {name: p.data for name, p in model.params.items()}
@@ -133,16 +135,52 @@ def test_save_allocates_far_less_than_the_file(tmp_path):
         m={name: v * 0.5 for name, v in params.items()},
         v={name: v * v for name, v in params.items()},
     )
-    path = tmp_path / "a.ckpt"
+    return cfg, params, opt
+
+
+def traced_peak(fn) -> int:
+    """Bytes that tracemalloc saw allocated at the peak of `fn()`."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        save_checkpoint(path, cfg, params, opt, {"run_seed": 7})
-        peak = tracemalloc.get_traced_memory()[1] - base
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def test_save_allocates_far_less_than_the_file(tmp_path):
+    # the arrays go to the file as they are: no per-array copy, no join
+    cfg, params, opt = desk_state()
+    path = tmp_path / "a.ckpt"
+    peak = traced_peak(lambda: save_checkpoint(path, cfg, params, opt, {"run_seed": 7}))
     size = path.stat().st_size
     assert peak < 0.1 * size, (peak, size)
+
+
+def test_load_holds_about_the_file_size(tmp_path):
+    # each record is read straight into its array: the file is never held
+    # whole and no array is copied
+    cfg, params, opt = desk_state()
+    path = tmp_path / "a.ckpt"
+    save_checkpoint(path, cfg, params, opt, {"run_seed": 7})
+    loaded = []
+    peak = traced_peak(lambda: loaded.append(load_checkpoint(path)))
+    size = path.stat().st_size
+    assert peak <= 1.1 * size, (peak, size)
+    for name, values in params.items():
+        np.testing.assert_array_equal(loaded[0].params[name], values)
+
+
+def test_oversized_record_is_refused_before_it_is_allocated(tmp_path):
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(single_record(b"p", (2**40,), bytes(64)))
+
+    def load():
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
+
+    assert traced_peak(load) < 2**20
 
 
 def test_missing_file():
@@ -270,7 +308,7 @@ def fuzz_base() -> tuple[bytes, tuple[int, ...], tuple[range, ...]]:
         path = Path(tmp) / "a.ckpt"
         save_state(path, cfg, model, opt)
         blob = path.read_bytes()
-    r = _Reader(blob)
+    r = _Reader(io.BytesIO(blob), len(blob))
     offsets = []
     spans = []
 
@@ -332,43 +370,61 @@ def test_malformed_checkpoint_only_raises_checkpoint_error(cut, dim, flips, json
             pass
 
 
-def test_restore_params_round_trip(tmp_path):
+def test_model_takes_the_checkpoint_arrays(tmp_path):
     cfg, model, opt = trained_state()
     path = tmp_path / "a.ckpt"
     save_state(path, cfg, model, opt)
     ckpt = load_checkpoint(path)
-    fresh = MultiviewMae(cfg.model, Rng(99).derive("init"))
-    restore_params(fresh.params, ckpt)
+    fresh = MultiviewMae(cfg.model, ckpt.params)
     for name, p in model.params.items():
         np.testing.assert_array_equal(fresh.params[name].data, p.data)
+        assert fresh.params[name].data is ckpt.params[name]
 
 
-def test_restore_params_mismatch_mutates_nothing(tmp_path):
-    cfg, model, opt = trained_state(steps=1)
+def test_load_pretrained_draws_nothing_and_is_bit_exact(tmp_path, monkeypatch):
+    cfg, model, opt = trained_state()
     path = tmp_path / "a.ckpt"
     save_state(path, cfg, model, opt)
-    ckpt = load_checkpoint(path)
-    del ckpt.params["head3d.bias"]
-    fresh = MultiviewMae(cfg.model, Rng(99).derive("init"))
-    before = {n: p.data.copy() for n, p in fresh.params.items()}
-    with pytest.raises(CheckpointError, match="head3d.bias"):
-        restore_params(fresh.params, ckpt)
-    for name, p in fresh.params.items():
-        np.testing.assert_array_equal(p.data, before[name])
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("loading a checkpoint drew random numbers")
+
+    for method in ("uniform", "normal", "integers", "choice", "permutation"):
+        monkeypatch.setattr(Rng, method, no_draw)
+    loaded, _ = load_pretrained(path)
+    assert set(loaded.params) == set(model.params)
+    for name, p in model.params.items():
+        assert loaded.params[name].data.dtype == np.float64
+        np.testing.assert_array_equal(
+            loaded.params[name].data.view(np.int64), p.data.view(np.int64)
+        )
 
 
-def test_restore_params_shape_guard(tmp_path):
-    cfg, model, opt = trained_state(steps=1)
+def save_params(path, cfg, params):
+    save_checkpoint(path, cfg, params, AdamWState(), {"run_seed": 7})
+
+
+def test_load_pretrained_refuses_a_different_parameter_set(tmp_path):
+    cfg, model, _ = trained_state(steps=1)
+    params = {name: p.data for name, p in model.params.items() if name != "head3d.bias"}
+    params["stray"] = np.zeros(2)
     path = tmp_path / "a.ckpt"
-    save_state(path, cfg, model, opt)
-    ckpt = load_checkpoint(path)
-    ckpt.params["head3d.bias"] = np.zeros(5)
-    fresh = MultiviewMae(cfg.model, Rng(99).derive("init"))
-    before = {n: p.data.copy() for n, p in fresh.params.items()}
-    with pytest.raises(CheckpointError, match="shape"):
-        restore_params(fresh.params, ckpt)
-    for name, p in fresh.params.items():
-        np.testing.assert_array_equal(p.data, before[name])
+    save_params(path, cfg, params)
+    message = "parameter set mismatch: missing ['head3d.bias'], unexpected ['stray']"
+    with pytest.raises(CheckpointError, match=re.escape(message)):
+        load_pretrained(path)
+
+
+def test_load_pretrained_shape_guard(tmp_path):
+    cfg, model, _ = trained_state(steps=1)
+    params = {name: p.data for name, p in model.params.items()}
+    shape = params["head3d.bias"].shape
+    params["head3d.bias"] = np.zeros(5)
+    path = tmp_path / "a.ckpt"
+    save_params(path, cfg, params)
+    message = f"shape mismatch for head3d.bias: {shape} vs (5,)"
+    with pytest.raises(CheckpointError, match=re.escape(message)):
+        load_pretrained(path)
 
 
 def test_header_layout_golden(tmp_path):

@@ -26,7 +26,6 @@ from mvmae.pipeline import (
     extract_features,
     fewshot_trials,
     load_pretrained,
-    param_fingerprint,
     pretrain,
     probe_features,
     resume_point,
@@ -35,7 +34,7 @@ from mvmae.pipeline import (
 from mvmae.projection import write_pgm
 from mvmae.rng import Rng
 
-from oracles import read_metrics
+from oracles import param_fingerprint, read_metrics
 
 
 @pytest.fixture(scope="module")
@@ -610,8 +609,32 @@ def test_extract_features_guard_detects_mutation(corpus, trained, monkeypatch):
         return out
 
     monkeypatch.setattr(pipeline_mod, "encoder_features", hostile)
+    before = param_fingerprint(model.params)
     with pytest.raises(ContractViolation, match="mutated"):
         extract_features(model, clouds[:2])
+    # the write was refused, and every parameter is writable again
+    assert param_fingerprint(model.params) == before
+    assert all(p.data.flags.writeable for p in model.params.values())
+
+
+def test_extract_features_guard_detects_rebinding(corpus, trained, monkeypatch):
+    _, clouds, _ = corpus
+    model, _ = load_pretrained(trained[0].checkpoint_path)
+    import mvmae.pipeline as pipeline_mod
+
+    real = pipeline_mod.encoder_features
+    first = next(iter(model.params.values()))
+    original = first.data
+
+    def hostile(model, cloud):
+        out = real(model, cloud)
+        first.data = first.data + 1.0
+        return out
+
+    monkeypatch.setattr(pipeline_mod, "encoder_features", hostile)
+    with pytest.raises(ContractViolation, match=f"mutated.*{first.name}"):
+        extract_features(model, clouds[:2])
+    assert original.flags.writeable
 
 
 def test_nan_point_in_one_cloud_is_rejected(corpus, trained):
