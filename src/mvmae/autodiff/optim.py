@@ -62,17 +62,12 @@ def adamw_step(
 
 
 def cosine_lr(
-    step: int,
-    total_steps: int,
-    lr0: float,
-    lr_min: float = 0.0,
-    warmup_steps: int = 0,
+    step: int, total_steps: int, lr0: float, lr_min: float, warmup_steps: int
 ) -> float:
-    """Linear warmup to lr0, then half-cosine decay to lr_min."""
-    if total_steps <= 0:
-        raise ContractViolation("total_steps must be positive")
-    if not 0 <= step <= total_steps:
-        raise ContractViolation(f"step {step} outside [0, {total_steps}]")
+    """Linear warmup to lr0, then half-cosine decay to lr_min, for a step in
+    [0, total_steps]."""
+    # Config.validate counts the steps of the config's own corpus; a caller
+    # may train on fewer clouds, so the warmup is checked against this run
     if not 0 <= warmup_steps < total_steps:
         raise ContractViolation(
             f"warmup_steps {warmup_steps} must be in [0, total_steps)"

@@ -85,6 +85,9 @@ class Config:
             for f in fields(part):
                 _check_field(section, f.name, f.type, getattr(part, f.name))
         m, t, d = self.model, self.train, self.data
+        # before n_masked: m·n overflows to inf for a finite m near float max
+        if not 0.0 < m.m < 1.0:
+            raise ConfigError(f"mask ratio {m.m} outside (0, 1)")
         n_masked = round_half_up(m.m * m.n)
         min_points = max(m.n, m.k, MIN_POINTS)
         total_steps = t.total_steps(d.n_classes * d.instances_per_class)
@@ -95,7 +98,6 @@ class Config:
             (m.dec_depth < m.enc_depth, f"dec_depth {m.dec_depth} must be below enc_depth {m.enc_depth}"),
             (m.C % 4 == 0, f"token width {m.C} must be divisible by 4"),
             (m.C % m.heads == 0, f"token width {m.C} not divisible by {m.heads} heads"),
-            (0.0 < m.m < 1.0, f"mask ratio {m.m} outside (0, 1)"),
             (n_masked >= 1, f"mask ratio {m.m} leaves no masked patches at n={m.n}"),
             (n_masked < m.n, f"mask ratio {m.m} leaves no visible patches at n={m.n}"),
             (m.radius > CLIP_MARGIN, f"camera radius {m.radius} puts the near plane behind the camera"),

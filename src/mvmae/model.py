@@ -33,7 +33,6 @@ from .projection import (
     CameraPose,
     TokenGrouping,
     group_by_image_token,
-    make_pose_pool,
     rasterize_depth,
 )
 from .rng import Rng
@@ -233,9 +232,11 @@ def patchify(cloud: PointCloud, cfg: ModelConfig) -> PatchSet:
 def build_pretrain_plan(cloud: PointCloud, cfg: ModelConfig, rng: Rng) -> PretrainPlan:
     patches = patchify(cloud, cfg)
     mask = apply_mask(cfg.n, cfg.m, rng.derive("mask"))
-    pool = make_pose_pool(cfg.V, cfg.elevation_deg, cfg.radius, cfg.fov_deg)
     chosen = rng.derive("views").choice(cfg.V, cfg.K, replace=False)
-    poses = [pool[i] for i in np.sort(chosen)]
+    poses = [  # K of V poses on a ring: uniform azimuths, fixed elevation
+        CameraPose(360.0 * int(i) / cfg.V, cfg.elevation_deg, cfg.radius, cfg.fov_deg)
+        for i in np.sort(chosen)
+    ]
     visible_centers = patches.centers[mask.visible_idx]
     return PretrainPlan(
         patches=patches,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -43,12 +43,27 @@ class CameraPose:
         if not 0.0 < self.fov_deg < 180.0:
             raise ContractViolation(f"fov {self.fov_deg} outside (0, 180)")
 
-    def eye(self) -> np.ndarray:
+    @cached_property
+    def frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Right-handed look-at frame (eye, right, true_up, forward) as
+        read-only arrays, computed on first use and kept on the pose."""
         az = math.radians(self.azimuth_deg)
         el = math.radians(self.elevation_deg)
-        return self.radius * np.array(
+        eye = self.radius * np.array(
             [math.cos(el) * math.cos(az), math.cos(el) * math.sin(az), math.sin(el)]
         )
+        fwd = -eye / np.linalg.norm(eye)
+        # both cross products term by term as np.cross computes them, so the
+        # bytes match it even in the sign of a zero; right = fwd x (0, 0, 1)
+        fx, fy, fz = fwd.tolist()
+        right = np.array([fy * 1.0 - fz * 0.0, fz * 0.0 - fx * 1.0, fx * 0.0 - fy * 0.0])
+        right /= np.linalg.norm(right)
+        rx, ry, rz = right.tolist()
+        true_up = np.array([ry * fz - rz * fy, rz * fx - rx * fz, rx * fy - ry * fx])
+        frame = (eye, right, true_up, fwd)
+        for axis in frame:  # shared by every projection through this pose
+            axis.flags.writeable = False
+        return frame
 
     def feature(self) -> np.ndarray:
         """Pose descriptor fed to the view embedding MLP."""
@@ -57,38 +72,6 @@ class CameraPose:
         return np.array(
             [math.sin(az), math.cos(az), math.sin(el), math.cos(el), self.radius]
         )
-
-
-def make_pose_pool(
-    v: int, elevation_deg: float, radius: float, fov_deg: float
-) -> list[CameraPose]:
-    """V poses on a ring: uniform azimuths, fixed elevation/radius/fov."""
-    return [
-        CameraPose(360.0 * i / v, elevation_deg, radius, fov_deg) for i in range(v)
-    ]
-
-
-def camera_basis(pose: CameraPose) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Right-handed look-at frame: (eye, right, true_up, forward), computed
-    once per pose and returned as read-only arrays."""
-    # poses with 0.0 and -0.0 angles are equal, but their frames can differ
-    # in the sign of a zero
-    signs = math.copysign(1.0, pose.azimuth_deg), math.copysign(1.0, pose.elevation_deg)
-    return _look_at(pose, signs)
-
-
-@lru_cache(maxsize=64)
-def _look_at(pose: CameraPose, _signs: tuple[float, float]) -> tuple[np.ndarray, ...]:
-    eye = pose.eye()
-    fwd = -eye / np.linalg.norm(eye)
-    up = np.array([0.0, 0.0, 1.0])
-    right = np.cross(fwd, up)
-    right /= np.linalg.norm(right)
-    true_up = np.cross(right, fwd)
-    frame = (eye, right, true_up, fwd)
-    for axis in frame:
-        axis.flags.writeable = False
-    return frame
 
 
 @dataclass(frozen=True)
@@ -112,7 +95,7 @@ def project_points(points: np.ndarray, pose: CameraPose, h_i: int, w_i: int) -> 
     """
     near, far = clip_planes(pose)
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    eye, right, true_up, fwd = camera_basis(pose)
+    eye, right, true_up, fwd = pose.frame
     rel = points - eye
     x_cam = rel @ right
     y_cam = rel @ true_up

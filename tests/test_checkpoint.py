@@ -7,6 +7,7 @@ import tempfile
 import tracemalloc
 from functools import cache
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvmae.autodiff import backward
+from mvmae import checkpoint
 from mvmae.autodiff.optim import AdamWState, adamw_step
 from mvmae.checkpoint import (
     CHECKPOINT_VERSION,
@@ -296,6 +298,73 @@ def test_non_utf8_name_rejected(tmp_path):
     path = tmp_path / "name.ckpt"
     path.write_bytes(single_record(b"\xff\xfe", (1,), bytes(8)))
     with pytest.raises(CheckpointError, match="utf-8"):
+        load_checkpoint(path)
+
+
+def test_oversized_block_length_is_refused_before_it_is_read(tmp_path):
+    # without the size check, read(n) allocates all n bytes before reading
+    path = tmp_path / "long.ckpt"
+    path.write_bytes(MAGIC + struct.pack("<II", CHECKPOINT_VERSION, 0xFFFFFFFF) + bytes(100))
+
+    def load():
+        with pytest.raises(CheckpointError, match=r"truncated: wanted 4294967295 bytes"):
+            load_checkpoint(path)
+
+    assert traced_peak(load) < 2**20
+
+
+def with_moments(*records: tuple[str, np.ndarray]) -> bytes:
+    """A file with parameter p = [1, 2] and the given moment records
+    (m and v alternate), then a step and a bookkeeping block."""
+    chunks = [header(1), *_record("p", np.array([1.0, 2.0])), struct.pack("<I", len(records) // 2)]
+    for name, values in records:
+        chunks += _record(name, values)
+    chunks += [struct.pack("<QI", 1, 2), b"{}"]
+    return b"".join(bytes(c) for c in chunks)
+
+
+def test_moment_pair_names_must_match(tmp_path):
+    path = tmp_path / "pair.ckpt"
+    path.write_bytes(with_moments(("p", np.zeros(2)), ("p", np.ones(2))))
+    assert load_checkpoint(path).opt.v["p"].tolist() == [1.0, 1.0]
+    path.write_bytes(with_moments(("p", np.zeros(2)), ("q", np.ones(2))))
+    with pytest.raises(CheckpointError, match="moment pair mismatch: p vs q"):
+        load_checkpoint(path)
+
+
+def test_moments_for_an_unknown_parameter_rejected(tmp_path):
+    path = tmp_path / "unknown.ckpt"
+    path.write_bytes(with_moments(("q", np.zeros(2)), ("q", np.ones(2))))
+    with pytest.raises(CheckpointError, match="moments for unknown parameter q"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("block", ["config", "bookkeeping"])
+def test_json_block_must_hold_an_object(tmp_path, block):
+    path = tmp_path / "list.ckpt"
+    if block == "config":
+        path.write_bytes(MAGIC + struct.pack("<II2s", CHECKPOINT_VERSION, 2, b"[]"))
+    else:
+        cfg, model, opt = trained_state(steps=1)
+        save_state(path, cfg, model, opt, bookkeeping=[7])
+    with pytest.raises(CheckpointError, match=f"{block} JSON must hold an object"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("where", ["field", "payload"])
+def test_file_that_shrinks_after_it_is_opened(tmp_path, monkeypatch, where):
+    # fstat reports the whole file, but it was cut: a field read or a
+    # record's payload comes back short
+    blob = with_moments(("p", np.zeros(2)), ("p", np.ones(2)))
+    payload_at = len(header(1)) + len(_record("p", np.zeros(2))[0])
+    step_at = len(blob) - 14  # u64 step, u32 length, b"{}"
+    at = payload_at if where == "payload" else step_at
+    wanted = 16 if where == "payload" else 8
+    path = tmp_path / "shrunk.ckpt"
+    path.write_bytes(blob[: at + 3])
+    monkeypatch.setattr(checkpoint.os, "fstat", lambda fd: SimpleNamespace(st_size=len(blob)))
+    message = f"truncated: wanted {wanted} bytes, {len(blob) - at} remain (at byte {at})"
+    with pytest.raises(CheckpointError, match=re.escape(message)):
         load_checkpoint(path)
 
 

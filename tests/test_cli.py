@@ -239,8 +239,15 @@ def test_pretrain_epochs_below_one_exit_2(tmp_path, capsys, epochs):
         ({"model": {"C": 20, "heads": 3}}, "token width 20 not divisible by 3 heads"),
         ({"model": {"m": 1.5}}, "mask ratio 1.5 outside (0, 1)"),
         ({"model": {"m": -0.25}}, "mask ratio -0.25 outside (0, 1)"),
+        ({"model": {"m": 0.0}}, "mask ratio 0.0 outside (0, 1)"),
+        ({"model": {"m": 1.0}}, "mask ratio 1.0 outside (0, 1)"),
+        # m·n would overflow: the range rule comes before the masked count
+        ({"model": {"m": 1e308}}, "mask ratio 1e+308 outside (0, 1)"),
+        ({"model": {"m": -1e308}}, "mask ratio -1e+308 outside (0, 1)"),
         ({"model": {"radius": 1.0}}, "camera radius 1.0 puts the near plane behind the camera"),
+        ({"model": {"radius": 1.05}}, "camera radius 1.05 puts the near plane behind the camera"),
         ({"model": {"fov_deg": 180.0}}, "fov 180.0 outside (0, 180)"),
+        ({"model": {"fov_deg": 0.0}}, "fov 0.0 outside (0, 180)"),
         ({"train": {"lr": 0.0}}, "lr 0.0 must be positive"),
         ({"train": {"lr_min": -0.001}}, "lr_min -0.001 must be non-negative"),
         ({"train": {"weight_decay": -0.05}}, "weight decay must be non-negative"),
@@ -248,8 +255,9 @@ def test_pretrain_epochs_below_one_exit_2(tmp_path, capsys, epochs):
     ],
     ids=[
         "none_masked", "none_visible", "n_classes", "n_points", "H_t", "W_t", "K",
-        "dec_depth", "C_by_4", "C_by_heads", "m_above_1", "m_below_0", "radius",
-        "fov", "lr", "lr_min", "weight_decay", "warmup_steps",
+        "dec_depth", "C_by_4", "C_by_heads", "m_above_1", "m_below_0", "m_0", "m_1",
+        "m_huge", "m_huge_negative", "radius", "radius_at_clip_margin", "fov", "fov_0",
+        "lr", "lr_min", "weight_decay", "warmup_steps",
     ],
 )
 def test_refused_config_writes_nothing(tmp_path, capsys, edits, rule):
@@ -497,6 +505,7 @@ def test_render_custom_pose_and_size(origin_xyz, tmp_path):
 def test_render_bad_inputs(origin_xyz, tmp_path, capsys):
     assert main(["render", "--input", str(tmp_path / "no.xyz"), "--out", str(tmp_path / "x.pgm")]) == 2
     assert main(["render", "--input", str(origin_xyz), "--out", str(tmp_path / "y.pgm"), "--pose", "1,2,3"]) == 2
+    assert main(["render", "--input", str(origin_xyz), "--out", str(tmp_path / "y.pgm"), "--pose", "0,30,x,50"]) == 2
     out = tmp_path / "z.pgm"
     assert main(["render", "--input", str(origin_xyz), "--out", str(out)]) == 0
     assert main(["render", "--input", str(origin_xyz), "--out", str(out)]) == 2
@@ -505,7 +514,7 @@ def test_render_bad_inputs(origin_xyz, tmp_path, capsys):
     nan_xyz.write_text("0 0 0\nnan 0 0\n")
     assert main(["render", "--input", str(nan_xyz), "--out", str(tmp_path / "n.pgm")]) == 2
     assert not (tmp_path / "n.pgm").exists()
-    for size in ("0x64", "64x0", "-5x64"):
+    for size in ("0x64", "64x0", "-5x64", "64xwide", "tall"):
         sized = tmp_path / f"{size}.pgm"
         assert main(["render", "--input", str(origin_xyz), "--out", str(sized), f"--size={size}"]) == 2
         assert not sized.exists()
@@ -590,6 +599,8 @@ def test_reconstruct_untrained_is_near_constant(tmp_path):
         ("bad.off", "abc 0 0\n0 0 0\n"),
         ("nan.xyz", "0 0 0\nnan 0 0\n"),
         ("inf.off", "OFF\n2 0 0\n0 0 0\n1 inf 1\n"),
+        ("empty.off", ""),
+        ("comments.off", "# a comment and nothing else\n"),
     ],
 )
 def test_reconstruct_malformed_input_exit_2(tiny_run, tmp_path, capsys, name, text):
@@ -724,10 +735,13 @@ def test_gradcheck_unknown_corrupt_param(tmp_path, capsys):
 @pytest.fixture()
 def bad_inputs(tmp_path):
     """Paths for the input cases: a directory, a non-UTF-8 cloud, a good
-    cloud, an untrained checkpoint, and one whose config asks for six classes."""
+    cloud, a config file that is not JSON and one that holds no object, an
+    untrained checkpoint, and one whose config asks for six classes."""
     (tmp_path / "dir").mkdir()
     (tmp_path / "binary.xyz").write_bytes(b"\xff\xfe 0 0\n")
     (tmp_path / "cloud.xyz").write_text("0 0 0\n")
+    (tmp_path / "broken.json").write_text("{")
+    (tmp_path / "list.json").write_text("[]")
     untrained_checkpoint(tmp_path / "micro.ckpt", micro_config())
     six = dataclasses.replace(
         micro_config(), data=DataConfig(n_points=16, n_classes=6, instances_per_class=2)
@@ -747,12 +761,15 @@ def bad_inputs(tmp_path):
         "reconstruct --input {d}/cloud.xyz --checkpoint {d}/dir --out {d}/o",
         "probe --checkpoint {d}/dir",
         "pretrain --config {d}/dir --out {d}/o",
+        "pretrain --config {d}/broken.json --out {d}/o",
+        "pretrain --config {d}/list.json --out {d}/o",
         "reconstruct --input {d}/binary.xyz --checkpoint {d}/micro.ckpt --out {d}/o",
         "probe --checkpoint {d}/six.ckpt",
     ],
     ids=[
         "render_inf_pose", "render_near_plane_behind_camera", "render_dir_input", "reconstruct_dir_input",
         "reconstruct_dir_checkpoint", "probe_dir_checkpoint", "pretrain_dir_config",
+        "pretrain_config_not_json", "pretrain_config_not_an_object",
         "reconstruct_non_utf8_input", "probe_six_classes",
     ],
 )

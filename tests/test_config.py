@@ -1,5 +1,7 @@
 import json
-from dataclasses import asdict, fields
+import math
+import sys
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import pytest
@@ -74,6 +76,30 @@ def test_zero_allowed_where_documented():
     raw["train"]["warmup_steps"] = 0
     raw["data"]["dataset_seed"] = 0
     config_from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "section, values",
+    [
+        ("model", {"K": 4}),  # K == V
+        ("model", {"fov_deg": math.nextafter(180.0, 0.0)}),
+        ("model", {"fov_deg": 5e-324}),
+        ("data", {"n_points": 8}),  # max(n, k, MIN_POINTS) at tiny
+        ("train", {"weight_decay": 0.0}),
+        ("train", {"weight_decay": sys.float_info.max}),
+        ("model", {"elevation_deg": -sys.float_info.max}),
+    ],
+    ids=[
+        "K_equals_V", "fov_below_180", "fov_above_0", "n_points_at_minimum",
+        "weight_decay_0", "float_max", "negative_float_max",
+    ],
+)
+def test_boundary_values_accepted(section, values):
+    tiny = PRESETS["tiny"]()
+    raw = asdict(tiny)
+    raw[section].update(values)
+    cfg = config_from_dict(raw)
+    assert getattr(cfg, section) == replace(getattr(tiny, section), **values)
 
 
 def test_unknown_section_raises_config_error():

@@ -81,6 +81,12 @@ def test_empty_cloud_rejected():
         PointCloud(np.zeros((0, 3)))
 
 
+@pytest.mark.parametrize("shape", [(4, 2), (4, 4), (4,), (4, 3, 1)])
+def test_cloud_must_be_n_by_3(shape):
+    with pytest.raises(ContractViolation, match="N x 3"):
+        PointCloud(np.zeros(shape))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_cloud_rejected(bad):
     points = np.zeros((4, 3))

@@ -584,6 +584,13 @@ def test_probe_rejects_sparse_labels():
         probe_features(features, labels, Rng(0).derive("p"))
 
 
+def test_probe_rejects_a_class_with_one_instance():
+    features = np.random.default_rng(7).normal(size=(7, 4))
+    labels = np.array([0, 0, 0, 0, 0, 0, 1])
+    with pytest.raises(ContractViolation, match="class 1 needs at least 2 instances"):
+        probe_features(features, labels, Rng(0).derive("p"))
+
+
 def test_linear_probe_on_encoder_keeps_params(corpus, trained):
     _, clouds, labels = corpus
     model, _ = load_pretrained(trained[0].checkpoint_path)
@@ -635,6 +642,22 @@ def test_extract_features_guard_detects_rebinding(corpus, trained, monkeypatch):
     with pytest.raises(ContractViolation, match=f"mutated.*{first.name}"):
         extract_features(model, clouds[:2])
     assert original.flags.writeable
+
+
+def test_extract_features_passes_other_value_errors_through(corpus, trained, monkeypatch):
+    # only a write into a read-only parameter is reported as a mutation
+    _, clouds, _ = corpus
+    model, _ = load_pretrained(trained[0].checkpoint_path)
+    import mvmae.pipeline as pipeline_mod
+
+    def failing(model, cloud):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(pipeline_mod, "encoder_features", failing)
+    with pytest.raises(ValueError, match="broadcast") as info:
+        extract_features(model, clouds[:2])
+    assert type(info.value) is ValueError
+    assert all(p.data.flags.writeable for p in model.params.values())
 
 
 def test_nan_point_in_one_cloud_is_rejected(corpus, trained):

@@ -5,19 +5,18 @@ import numpy as np
 import pytest
 
 from mvmae.config import ModelConfig
-from mvmae import projection
 from mvmae.errors import ContractViolation
-from mvmae.geometry import rotate_z
+from mvmae.geometry import PointCloud, rotate_z
+from mvmae.model import build_pretrain_plan
 from mvmae.projection import (
     CameraPose,
-    camera_basis,
     group_by_image_token,
-    make_pose_pool,
     project_points,
     rasterize_depth,
     token_index,
     write_pgm,
 )
+from mvmae.rng import Rng
 
 from oracles import project_point_by_hand, read_pgm
 
@@ -25,9 +24,9 @@ POSE = CameraPose(0.0, 30.0, 2.2, 50.0)
 
 
 def ring(v):
-    """The pose pool at the default camera settings of ModelConfig."""
+    """V poses on a ring at the default camera settings of ModelConfig."""
     cfg = ModelConfig()
-    return make_pose_pool(v, cfg.elevation_deg, cfg.radius, cfg.fov_deg)
+    return [CameraPose(360.0 * i / v, cfg.elevation_deg, cfg.radius, cfg.fov_deg) for i in range(v)]
 
 
 def ball_cloud(seed, n=256):
@@ -38,8 +37,15 @@ def ball_cloud(seed, n=256):
     )
 
 
+def plan_poses(v, k, seed=0):
+    """The poses a training sample takes, K of V, at ModelConfig's defaults."""
+    cfg = dataclasses.replace(ModelConfig(), V=v, K=k)
+    cloud = PointCloud(ball_cloud(seed))
+    return build_pretrain_plan(cloud, cfg, Rng(seed).derive("s")).poses
+
+
 def test_pose_pool_twelve():
-    pool = ring(12)
+    pool = plan_poses(12, 12)
     assert [p.azimuth_deg for p in pool] == [30.0 * i for i in range(12)]
     for p in pool:
         assert p.elevation_deg == 30.0
@@ -49,12 +55,17 @@ def test_pose_pool_twelve():
 
 
 def test_pose_pool_three():
-    assert [p.azimuth_deg for p in ring(3)] == [0.0, 120.0, 240.0]
+    assert [p.azimuth_deg for p in plan_poses(3, 3)] == [0.0, 120.0, 240.0]
 
 
 def test_pose_pool_distinct():
-    pool = ring(24)
-    assert len({p.azimuth_deg for p in pool}) == 24
+    # each sample takes K distinct ring poses, in ascending azimuth
+    ring_azimuths = [p.azimuth_deg for p in ring(24)]
+    for seed in range(4):
+        azimuths = [p.azimuth_deg for p in plan_poses(24, 5, seed)]
+        assert len(set(azimuths)) == 5
+        assert azimuths == sorted(azimuths)
+        assert set(azimuths) <= set(ring_azimuths)
 
 
 def test_pose_invariants():
@@ -89,7 +100,7 @@ def test_origin_projects_to_center():
 
 
 def test_point_behind_camera_flagged():
-    behind = POSE.eye() * 1.5
+    behind = POSE.frame[0] * 1.5
     proj = project_points(behind[None, :], POSE, 224, 224)
     assert not proj.in_frustum[0]
     assert proj.depth[0] < 0
@@ -154,7 +165,7 @@ def test_rasterize_single_origin_point_golden():
 
 
 def test_rasterize_nearer_point_wins():
-    eye = POSE.eye()
+    eye = POSE.frame[0]
     fwd = -eye / np.linalg.norm(eye)
     near_pt = eye + 1.7 * fwd  # depth 1.7
     far_pt = eye + 2.2 * fwd  # origin, depth 2.2
@@ -185,7 +196,7 @@ def test_rasterize_azimuth_equivariance():
 
 
 def test_grouping_all_behind_camera_is_empty():
-    behind = POSE.eye() * 1.5 + np.random.default_rng(5).normal(0, 0.01, (8, 3))
+    behind = POSE.frame[0] * 1.5 + np.random.default_rng(5).normal(0, 0.01, (8, 3))
     grouping = group_by_image_token(behind, POSE, 64, 64, 8, 8)
     assert grouping.g == 0
     assert grouping.groups == {}
@@ -219,9 +230,12 @@ def test_grouping_keys_sorted():
     assert keys == sorted(keys)
 
 
-def frame_uncached(pose):
-    """camera_basis as first written: recomputed on every call, writable."""
-    eye = pose.eye()
+def frame_by_np_cross(pose):
+    """The look-at frame built with np.cross, recomputed on every call."""
+    az, el = math.radians(pose.azimuth_deg), math.radians(pose.elevation_deg)
+    eye = pose.radius * np.array(
+        [math.cos(el) * math.cos(az), math.cos(el) * math.sin(az), math.sin(el)]
+    )
     fwd = -eye / np.linalg.norm(eye)
     right = np.cross(fwd, np.array([0.0, 0.0, 1.0]))
     right /= np.linalg.norm(right)
@@ -233,6 +247,8 @@ FRAME_POSES = [
     POSE,
     CameraPose(0.0, 0.0, 2.2, 50.0),
     CameraPose(-0.0, -0.0, 2.2, 50.0),
+    CameraPose(-0.0, 0.0, 2.2, 50.0),
+    CameraPose(180.0, -0.0, 1.06, 50.0),
     *ring(6),
 ]
 
@@ -250,20 +266,27 @@ def test_cached_camera_frame_gives_the_uncached_bytes(monkeypatch):
     points = ball_cloud(8)
     points[0] = [0.0, -0.0, -0.0]
     cached = [view_outputs(points, pose) for pose in FRAME_POSES * 2]
-    monkeypatch.setattr(projection, "camera_basis", frame_uncached)
+    monkeypatch.setattr(CameraPose, "frame", property(frame_by_np_cross))
     uncached = [view_outputs(points, pose) for pose in FRAME_POSES * 2]
     assert cached == uncached
 
 
 def test_camera_frame_is_computed_once_and_read_only():
     for pose in FRAME_POSES:
-        frame = camera_basis(pose)
-        assert camera_basis(CameraPose(*dataclasses.astuple(pose))) is frame
-        for got, want in zip(frame, frame_uncached(pose)):
+        frame = pose.frame
+        assert pose.frame is frame
+        for got, want in zip(frame, frame_by_np_cross(pose)):
             assert got.tobytes() == want.tobytes()
             assert not got.flags.writeable
             with pytest.raises(ValueError):
                 got[0] = 1.0
+
+
+def test_camera_frame_leaves_pose_equality_and_hash_alone():
+    pos, neg = CameraPose(0.0, 0.0, 2.2, 50.0), CameraPose(-0.0, -0.0, 2.2, 50.0)
+    assert [a.tobytes() for a in pos.frame] != [a.tobytes() for a in neg.frame]
+    assert pos == neg and hash(pos) == hash(neg)
+    assert dataclasses.astuple(pos) == (0.0, 0.0, 2.2, 50.0)
 
 
 def test_pgm_round_trip(tmp_path):
