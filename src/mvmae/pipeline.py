@@ -148,6 +148,13 @@ def pretrain(
         raise ContractViolation("pretraining needs a non-empty dataset")
     cfg.validate()
     total_steps = cfg.train.total_steps(len(clouds))
+    # Config.validate counts the steps of the config's own corpus; a caller
+    # may pass fewer clouds, so the warmup is checked against this run
+    # before the model is built or anything is written
+    if not cfg.train.warmup_steps < total_steps:
+        raise ContractViolation(
+            f"warmup_steps {cfg.train.warmup_steps} must be below the run's {total_steps} steps"
+        )
     steps_per_epoch = total_steps // cfg.train.epochs
     out_dir = Path(out_dir)
     metrics_path = out_dir / "metrics.tsv"

@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 from scipy.special import erf
@@ -476,3 +477,14 @@ def dataset_by_columns(cfg, kinds) -> list[tuple[np.ndarray, int, str]]:
             points = shape_by_columns(kind, cfg.n_points, seed, params)
             out.append((points, label, f"{kind}:{seed}"))
     return out
+
+
+def traced_peak(fn) -> int:
+    """Bytes that tracemalloc saw allocated at the peak of `fn()`."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()

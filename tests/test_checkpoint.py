@@ -4,7 +4,6 @@ import math
 import re
 import struct
 import tempfile
-import tracemalloc
 from functools import cache
 from pathlib import Path
 from types import SimpleNamespace
@@ -32,7 +31,7 @@ from mvmae.model import MultiviewMae, forward_pretrain
 from mvmae.pipeline import load_pretrained
 from mvmae.rng import Rng
 
-from oracles import checkpoint_by_join
+from oracles import checkpoint_by_join, traced_peak
 
 
 def trained_state(steps=3, seed=0):
@@ -138,17 +137,6 @@ def desk_state():
         v={name: v * v for name, v in params.items()},
     )
     return cfg, params, opt
-
-
-def traced_peak(fn) -> int:
-    """Bytes that tracemalloc saw allocated at the peak of `fn()`."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
 
 
 def test_save_allocates_far_less_than_the_file(tmp_path):

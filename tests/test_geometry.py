@@ -25,7 +25,13 @@ from mvmae.data import make_dataset
 
 from mvmae.tokenizer import build_patches
 
-from oracles import fps_greedy, knn_bruteforce, knn_stable_argsort, sq_dist_matrix
+from oracles import (
+    fps_greedy,
+    knn_bruteforce,
+    knn_stable_argsort,
+    sq_dist_matrix,
+    traced_peak,
+)
 
 clouds_small = st.integers(2, 40).flatmap(
     lambda n: st.lists(
@@ -218,11 +224,22 @@ def permutation_cloud() -> np.ndarray:
     return np.concatenate([np.zeros((1, 3))] + [base[:, list(p)] for p in perms])
 
 
+def duplicates_cloud() -> np.ndarray:
+    """A dense-size generated cloud in which each point occurs three times
+    (the last one twice), at consecutive indices, so that ties straddle
+    the k-th distance for k = 1, 32 and 64."""
+    pts = dataset_cloud(8192)
+    pts[1::3] = pts[::3]
+    pts[2::3] = pts[:-2:3]
+    return pts
+
+
 # (cloud, FPS sample count) for the distance-row and patching tests
 ORACLE_CLOUDS = [
     pytest.param(lambda: dataset_cloud(20), 64, id="dataset-20"),
     pytest.param(lambda: dataset_cloud(1024), 64, id="dataset-1024"),
     pytest.param(lambda: dataset_cloud(8192), 64, id="dataset-8192"),
+    pytest.param(duplicates_cloud, 64, id="duplicates-8192"),
     pytest.param(permutation_cloud, 12, id="permutations"),
 ]
 
@@ -271,21 +288,55 @@ def test_build_patches_equals_greedy_fps_and_full_sort(make_cloud, n):
         )
 
 
-def test_knn_equals_full_stable_sort_with_nan_points():
-    pts = np.random.default_rng(8).normal(size=(30, 3))
+def nan_cloud(n_points: int) -> np.ndarray:
+    """Random points, some of them NaN, so center 3's row is all NaN. In a
+    dense-size cloud, center 0's nearest points sit at every 8th index,
+    where knn samples its threshold, so the estimate leaves that row fewer
+    than k candidates, and NaN points fill indices it does not sample."""
+    rng = np.random.default_rng(8)
+    pts = rng.normal(size=(n_points, 3))
+    if n_points > 30:
+        pts[::8] = pts[0] + 1e-3 * rng.normal(size=(len(pts[::8]), 3))
+        pts[9:400:8] = np.nan
     pts[[3, 7, 8, 20]] = np.nan
-    d2 = sq_dist_matrix(pts, pts[:5])
-    for k in (1, 10, 26, 30):
-        np.testing.assert_array_equal(
-            knn(d2, k), knn_stable_argsort(pts, pts[:5], k)
-        )
+    return pts
+
+
+def test_knn_equals_full_stable_sort_with_nan_points():
+    for n_points in (30, 8192):
+        pts = nan_cloud(n_points)
+        d2 = sq_dist_matrix(pts, pts[:5])
+        for k in (1, 10, 26, 30):
+            np.testing.assert_array_equal(
+                knn(d2, k), knn_stable_argsort(pts, pts[:5], k)
+            )
 
 
 def test_knn_pads_short_rows_above_every_distance():
     # row 0 ties at its k-th distance and keeps three candidates, so row
     # 1 is padded; its candidates lie near the top of the float range
-    d2 = np.array([[0.0, 0.0, 0.0, 1.0], [1.7e308, 1e308, 1.5e308, 1.6e308]])
-    np.testing.assert_array_equal(knn(d2, 2), np.argsort(d2, axis=1, kind="stable")[:, :2])
+    narrow = np.array([[0.0, 0.0, 0.0, 1.0], [1.7e308, 1e308, 1.5e308, 1.6e308]])
+    # dense-size: row 0 is all one value, so every entry is a candidate
+    # and the other rows are padded. Row 2 is +inf but for five entries
+    # and a NaN, so its +inf candidates must sort ahead of the padding.
+    wide = np.full((3, 8192), 2.0)
+    wide[1] = np.random.default_rng(3).uniform(1e308, 1.7e308, size=8192)
+    wide[2] = np.inf
+    wide[2, 100:105] = 1.0
+    wide[2, 7] = np.nan
+    for d2 in (narrow, wide):
+        for k in (1, 2, 3, 32):
+            if k <= d2.shape[1]:
+                np.testing.assert_array_equal(
+                    knn(d2, k), np.argsort(d2, axis=1, kind="stable")[:, :k]
+                )
+
+
+def test_knn_on_a_dense_matrix_allocates_under_half_of_it():
+    # the sampled threshold spares the full-row partition's copy
+    _, d2 = farthest_point_sampling(dataset_cloud(8192), 64)
+    peak = traced_peak(lambda: knn(d2, 32))
+    assert peak < 0.5 * d2.nbytes, (peak, d2.nbytes)
 
 
 def test_knn_k_below_one_rejected():
