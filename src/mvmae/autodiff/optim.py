@@ -65,13 +65,8 @@ def cosine_lr(
     step: int, total_steps: int, lr0: float, lr_min: float, warmup_steps: int
 ) -> float:
     """Linear warmup to lr0, then half-cosine decay to lr_min, for a step in
-    [0, total_steps]."""
-    # Config.validate counts the steps of the config's own corpus; a caller
-    # may train on fewer clouds, so the warmup is checked against this run
-    if not 0 <= warmup_steps < total_steps:
-        raise ContractViolation(
-            f"warmup_steps {warmup_steps} must be in [0, total_steps)"
-        )
+    [0, total_steps]. 0 <= warmup_steps < total_steps, as Config.validate
+    and then pretrain check before the first step."""
     if step < warmup_steps:
         return lr0 * step / warmup_steps
     span = total_steps - warmup_steps

@@ -115,23 +115,23 @@ _SAMPLED_MIN_COLUMNS = 4096
 
 def knn(d2: np.ndarray, k: int) -> np.ndarray:
     """Column indices of the k smallest entries of each row of a (centers,
-    points) squared-distance matrix, ascending, ties by lowest index.
+    points) squared-distance matrix that holds no NaN, as none that
+    farthest_point_sampling builds does; ascending, ties by lowest index.
 
     Equal to argsort(d2, kind="stable")[:, :k], ties at the k-th distance
     included, without sorting whole rows. Each row's candidates (every
-    entry up to some threshold) are packed and stable-sorted; the result
-    is exact whenever the threshold leaves at least k candidates that are
-    not NaN, since the k smallest entries then all lie at or below it.
+    entry `<=` some threshold) are packed and stable-sorted; the result is
+    exact whenever the threshold leaves at least k candidates, since the k
+    smallest entries then all lie at or below it.
 
     A matrix narrower than _SAMPLED_MIN_COLUMNS, or one whose rows hold
     fewer than _SAMPLED_CANDIDATES_PER_K * k entries, takes each row's own
     k-th smallest entry as its threshold, found by a full-row partition.
     Any other estimates each row's threshold as its ceil(2.5 k / 8)-th
     smallest entry among every 8th column, which leaves about 2.5 k
-    candidates a row and spares the partition's copy of the whole
-    matrix. It keeps only the entries `<=` the estimate, so NaN is never a
-    candidate. A row the estimate leaves with fewer than k candidates
-    goes through the full-row partition instead.
+    candidates a row and spares the partition's copy of the whole matrix.
+    A row the estimate leaves with fewer than k candidates goes through
+    the full-row partition instead.
     """
     n = d2.shape[1]
     if not 1 <= k <= n:
@@ -149,13 +149,8 @@ def knn(d2: np.ndarray, k: int) -> np.ndarray:
 
 def _knn_full_partition(d2: np.ndarray, k: int) -> np.ndarray:
     """knn with each row's candidates cut at its own k-th smallest entry."""
-    # every entry not above the k-th smallest distance ("not above" rather
-    # than "<=" keeps a row whole when its k-th entry is NaN, and NaN sorts
-    # last in both sorts)
     kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
-    keep = d2 > kth
-    np.logical_not(keep, out=keep)
-    return _k_smallest_candidates(d2, keep, k)[0]
+    return _k_smallest_candidates(d2, d2 <= kth, k)[0]
 
 
 def _k_smallest_candidates(
@@ -169,10 +164,8 @@ def _k_smallest_candidates(
     rows, cols = np.divmod(flat, d2.shape[1])
     counts = np.bincount(rows, minlength=len(d2))
     # each row's candidates packed left into one table row, padded on the
-    # right with +inf, so the stable sort keeps every candidate but NaN
-    # ahead of the padding. Only the full-row partition keeps NaN, and a
-    # row it pads holds an entry above its k-th distance, so that distance
-    # is finite and no NaN is among the row's k smallest.
+    # right with +inf, so the stable sort keeps every candidate, +inf ones
+    # too, ahead of the padding
     slot = np.arange(len(flat)) - (np.cumsum(counts) - counts)[rows]
     dist = np.full((len(d2), max(counts.max(), k)), np.inf)
     dist[rows, slot] = d2.ravel()[flat]

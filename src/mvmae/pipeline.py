@@ -36,8 +36,9 @@ def format_metrics_row(step: int, lr: float, l3d: float, l2d: float, total: floa
 
 def _metrics_rows(path: Path) -> list[tuple[int, str]]:
     """The rows of a metrics file below its header as (step, line) pairs,
-    each checked: an integer step, then four numbers. A last line without
-    its newline is a row that a crash cut short, and is left out."""
+    each checked to read exactly as format_metrics_row writes it: a step
+    in ASCII digits, then four finite values. A last line without its
+    newline is a row that a crash cut short, and is left out."""
     lines = read_input(path, ContractViolation, "metrics file").split("\n")[:-1]
     if not lines or lines[0] != METRICS_HEADER:
         raise ContractViolation(f"{path} is not a metrics file (empty or foreign header)")
@@ -47,13 +48,14 @@ def _metrics_rows(path: Path) -> list[tuple[int, str]]:
         try:
             if len(fields) != 5 or not fields[0].isdecimal():
                 raise ValueError
-            for value in fields[1:]:
-                float(value)
+            step, values = int(fields[0]), [float(value) for value in fields[1:]]
+            if not np.isfinite(values).all() or line != format_metrics_row(step, *values):
+                raise ValueError
         except ValueError:
             raise ContractViolation(
-                f"{path}:{number}: want an integer step and four numbers, got {line!r}"
+                f"{path}:{number}: not a row as pretrain writes it: {line!r}"
             ) from None
-        rows.append((int(fields[0]), line))
+        rows.append((step, line))
     return rows
 
 

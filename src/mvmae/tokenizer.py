@@ -16,7 +16,7 @@ import numpy as np
 
 from .autodiff import Tensor, ops
 from .geometry import farthest_point_sampling, knn
-from .nn import Linear, ParamRegistry
+from .nn import Mlp2, ParamRegistry
 from .rng import Rng
 
 
@@ -56,26 +56,23 @@ def apply_mask(n: int, m: float, rng: Rng) -> MaskPlan:
     return MaskPlan(visible_idx=visible, masked_idx=masked)
 
 
-class PatchEmbed:
-    """Shared per-point MLP (3 -> C/2 -> C, GELU between) with a max-pool
-    over the k points of each patch. Invariant to point order."""
+class PatchEmbed(Mlp2):
+    """Shared per-point Mlp2 (3 -> C/2 -> C) with a max-pool over the k
+    points of each patch. Invariant to point order."""
 
     def __init__(self, reg: ParamRegistry, name: str, dim: int):
-        self.fc1 = Linear(reg, f"{name}.fc1", 3, dim // 2)
-        self.fc2 = Linear(reg, f"{name}.fc2", dim // 2, dim)
+        super().__init__(reg, name, 3, dim // 2, dim)
 
     def __call__(self, patches: Tensor) -> Tensor:
         # (n, k, 3): the affine layers act on the last axis, pool over k
-        h = self.fc2(ops.gelu(self.fc1(patches)))
-        return ops.max_(h, axis=1)
+        return ops.max_(super().__call__(patches), axis=1)
 
 
-class PosEmbed3D:
-    """Two-layer MLP (3 -> C -> C, GELU between) over raw coordinates."""
+class PosEmbed3D(Mlp2):
+    """Mlp2 (3 -> C -> C) over raw center coordinates."""
 
     def __init__(self, reg: ParamRegistry, name: str, dim: int):
-        self.fc1 = Linear(reg, f"{name}.fc1", 3, dim)
-        self.fc2 = Linear(reg, f"{name}.fc2", dim, dim)
+        super().__init__(reg, name, 3, dim, dim)
 
-    def __call__(self, coords: Tensor) -> Tensor:
-        return self.fc2(ops.gelu(self.fc1(coords)))
+    # this class's own entry, so that timing it times no other Mlp2
+    __call__ = Mlp2.__call__

@@ -288,23 +288,20 @@ def test_build_patches_equals_greedy_fps_and_full_sort(make_cloud, n):
         )
 
 
-def nan_cloud(n_points: int) -> np.ndarray:
-    """Random points, some of them NaN, so center 3's row is all NaN. In a
-    dense-size cloud, center 0's nearest points sit at every 8th index,
-    where knn samples its threshold, so the estimate leaves that row fewer
-    than k candidates, and NaN points fill indices it does not sample."""
+def clustered_cloud(n_points: int) -> np.ndarray:
+    """Random points. In a dense-size cloud, center 0's nearest points sit
+    at every 8th index, where knn samples its threshold, so the estimate
+    leaves that row fewer than k candidates and the row is repaired."""
     rng = np.random.default_rng(8)
     pts = rng.normal(size=(n_points, 3))
     if n_points > 30:
         pts[::8] = pts[0] + 1e-3 * rng.normal(size=(len(pts[::8]), 3))
-        pts[9:400:8] = np.nan
-    pts[[3, 7, 8, 20]] = np.nan
     return pts
 
 
-def test_knn_equals_full_stable_sort_with_nan_points():
+def test_knn_equals_full_stable_sort_on_clustered_cloud():
     for n_points in (30, 8192):
-        pts = nan_cloud(n_points)
+        pts = clustered_cloud(n_points)
         d2 = sq_dist_matrix(pts, pts[:5])
         for k in (1, 10, 26, 30):
             np.testing.assert_array_equal(
@@ -317,13 +314,12 @@ def test_knn_pads_short_rows_above_every_distance():
     # 1 is padded; its candidates lie near the top of the float range
     narrow = np.array([[0.0, 0.0, 0.0, 1.0], [1.7e308, 1e308, 1.5e308, 1.6e308]])
     # dense-size: row 0 is all one value, so every entry is a candidate
-    # and the other rows are padded. Row 2 is +inf but for five entries
-    # and a NaN, so its +inf candidates must sort ahead of the padding.
+    # and the other rows are padded. Row 2 is +inf but for five entries,
+    # so its +inf candidates must sort ahead of the padding.
     wide = np.full((3, 8192), 2.0)
     wide[1] = np.random.default_rng(3).uniform(1e308, 1.7e308, size=8192)
     wide[2] = np.inf
     wide[2, 100:105] = 1.0
-    wide[2, 7] = np.nan
     for d2 in (narrow, wide):
         for k in (1, 2, 3, 32):
             if k <= d2.shape[1]:

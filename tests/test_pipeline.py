@@ -184,15 +184,27 @@ def test_resume_replaces_metrics_whole(corpus, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "row",
-    ["2\t0.1", "2\t0.1\t1\tx\t2", "2\t0.1\t1\t1\t2\t3"],
-    ids=["short", "non_numeric_value", "extra_field"],
+    "rewrite",
+    [
+        lambda row: "2\t0.1",
+        lambda row: "2\t0.1\t1\tx\t2",
+        lambda row: "2\t0.1\t1\t1\t2\t3",
+        lambda row: "0" + row,
+        lambda row: "\u0662" + row[1:],  # ARABIC-INDIC DIGIT TWO
+        lambda row: row.replace("\t", "\t+", 1),  # lr as +lr: the same float
+        lambda row: row.rsplit("\t", 1)[0] + "\tnan",
+    ],
+    ids=[
+        "short", "non_numeric_value", "extra_field", "leading_zero_step",
+        "non_ascii_digit_step", "respelled_value", "nan_value",
+    ],
 )
-def test_malformed_metrics_row_rejected(corpus, tmp_path, row):
+def test_malformed_metrics_row_rejected(corpus, tmp_path, rewrite):
     cfg, clouds, _ = corpus
     run = pretrain(cfg, clouds, tmp_path / "a", run_seed=1, stop_after_step=4)
     lines = run.metrics_path.read_text().split("\n")
-    lines[3] = row  # the row of step 2, file line 4
+    assert lines[3].startswith("2\t")
+    lines[3] = rewrite(lines[3])  # the row of step 2, file line 4
     run.metrics_path.write_text("\n".join(lines))
     with pytest.raises(ContractViolation, match="metrics.tsv:4"):
         resume_run(cfg, clouds, tmp_path / "a", 1, run.checkpoint_path)
