@@ -5,13 +5,15 @@ The op set is closed and small: matmul and the fused affine map
 gather (its adjoint is scatter-add), sum and max reductions, layer
 normalization with its scale and shift (`layer_norm_affine`), GELU, and
 four fused ops for the hot spots of a training step: multi-head scaled
-dot-product attention on (L, heads * D) projections (heads split and
-merged inside the node, which keeps the unnormalized attention maps and
-their row sums for its adjoint, never the normalized maps), segment
-max+mean pooling, the patch Chamfer loss and the mean squared error.
-That is sufficient for the whole encoder/decoder and every loss. `mul`
-and `sum_` have no caller in the model any more; they stay because the
-benchmark's tests and the gradient tests build losses from them.
+dot-product attention on (L, heads * D) projections or a batch of them
+(heads split and merged inside the node, which keeps the unnormalized
+attention maps and their row sums for its adjoint, never the normalized
+maps), segment max+mean pooling, the patch Chamfer loss and the mean
+squared error. That is sufficient for the whole encoder/decoder and
+every loss. A training step builds one more scalar from `mul` and
+`sum_`: sum(t * G) over its batched front end's outputs t, whose
+backward hands each t the gradient G that its samples' decoders left
+(see `pipeline.step_gradients`).
 """
 
 from __future__ import annotations
@@ -144,7 +146,8 @@ def concat(tensors: list[Tensor]) -> Tensor:
 
 
 def gather_rows(a: Tensor, idx) -> Tensor:
-    """Select rows along axis 0; indices may repeat (adjoint scatter-adds)."""
+    """Select rows along axis 0; indices may repeat (adjoint scatter-adds).
+    An integer index selects one row and drops the axis."""
     idx = np.asarray(idx, dtype=np.intp)
     out = a.data[idx]
 
@@ -194,27 +197,30 @@ def max_(a: Tensor, axis: int) -> Tensor:
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
-    """softmax(q k^T / sqrt(D)) v per head over (L, heads * D) operands, as
-    one node that splits and merges the heads itself.
+    """softmax(q k^T / sqrt(D)) v per head over (L, heads * D) operands, or
+    over a (B, L, heads * D) batch of them, as one node that splits and
+    merges the heads itself.
 
     The logits come from a scaled copy of q. The output is e v / S, with e
     the unnormalized map exp(logits - rowmax) and S its row sums, so the
     normalized map is never formed: the node keeps e and S for its
-    adjoint."""
+    adjoint. Every matmul runs per (sample, head), so each row of a batch
+    is the bytes of its own 2-d call."""
     shape = q.data.shape
     equal = {k.data.shape, v.data.shape} == {shape}
-    if len(shape) != 2 or not equal or heads < 1 or shape[1] % heads:
+    if len(shape) not in (2, 3) or not equal or heads < 1 or shape[-1] % heads:
         raise ContractViolation(
-            f"attention needs equal 2-d q, k, v with a width divisible by {heads} "
+            f"attention needs equal 2-d or 3-d q, k, v with a width divisible by {heads} "
             f"heads, got {shape}, {k.data.shape}, {v.data.shape}"
         )
-    length, width = shape
-    d = width // heads
+    d = shape[-1] // heads
+    split_shape = (*shape[:-1], heads, d)  # (..., L, heads, D)
     c = 1.0 / np.sqrt(d)
-    qh, kh, vh = (
-        np.ascontiguousarray(a.data.reshape(length, heads, d).transpose(1, 0, 2))
-        for a in (q, k, v)
-    )
+
+    def split(a):  # (..., L, heads * D) -> (..., heads, L, D)
+        return a.reshape(split_shape).swapaxes(-2, -3)
+
+    qh, kh, vh = (np.ascontiguousarray(split(a.data)) for a in (q, k, v))
     qs = qh * c  # a copy: with one head, qh is a view of q's data
     e = qs @ kh.swapaxes(-1, -2)
     e -= e.max(axis=-1, keepdims=True)
@@ -223,13 +229,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     out = e @ vh
     out /= rowsum
 
-    def merge(a):  # (heads, L, D) -> (L, heads * D)
-        return a.transpose(1, 0, 2).reshape(length, width)
+    def merge(a):  # (..., heads, L, D) -> (..., L, heads * D)
+        return a.swapaxes(-2, -3).reshape(shape)
 
     def vjp(g):
         # g / S carries the adjoint through the normalization, so e stands
         # in for the normalized map
-        gn = g.reshape(length, heads, d).transpose(1, 0, 2) / rowsum
+        gn = split(g) / rowsum
         gv = e.swapaxes(-1, -2) @ gn
         ge = gn @ vh.swapaxes(-1, -2)
         # the softmax row term rowsum(g * out) / S, an (L, D) product
@@ -300,8 +306,13 @@ def chamfer(pred: Tensor, target: np.ndarray) -> Tensor:
     def vjp(g):
         gp = 2.0 * ((g / m / a) * (p - target[patch, near_q]))
         scatter = 2.0 * ((g / m / b) * (p[patch, near_p] - target))
-        np.add.at(gp, (patch, near_p), scatter)
-        return (gp,)
+        # each target point's term goes to its nearest predicted point's
+        # coordinates, through flat indices: a 1-d index is ufunc.at's fast
+        # path, and the terms are added in the same order
+        flat = ((patch * a + near_p)[..., None] * 3 + np.arange(3)).reshape(-1)
+        gp_flat = gp.reshape(-1)
+        np.add.at(gp_flat, flat, scatter.reshape(-1))
+        return (gp_flat.reshape(p.shape),)
 
     return make_node(out, (pred,), vjp)
 

@@ -25,7 +25,7 @@ from .errors import CheckpointError, ConfigError, ContractViolation, TrainingAbo
 from .fileio import write_atomic
 from .geometry import PointCloud, load_cloud, write_xyz
 from .gradcheck import GRADCHECK_TOLERANCE, run_gradcheck
-from .model import MultiviewMae, build_pretrain_plan, loss_from_plan
+from .model import MultiviewMae, build_pretrain_plan, plan_losses
 from .pipeline import (
     extract_features,
     fewshot_trials,
@@ -130,7 +130,7 @@ def cmd_reconstruct(args) -> int:
     with _run_manifest(args, args.checkpoint, cfg.config_hash()) as out_dir:
         plan = build_pretrain_plan(cloud, cfg.model, Rng(args.seed).derive("reconstruct"))
         with no_grad():
-            _, recon, diag = loss_from_plan(model, plan)
+            [(_, recon, diag)] = plan_losses(model, [plan])
 
         visible_abs = plan.patches.absolute()[plan.mask.visible_idx].reshape(-1, 3)
         write_xyz(out_dir / "masked_input.xyz", PointCloud(visible_abs))

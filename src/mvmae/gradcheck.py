@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import backward, no_grad
+from .autodiff import no_grad
 from .config import Config
 from .data import SyntheticShape, generate_shape
 from .errors import ContractViolation
-from .model import MultiviewMae, build_pretrain_plan, loss_from_plan
+from .model import MultiviewMae, build_pretrain_plan, plan_losses
+from .pipeline import step_gradients
 from .rng import Rng
 
 GRADCHECK_TOLERANCE = 1e-5
@@ -65,12 +66,13 @@ def run_gradcheck(
     cloud = generate_shape(
         SyntheticShape(kind="torus", n_points=cfg.data.n_points, seed=seed)
     )
-    plan = build_pretrain_plan(cloud, cfg.model, Rng(seed).derive("plan"))
+    # two plans, so that both kinds of decoder in a front-end batch are checked
+    plans = [build_pretrain_plan(cloud, cfg.model, Rng(seed).derive("plan", i)) for i in range(2)]
+    weight = 1.0 / len(plans)
 
     for p in model.params.values():
         p.grad = None
-    loss, _, _ = loss_from_plan(model, plan)
-    backward(loss)
+    step_gradients(model, plans, weight)
     analytic = {
         name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
         for name, p in model.params.items()
@@ -82,7 +84,7 @@ def run_gradcheck(
 
     def evaluate() -> float:
         with no_grad():
-            return float(loss_from_plan(model, plan)[0].data)
+            return weight * sum(float(loss.data) for loss, _, _ in plan_losses(model, plans))
 
     worst_name, worst_error = "", 0.0
     n_scalars = 0

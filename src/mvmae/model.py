@@ -252,15 +252,29 @@ def build_pretrain_plan(cloud: PointCloud, cfg: ModelConfig, rng: Rng) -> Pretra
     )
 
 
+def encode_plans(model: MultiviewMae, plans: list[PretrainPlan]) -> tuple[Tensor, Tensor]:
+    """The front end of a stack of plans as one graph: the (B, n_visible,
+    C) encoder outputs and the (B, n, C) position embeddings of all n
+    patches. Every plan masks the same number of patches, so they stack;
+    each sample's rows are the bytes its own one-plan stack gives."""
+    b, n = len(plans), model.cfg.n
+    visible = np.stack([plan.mask.visible_idx for plan in plans])
+    pos_all = model.pos3d(Tensor(np.stack([plan.patches.centers for plan in plans])))
+    tokens = model.patch_embed(
+        Tensor(np.stack([plan.patches.patches[plan.mask.visible_idx] for plan in plans]))
+    )
+    # each sample's visible rows, gathered from the samples' rows end to end
+    rows = (visible + n * np.arange(b)[:, None]).reshape(-1)
+    pos_flat = ops.reshape(pos_all, (b * n, model.cfg.C))
+    pos_visible = ops.reshape(ops.gather_rows(pos_flat, rows), tokens.shape)
+    return model.encode(tokens, pos_visible), pos_all
+
+
 def loss_from_plan(
-    model: MultiviewMae, plan: PretrainPlan
+    model: MultiviewMae, plan: PretrainPlan, encoded: Tensor, pos_all: Tensor
 ) -> tuple[Tensor, Reconstruction, dict]:
-    """The parameterized forward pass for a fixed plan."""
-    pos_all = model.pos3d(Tensor(plan.patches.centers))
-    visible_patches = Tensor(plan.patches.patches[plan.mask.visible_idx])
-    tokens = model.patch_embed(visible_patches)
-    pos_visible = ops.gather_rows(pos_all, plan.mask.visible_idx)
-    encoded = model.encode(tokens, pos_visible)
+    """The parameterized decoder half for a fixed plan, from that plan's
+    (n_visible, C) encoder outputs and (n, C) position embeddings."""
     fused = model.fuse_image_tokens(encoded, plan.groupings)
     seq, pos = model.assemble_decoder_input(
         encoded, fused, plan.groupings, plan.mask, plan.poses, pos_all
@@ -278,11 +292,16 @@ def loss_from_plan(
     return loss, recon, diagnostics
 
 
-def forward_pretrain(
-    model: MultiviewMae, cloud: PointCloud, rng: Rng
-) -> tuple[Tensor, Reconstruction, dict]:
-    plan = build_pretrain_plan(cloud, model.cfg, rng)
-    return loss_from_plan(model, plan)
+def plan_losses(
+    model: MultiviewMae, plans: list[PretrainPlan]
+) -> list[tuple[Tensor, Reconstruction, dict]]:
+    """loss_from_plan of every plan, each on its rows of one batched front
+    end: the forward that a training step runs."""
+    front = encode_plans(model, plans)
+    return [
+        loss_from_plan(model, plan, *(ops.gather_rows(t, i) for t in front))
+        for i, plan in enumerate(plans)
+    ]
 
 
 def encoder_features(model: MultiviewMae, cloud: PointCloud) -> np.ndarray:

@@ -7,19 +7,22 @@ run resumed from any checkpoint replays the remaining steps bit for bit.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from .autodiff import backward, ops
+from .autodiff import Tensor, backward, ops
 from .autodiff.optim import AdamWState, adamw_step, cosine_lr
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import Config
 from .errors import CheckpointError, ContractViolation, TrainingAborted
 from .fileio import read_input, write_atomic
 from .geometry import PointCloud, augment
-from .model import MultiviewMae, encoder_features, forward_pretrain
+from . import model as mmodel
+from .model import MultiviewMae, PretrainPlan, encoder_features
 from .rng import Rng
 
 METRICS_HEADER = "step\tlr\tl3d\tl2d\ttotal"
@@ -28,6 +31,9 @@ PROBE_STEPS = 400
 PROBE_LR = 0.5
 PROBE_WEIGHT_DECAY = 1e-4
 PROBE_TRAIN_FRACTION = 0.8
+# samples whose front ends run as one batch: the batch's front-end graph
+# stays alive while its decoders run, so this bounds a step's memory
+FRONT_END_GROUP = 4
 
 
 def format_metrics_row(step: int, lr: float, l3d: float, l2d: float, total: float) -> str:
@@ -129,6 +135,55 @@ def resume_point(
     return ckpt, [METRICS_HEADER] + [line for step, line in rows if step < ckpt.step]
 
 
+def sample_plan(
+    cfg: Config, clouds: list[PointCloud], root: Rng, epoch: int, item: int
+) -> PretrainPlan:
+    """The plan of corpus item `item` in `epoch`: its augmented cloud's
+    patches, mask, views and targets, each drawn from a stream derived
+    from the run's root stream, the epoch and the item alone."""
+    item_rng = root.derive("sample", epoch, item)
+    cloud = augment(clouds[item], item_rng.derive("augment"))
+    return mmodel.build_pretrain_plan(cloud, cfg.model, item_rng.derive("forward"))
+
+
+def step_gradients(
+    model: MultiviewMae, plans: Iterable[PretrainPlan], weight: float
+) -> list[dict]:
+    """Add weight * d(loss)/d(parameter) of every plan's loss into the
+    parameters' .grad and return each plan's diagnostics, in plan order.
+
+    Plans are taken FRONT_END_GROUP at a time, so only one batch of them
+    need exist at once, and the front ends of each batch run as one
+    (`encode_plans`); each decoder runs on its own sample's rows. All but
+    the last decoder of a batch run on leaves cut from those rows, and
+    their backward stops at the leaves. The last one runs on the batch's
+    own rows, and its backward also carries the leaves' gradients into
+    the front end, so a batch of B samples takes B backward sweeps.
+
+    Model functions are called through the module, where the benchmark's
+    trace wraps them."""
+    diags = []
+    plans = iter(plans)
+    while group := list(islice(plans, FRONT_END_GROUP)):
+        front = mmodel.encode_plans(model, group)
+        seeds = [np.zeros_like(t.data) for t in front]
+        for i, plan in enumerate(group[:-1]):
+            leaves = [Tensor(t.data[i], requires_grad=True) for t in front]
+            loss, _, diag = mmodel.loss_from_plan(model, plan, *leaves)
+            backward(ops.scale(loss, weight))
+            for seed, leaf in zip(seeds, leaves):
+                seed[i] = leaf.grad
+            diags.append(diag)
+        last = len(group) - 1
+        rows = (ops.gather_rows(t, last) for t in front)
+        loss, _, diag = mmodel.loss_from_plan(model, group[last], *rows)
+        # sum(t * seed) hands each front-end output its seed as its adjoint
+        carried = [ops.sum_(ops.mul(t, Tensor(seed))) for t, seed in zip(front, seeds)]
+        backward(ops.add(ops.scale(loss, weight), ops.add(*carried)))
+        diags.append(diag)
+    return diags
+
+
 def pretrain(
     cfg: Config,
     clouds: list[PointCloud],
@@ -209,27 +264,19 @@ def pretrain(
 
             for p in model.params.values():
                 p.grad = None
-            sum_l3d = 0.0
-            sum_l2d = 0.0
-            for item_idx in items:
-                item_rng = root.derive("sample", epoch, int(item_idx))
-                cloud = augment(clouds[item_idx], item_rng.derive("augment"))
-                try:
-                    loss, _, diag = forward_pretrain(
-                        model, cloud, item_rng.derive("forward")
-                    )
-                except TrainingAborted as exc:
-                    raise TrainingAborted(step, str(exc)) from exc
-                backward(ops.scale(loss, 1.0 / len(items)))
-                sum_l3d += diag["l3d"]
-                sum_l2d += diag["l2d"]
+            # drawn a front-end batch at a time by step_gradients
+            plans = (sample_plan(cfg, clouds, root, epoch, int(i)) for i in items)
+            try:
+                diags = step_gradients(model, plans, 1.0 / len(items))
+            except TrainingAborted as exc:
+                raise TrainingAborted(step, str(exc)) from exc
             for name, p in model.params.items():
                 if p.grad is not None and not np.isfinite(p.grad).all():
                     raise TrainingAborted(step, f"non-finite gradient for {name}")
             adamw_step(model.params, opt, lr, cfg.train.weight_decay)
 
-            l3d = sum_l3d / len(items)
-            l2d = sum_l2d / len(items)
+            l3d = sum(diag["l3d"] for diag in diags) / len(items)
+            l2d = sum(diag["l2d"] for diag in diags) / len(items)
             metrics.write(format_metrics_row(step, lr, l3d, l2d, l3d + l2d) + "\n")
             metrics.flush()
 

@@ -122,9 +122,11 @@ def rasterize_depth(points: np.ndarray, pose: CameraPose, h_i: int, w_i: int) ->
     """
     near, far = clip_planes(pose)
     proj = project_points(points, pose, h_i, w_i)
-    zbuf = np.full((h_i, w_i), np.inf)
+    zbuf = np.full(h_i * w_i, np.inf)
     sel = proj.in_frustum
-    np.minimum.at(zbuf, (proj.rows[sel], proj.cols[sel]), proj.depth[sel])
+    # flat pixel indices: a 1-d index is ufunc.at's fast path
+    np.minimum.at(zbuf, proj.rows[sel] * w_i + proj.cols[sel], proj.depth[sel])
+    zbuf = zbuf.reshape(h_i, w_i)
     occupied = np.isfinite(zbuf)
     return np.where(occupied, (far - zbuf) / (far - near), 0.0)
 

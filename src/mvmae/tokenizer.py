@@ -64,8 +64,8 @@ class PatchEmbed(Mlp2):
         super().__init__(reg, name, 3, dim // 2, dim)
 
     def __call__(self, patches: Tensor) -> Tensor:
-        # (n, k, 3): the affine layers act on the last axis, pool over k
-        return ops.max_(super().__call__(patches), axis=1)
+        # (..., n, k, 3): the affine layers act on the last axis, pool over k
+        return ops.max_(super().__call__(patches), axis=-2)
 
 
 class PosEmbed3D(Mlp2):

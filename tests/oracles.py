@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive (loops, exhaustive scans) and kept
 free of the library's own kernels so a bug cannot hide on both sides of
-a comparison.
+a comparison. The per-sample training step at the end is the exception:
+it is the step as it ran before the front ends of a step's samples were
+batched, built from the model's own layers, one sample at a time.
 """
 
 from __future__ import annotations
@@ -15,6 +17,9 @@ import tracemalloc
 
 import numpy as np
 from scipy.special import erf
+
+from mvmae.autodiff import Tensor, backward, ops
+from mvmae.model import loss_from_plan
 
 
 def finite_difference(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -488,3 +493,30 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+# --- the training step, one sample at a time ------------------------------
+
+
+def per_sample_front_end(model, plan):
+    """One plan's (n_visible, C) encoder outputs and (n, C) position
+    embeddings, from a front end that sees that plan alone."""
+    pos_all = model.pos3d(Tensor(plan.patches.centers))
+    tokens = model.patch_embed(Tensor(plan.patches.patches[plan.mask.visible_idx]))
+    return model.encode(tokens, ops.gather_rows(pos_all, plan.mask.visible_idx)), pos_all
+
+
+def per_sample_loss(model, plan):
+    """loss_from_plan's (loss, reconstruction, diagnostics) for one plan,
+    with its whole forward, front end included, in one graph."""
+    return loss_from_plan(model, plan, *per_sample_front_end(model, plan))
+
+
+def per_sample_gradients(model, plans, weight) -> dict:
+    """weight * the summed parameter gradients of the plans' losses, from
+    one whole forward and backward per plan."""
+    for p in model.params.values():
+        p.grad = None
+    for plan in plans:
+        backward(ops.scale(per_sample_loss(model, plan)[0], weight))
+    return {name: p.grad.copy() for name, p in model.params.items()}

@@ -45,8 +45,9 @@ A23 = RNG.standard_normal((2, 3))
 A34 = RNG.standard_normal((3, 4))
 A234 = RNG.standard_normal((2, 3, 4))
 VEC4 = RNG.standard_normal(4)
-# two heads of width 3 over five rows
+# two heads of width 3 over five rows, alone and in a batch of two
 Q56, K56, V56 = (RNG.standard_normal((5, 6)) for _ in range(3))
+Q256, K256, V256 = (RNG.standard_normal((2, 5, 6)) for _ in range(3))
 P453 = RNG.standard_normal((4, 5, 3))
 T463 = RNG.standard_normal((4, 6, 3))
 # three segments over five rows; rows 0 and 2 belong to two segments each
@@ -102,6 +103,9 @@ B34 = RNG.standard_normal((3, 4))
         ("layer_norm_affine_beta",
          lambda t: ops.layer_norm_affine(Tensor(A34), Tensor(VEC4), t), BETA4),
         ("mse_rhs", lambda t: ops.mse(Tensor(A34), t), B34),
+        ("attention_batch_q", lambda t: ops.attention(t, Tensor(K256), Tensor(V256), 2), Q256),
+        ("attention_batch_k", lambda t: ops.attention(Tensor(Q256), t, Tensor(V256), 2), K256),
+        ("attention_batch_v", lambda t: ops.attention(Tensor(Q256), Tensor(K256), t, 2), V256),
     ],
 )
 def test_op_gradients_match_finite_differences(name, build, x0):
@@ -181,7 +185,7 @@ def merge_heads(a):
 def test_attention_rejects_mismatched_or_indivisible_operands():
     x = Tensor(np.ones((5, 6)))
     cases = [
-        (Tensor(np.ones((1, 5, 6))),) * 3 + (2,),
+        (Tensor(np.ones((1, 1, 5, 6))),) * 3 + (2,),
         (Tensor(np.ones(6)),) * 3 + (2,),
         (x, Tensor(np.ones((4, 6))), x, 2),
         (x, x, Tensor(np.ones((5, 4))), 2),
@@ -232,12 +236,30 @@ def test_attention_matches_normalized_map_oracle(length, width, heads):
         assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
 
 
+@pytest.mark.parametrize(
+    "batch,length,width,heads",
+    [(4, 16, 64, 4), (2, 256, 64, 4), (3, 5, 6, 1)],
+    ids=["desk-encoder", "desk-decoder", "one-head"],
+)
+def test_attention_batch_rows_are_the_2d_bytes(batch, length, width, heads):
+    rng = np.random.default_rng(13)
+    q, k, v, g = (rng.standard_normal((batch, length, width)) for _ in range(4))
+    node = ops.attention(*(Tensor(a, requires_grad=True) for a in (q, k, v)), heads)
+    got = (node.data, *node._vjp(g))
+    for i in range(batch):
+        row = ops.attention(*(Tensor(a[i], requires_grad=True) for a in (q, k, v)), heads)
+        want = (row.data, *row._vjp(g[i]))
+        for a, b in zip(got, want):
+            assert a[i].tobytes() == b.tobytes()
+
+
 def test_vjps_leave_incoming_adjoint_untouched():
     rng = np.random.default_rng(11)
     cases = [
         (lambda t: ops.attention(t, t, t, 2), rng.standard_normal((5, 6))),
         # one head: the split is a view of q, so only a copy may be scaled
         (lambda t: ops.attention(t, t, t, 1), rng.standard_normal((5, 6))),
+        (lambda t: ops.attention(t, t, t, 2), rng.standard_normal((2, 5, 6))),
         (lambda t: ops.segment_pool(t, SEG_IDX, SEG_STARTS), rng.standard_normal((5, 4))),
         (lambda t: ops.chamfer(t, T463), rng.standard_normal((4, 5, 3))),
         (lambda t: ops.linear(t, t, Tensor(VEC3)), rng.standard_normal((3, 3))),
@@ -492,6 +514,24 @@ def test_chamfer_tie_routes_to_first_nearest_point():
     p = Parameter(np.array([[[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]]), "p")
     backward(ops.chamfer(p, np.zeros((1, 1, 3))))
     np.testing.assert_array_equal(p.grad, [[[3.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]])
+
+
+def test_chamfer_adjoint_matches_the_tuple_index_scatter():
+    # 16 predicted points against 64 targets: most predicted points are the
+    # nearest of several targets, so the scatter adds into the same rows
+    rng = np.random.default_rng(15)
+    p0, target = rng.standard_normal((3, 16, 3)), rng.standard_normal((3, 64, 3))
+    p = Parameter(p0.copy(), "p")
+    backward(ops.chamfer(p, target))
+    d2 = ((p0[:, :, None, :] - target[:, None, :, :]) ** 2).sum(axis=-1)
+    near_p = np.argmin(d2, axis=1)  # (M, B)
+    assert all(len(np.unique(row)) < len(row) for row in near_p)
+    # the adjoint as the tuple-index scatter writes it
+    m, a, b = 3, 16, 64
+    patch = np.arange(m)[:, None]
+    gp = 2.0 * ((1.0 / m / a) * (p0 - target[patch, np.argmin(d2, axis=2)]))
+    np.add.at(gp, (patch, near_p), 2.0 * ((1.0 / m / b) * (p0[patch, near_p] - target)))
+    assert p.grad.tobytes() == gp.tobytes()
 
 
 def test_layer_norm_moments():

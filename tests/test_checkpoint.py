@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvmae.autodiff import backward
 from mvmae import checkpoint
 from mvmae.autodiff.optim import AdamWState, adamw_step
 from mvmae.checkpoint import (
@@ -27,8 +26,8 @@ from mvmae.checkpoint import (
 from mvmae.config import desk_config, tiny_config
 from mvmae.data import SyntheticShape, generate_shape
 from mvmae.errors import CheckpointError
-from mvmae.model import MultiviewMae, forward_pretrain
-from mvmae.pipeline import load_pretrained
+from mvmae.model import MultiviewMae, build_pretrain_plan
+from mvmae.pipeline import load_pretrained, step_gradients
 from mvmae.rng import Rng
 
 from oracles import checkpoint_by_join, traced_peak
@@ -42,8 +41,8 @@ def trained_state(steps=3, seed=0):
     for step in range(steps):
         for p in model.params.values():
             p.grad = None
-        loss, _, _ = forward_pretrain(model, cloud, Rng(seed).derive("s", step))
-        backward(loss)
+        plan = build_pretrain_plan(cloud, cfg.model, Rng(seed).derive("s", step))
+        step_gradients(model, [plan], 1.0)
         adamw_step(model.params, opt, 1e-3, cfg.train.weight_decay)
     return cfg, model, opt
 

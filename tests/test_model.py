@@ -11,18 +11,25 @@ from mvmae.geometry import PointCloud, farthest_point_sampling
 from mvmae.model import (
     MultiviewMae,
     build_pretrain_plan,
+    encode_plans,
     encoder_features,
-    forward_pretrain,
     loss_2d,
     loss_3d,
-    loss_from_plan,
     patchify,
     total_loss,
 )
+from mvmae.pipeline import step_gradients
 from mvmae.projection import TokenGrouping
 from mvmae.rng import Rng
 
-from oracles import chamfer_bruteforce, decoder_input_per_token, fd_gradcheck, mlp2
+from oracles import (
+    chamfer_bruteforce,
+    decoder_input_per_token,
+    fd_gradcheck,
+    mlp2,
+    per_sample_front_end,
+    per_sample_loss,
+)
 
 
 def tiny_model(seed=0):
@@ -435,7 +442,7 @@ def test_loss_gradients_are_additive():
     def grads_for(term_builder):
         for p in model.params.values():
             p.grad = None
-        loss, recon, _ = loss_from_plan(model, plan)
+        loss, recon, _ = per_sample_loss(model, plan)
         backward(term_builder(loss, recon))
         return {
             name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
@@ -460,12 +467,39 @@ def test_loss_gradients_are_additive():
 # --- pretraining forward ---------------------------------------------
 
 
-def test_forward_pretrain_deterministic():
+def test_step_gradients_deterministic():
     model = tiny_model()
-    cloud = torus_cloud()
-    a = float(forward_pretrain(model, cloud, Rng(7).derive("s"))[0].data)
-    b = float(forward_pretrain(model, cloud, Rng(7).derive("s"))[0].data)
-    assert a == b
+    plans = [
+        build_pretrain_plan(torus_cloud(64, i), model.cfg, Rng(7).derive("s", i))
+        for i in range(3)
+    ]
+    runs = []
+    for _ in range(2):
+        for p in model.params.values():
+            p.grad = None
+        diags = step_gradients(model, plans, 1.0 / len(plans))
+        runs.append((diags, [p.grad.copy() for p in model.params.values()]))
+    assert runs[0][0] == runs[1][0]
+    for a, b in zip(runs[0][1], runs[1][1]):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("preset,seed", [("tiny", 0), ("desk", 1)])
+def test_batched_front_end_rows_are_the_one_plan_bytes(preset, seed):
+    cfg = (tiny_config() if preset == "tiny" else desk_config()).model
+    model = MultiviewMae(cfg, Rng(seed).derive("init"))
+    n_points = 1024 if preset == "desk" else 64
+    plans = [
+        build_pretrain_plan(torus_cloud(n_points, seed + i), cfg, Rng(seed).derive("s", i))
+        for i in range(4)
+    ]
+    encoded, pos_all = encode_plans(model, plans)
+    assert encoded.shape == (4, len(plans[0].mask.visible_idx), cfg.C)
+    assert pos_all.shape == (4, cfg.n, cfg.C)
+    for i, plan in enumerate(plans):
+        want_encoded, want_pos = per_sample_front_end(model, plan)
+        np.testing.assert_array_equal(encoded.data[i], want_encoded.data)
+        np.testing.assert_array_equal(pos_all.data[i], want_pos.data)
 
 
 def test_desk_mask_leaves_sixteen_visible():
@@ -475,11 +509,15 @@ def test_desk_mask_leaves_sixteen_visible():
     assert len(plan.mask.masked_idx) == 48
 
 
-def test_forward_pretrain_single_point_cloud_finite():
+def test_step_gradients_single_point_cloud_finite():
     model = tiny_model()
     cloud = PointCloud(np.array([[0.1, -0.2, 0.05]]))
-    loss, _, _ = forward_pretrain(model, cloud, Rng(9).derive("s"))
-    assert np.isfinite(loss.data)
+    plan = build_pretrain_plan(cloud, model.cfg, Rng(9).derive("s"))
+    for p in model.params.values():
+        p.grad = None
+    [diag] = step_gradients(model, [plan], 1.0)
+    assert np.isfinite([diag["l3d"], diag["l2d"]]).all()
+    assert all(np.isfinite(p.grad).all() for p in model.params.values())
 
 
 def test_ensure_min_points_cycles():
@@ -497,9 +535,9 @@ def test_ensure_min_points_cycles():
 def test_encoder_never_sees_masked_patch_contents():
     model = tiny_model()
     plan = build_pretrain_plan(torus_cloud(), model.cfg, Rng(10).derive("s"))
-    _, recon_a, diag_a = loss_from_plan(model, plan)
+    _, recon_a, diag_a = per_sample_loss(model, plan)
     plan.patches.patches[plan.mask.masked_idx] += 5.0  # corrupt hidden content
-    _, recon_b, diag_b = loss_from_plan(model, plan)
+    _, recon_b, diag_b = per_sample_loss(model, plan)
     np.testing.assert_array_equal(
         recon_a.predicted_patches.data, recon_b.predicted_patches.data
     )
@@ -532,7 +570,7 @@ def test_desk_graph_size_does_not_grow_with_fused_tokens():
     groups, counts = [], []
     for i, cloud in enumerate(clouds):
         plan = build_pretrain_plan(cloud, cfg, Rng(i).derive("s"))
-        loss, _, diag = loss_from_plan(model, plan)
+        loss, _, diag = per_sample_loss(model, plan)
         groups.append(tuple(g.g for g in plan.groupings))
         counts.append(graph_nodes(loss))
     assert len(set(groups)) == len(groups)
@@ -579,7 +617,7 @@ def test_backward_frees_the_forward_graph():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        loss = loss_from_plan(model, plan)[0]
+        loss = per_sample_loss(model, plan)[0]
         forward = tracemalloc.get_traced_memory()[0] - base
         backward(loss)
         held = tracemalloc.get_traced_memory()[0] - base
@@ -597,18 +635,20 @@ def test_micro_end_to_end_gradcheck():
     )
     model = MultiviewMae(cfg, Rng(1).derive("init"))
     cloud = generate_shape(SyntheticShape(kind="cone", n_points=16, seed=2))
-    plan = build_pretrain_plan(cloud, cfg, Rng(2).derive("s"))
+    # two plans: a decoder on cut leaves and one on the batch's own rows
+    plans = [build_pretrain_plan(cloud, cfg, Rng(2).derive("s", i)) for i in range(2)]
 
-    loss, _, _ = loss_from_plan(model, plan)
-    backward(loss)
+    for p in model.params.values():
+        p.grad = None
+    step_gradients(model, plans, 0.5)
     for name, p in model.params.items():
-        analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
+        analytic = p.grad
 
         def f(flat, p=p):
             saved = p.data.copy()
             p.data[...] = flat.reshape(p.data.shape)
             with no_grad():
-                out = float(loss_from_plan(model, plan)[0].data)
+                out = sum(0.5 * float(per_sample_loss(model, plan)[0].data) for plan in plans)
             p.data[...] = saved
             return out
 

@@ -14,11 +14,11 @@ from mvmae import fileio
 from mvmae.autodiff import no_grad
 from mvmae.autodiff.optim import cosine_lr
 from mvmae.checkpoint import load_checkpoint, save_checkpoint
-from mvmae.config import tiny_config
-from mvmae.data import make_dataset
+from mvmae.config import desk_config, tiny_config
+from mvmae.data import SyntheticShape, generate_shape, make_dataset
 from mvmae.errors import CheckpointError, ContractViolation, TrainingAborted
 from mvmae.geometry import PointCloud
-from mvmae.model import MultiviewMae, build_pretrain_plan, loss_from_plan
+from mvmae.model import MultiviewMae, build_pretrain_plan, plan_losses
 from mvmae.pipeline import (
     METRICS_HEADER,
     QUERIES_PER_CLASS,
@@ -29,12 +29,13 @@ from mvmae.pipeline import (
     pretrain,
     probe_features,
     resume_point,
+    step_gradients,
     summarize_accuracy,
 )
 from mvmae.projection import write_pgm
 from mvmae.rng import Rng
 
-from oracles import param_fingerprint, read_metrics
+from oracles import param_fingerprint, per_sample_gradients, read_metrics, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -431,11 +432,11 @@ def test_nonfinite_gradient_aborts_before_update(corpus, tmp_path, monkeypatch):
     cfg, clouds, _ = corpus
     batch = cfg.train.batch_size
     seen = {"backward": 0}
-    real_forward, real_backward = pipeline.forward_pretrain, pipeline.backward
+    real_step, real_backward = pipeline.step_gradients, pipeline.backward
 
-    def forward(model, cloud, rng):
+    def step(model, plans, weight):
         seen["model"] = model
-        return real_forward(model, cloud, rng)
+        return real_step(model, plans, weight)
 
     def backward(loss):
         real_backward(loss)
@@ -448,7 +449,7 @@ def test_nonfinite_gradient_aborts_before_update(corpus, tmp_path, monkeypatch):
             params[names[3]].grad.flat[0] = np.inf
             params[names[-1]].grad.flat[-1] = -np.inf
 
-    monkeypatch.setattr(pipeline, "forward_pretrain", forward)
+    monkeypatch.setattr(pipeline, "step_gradients", step)
     monkeypatch.setattr(pipeline, "backward", backward)
     with pytest.raises(TrainingAborted) as info:
         pretrain(cfg, clouds, tmp_path / "g", run_seed=0)
@@ -459,6 +460,52 @@ def test_nonfinite_gradient_aborts_before_update(corpus, tmp_path, monkeypatch):
     rows = read_metrics(tmp_path / "g" / "metrics.tsv")
     assert [r["step"] for r in rows] == [0]
     assert np.isfinite(rows[0]["total"])
+
+
+# --- one step's gradients ---------------------------------------------------
+
+
+def step_inputs(preset, batch):
+    cfg = desk_config() if preset == "desk" else tiny_config()
+    model = MultiviewMae(cfg.model, Rng(0).derive("init"))
+    kinds = ("torus", "cone", "sphere", "cube", "cylinder")
+    plans = [
+        build_pretrain_plan(
+            generate_shape(SyntheticShape(kinds[i % 5], cfg.data.n_points, seed=i)),
+            cfg.model,
+            Rng(1).derive("sample", i),
+        )
+        for i in range(batch)
+    ]
+    return model, plans
+
+
+def batched_step(model, plans):
+    for p in model.params.values():
+        p.grad = None
+    step_gradients(model, plans, 1.0 / len(plans))
+    return {name: p.grad.copy() for name, p in model.params.items()}
+
+
+# tiny 5 runs a full front-end batch and a batch of one
+@pytest.mark.parametrize("preset,batch", [("tiny", 2), ("tiny", 5), ("desk", 8)])
+def test_step_gradients_match_per_sample_accumulation(preset, batch):
+    model, plans = step_inputs(preset, batch)
+    got = batched_step(model, plans)
+    want = per_sample_gradients(model, plans, 1.0 / batch)
+    for name, g in want.items():
+        # the batched front end reorders sums only
+        assert np.linalg.norm(got[name] - g) <= 1e-12 * np.linalg.norm(g), name
+
+
+def test_desk_step_memory_is_bounded():
+    # traced peaks on numpy 2.4: 19.3 MB one sample at a time, 25.3 MB with
+    # front ends batched by 4, 30.9 MB with all 8 front ends alive at once
+    model, plans = step_inputs("desk", 8)
+    batched_step(model, plans)  # first-use allocations stay out of the peaks
+    batched = traced_peak(lambda: batched_step(model, plans))
+    per_sample = traced_peak(lambda: per_sample_gradients(model, plans, 1.0 / 8))
+    assert batched < 1.4 * per_sample, (batched, per_sample)
 
 
 def test_resume_without_run_seed_rejected(corpus, tmp_path):
@@ -518,7 +565,7 @@ def test_resume_without_total_steps_rejected(corpus, tmp_path):
 def heldout_losses(model, plans) -> tuple[float, float]:
     """Mean l3d and l2d of a model over fixed plans."""
     with no_grad():
-        diags = [loss_from_plan(model, plan)[2] for plan in plans]
+        diags = [diag for _, _, diag in plan_losses(model, plans)]
     return (
         float(np.mean([d["l3d"] for d in diags])),
         float(np.mean([d["l2d"] for d in diags])),

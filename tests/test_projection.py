@@ -10,6 +10,7 @@ from mvmae.geometry import PointCloud, rotate_z
 from mvmae.model import build_pretrain_plan
 from mvmae.projection import (
     CameraPose,
+    clip_planes,
     group_by_image_token,
     project_points,
     rasterize_depth,
@@ -182,6 +183,19 @@ def test_rasterize_values_bounded_and_deterministic():
     np.testing.assert_array_equal(a, b)
     assert a.min() >= 0.0 and a.max() <= 1.0
     assert (a > 0).any()
+
+
+def test_rasterize_matches_the_tuple_index_z_buffer():
+    # 4096 points on 16 x 24 pixels: most pixels are hit many times
+    cloud = ball_cloud(5, n=4096)
+    proj = project_points(cloud, POSE, 16, 24)
+    sel = proj.in_frustum
+    assert len(np.unique(proj.rows[sel] * 24 + proj.cols[sel])) < sel.sum() // 4
+    zbuf = np.full((16, 24), np.inf)
+    np.minimum.at(zbuf, (proj.rows[sel], proj.cols[sel]), proj.depth[sel])
+    near, far = clip_planes(POSE)
+    want = np.where(np.isfinite(zbuf), (far - zbuf) / (far - near), 0.0)
+    assert rasterize_depth(cloud, POSE, 16, 24).tobytes() == want.tobytes()
 
 
 def test_rasterize_azimuth_equivariance():
