@@ -8,15 +8,20 @@ four fused ops for the hot spots of a training step: multi-head scaled
 dot-product attention on (L, heads * D) projections or a batch of them
 (heads split and merged inside the node, which keeps the unnormalized
 attention maps and their row sums for its adjoint, never the normalized
-maps), segment max+mean pooling, the patch Chamfer loss and the mean
-squared error. That is sufficient for the whole encoder/decoder and
-every loss. A training step builds one more scalar from `mul` and
-`sum_`: sum(t * G) over its batched front end's outputs t, whose
-backward hands each t the gradient G that its samples' decoders left
-(see `pipeline.step_gradients`).
+maps, and shares a large map's heads between two threads), segment
+max+mean pooling, the patch Chamfer loss and the mean squared error.
+That is sufficient for the whole encoder/decoder and every loss. A
+training step builds one more scalar from `mul` and `sum_`: sum(t * G)
+over its batched front end's outputs t, whose backward hands each t the
+gradient G that its samples' decoders left (see
+`pipeline.step_gradients`).
 """
 
 from __future__ import annotations
+
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.special import erf
@@ -27,6 +32,64 @@ from .tensor import Tensor, make_node
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 LAYER_NORM_EPS = 1e-6  # added to the variance before its square root
+
+
+# attention shares its heads with the worker from this many entries in its
+# (samples * heads, L, L) map on. Forward + VJP with 4 heads of width 16 on
+# two cores read shared/inline 2.6-2.7 at L = 64 (16,384 entries), 1.4 at
+# L = 128, 1.05-1.14 at L = 160, 0.85-0.94 at L = 192 (147,456) and
+# 0.59-0.64 at L = 256. So the desk decoder (L = 256) shares its heads, and
+# its encoder and feature extraction (L <= 64) do not.
+_SPLIT_MIN_MAP = 1 << 17
+
+
+def _new_worker() -> ThreadPoolExecutor | None:
+    """The one worker, when this process may run on two CPUs or more; its
+    thread starts at the first split."""
+    if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2:
+        return ThreadPoolExecutor(max_workers=1)
+    return None
+
+
+def _renew_worker() -> None:
+    # a forked child has no copy of the parent's thread, so the parent's
+    # executor would queue its work forever
+    global _WORKER
+    _WORKER = _new_worker()
+
+
+_WORKER = _new_worker()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_renew_worker)
+
+
+def _run_head_ranges(run, n: int, length: int) -> None:
+    """run(0, n) over n heads of L x L maps or, for a large map, run(h, h + 1)
+    for every head h, which this thread and the worker claim one at a time:
+    a worker that starts late, or that the host slows, takes fewer heads.
+    `run` may only call numpy and write its own heads' slices, so the bytes
+    are those of run(0, n)."""
+    if _WORKER is None or n < 2 or n * length * length < _SPLIT_MIN_MAP:
+        run(0, n)
+        return
+    heads = iter(range(n))
+    lock = threading.Lock()
+
+    def claim():
+        while True:
+            with lock:
+                h = next(heads, None)
+            if h is None:
+                return
+            run(h, h + 1)
+
+    other = _WORKER.submit(claim)
+    try:
+        claim()
+    finally:
+        # a worker that has not started has no head left to claim
+        if not other.cancel():
+            other.result()
 
 
 def as_tensor(x) -> Tensor:
@@ -205,7 +268,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     the unnormalized map exp(logits - rowmax) and S its row sums, so the
     normalized map is never formed: the node keeps e and S for its
     adjoint. Every matmul runs per (sample, head), so each row of a batch
-    is the bytes of its own 2-d call."""
+    is the bytes of its own 2-d call.
+
+    The forward and the VJP each run over ranges of the flattened (sample,
+    head) axis, writing only their own slices of the map, row-sum, output
+    and adjoint arrays. A large map's heads are shared between two threads
+    (see _run_head_ranges); the per-head arithmetic, and so every byte, is
+    the same as on one."""
     shape = q.data.shape
     equal = {k.data.shape, v.data.shape} == {shape}
     if len(shape) not in (2, 3) or not equal or heads < 1 or shape[-1] % heads:
@@ -213,37 +282,58 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
             f"attention needs equal 2-d or 3-d q, k, v with a width divisible by {heads} "
             f"heads, got {shape}, {k.data.shape}, {v.data.shape}"
         )
-    d = shape[-1] // heads
+    length, d = shape[-2], shape[-1] // heads
+    n = q.data.size // (length * d)  # samples * heads
     split_shape = (*shape[:-1], heads, d)  # (..., L, heads, D)
+    heads_shape = (*shape[:-2], heads, length, d)
     c = 1.0 / np.sqrt(d)
 
     def split(a):  # (..., L, heads * D) -> (..., heads, L, D)
         return a.reshape(split_shape).swapaxes(-2, -3)
 
-    qh, kh, vh = (np.ascontiguousarray(split(a.data)) for a in (q, k, v))
-    qs = qh * c  # a copy: with one head, qh is a view of q's data
-    e = qs @ kh.swapaxes(-1, -2)
-    e -= e.max(axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    rowsum = e.sum(axis=-1, keepdims=True)
-    out = e @ vh
-    out /= rowsum
-
     def merge(a):  # (..., heads, L, D) -> (..., L, heads * D)
-        return a.swapaxes(-2, -3).reshape(shape)
+        return a.reshape(heads_shape).swapaxes(-2, -3).reshape(shape)
+
+    def flat(a):  # (..., heads, L, X) -> (samples * heads, L, X), a view if it can
+        return a.reshape(n, length, a.shape[-1])
+
+    qh, kh, vh = (flat(np.ascontiguousarray(split(a.data))) for a in (q, k, v))
+    qs = qh * c  # a copy: with one head, qh is a view of q's data
+    e = np.empty((n, length, length))
+    rowsum = np.empty((n, length, 1))
+    out = np.empty_like(qs)
+
+    def forward_heads(lo, hi):
+        e_r, s_r = e[lo:hi], rowsum[lo:hi]
+        np.matmul(qs[lo:hi], kh[lo:hi].swapaxes(-1, -2), out=e_r)
+        e_r.max(axis=-1, keepdims=True, out=s_r)
+        e_r -= s_r
+        np.exp(e_r, out=e_r)
+        e_r.sum(axis=-1, keepdims=True, out=s_r)
+        out_r = np.matmul(e_r, vh[lo:hi], out=out[lo:hi])
+        out_r /= s_r
+
+    _run_head_ranges(forward_heads, n, length)
 
     def vjp(g):
         # g / S carries the adjoint through the normalization, so e stands
         # in for the normalized map
-        gn = split(g) / rowsum
-        gv = e.swapaxes(-1, -2) @ gn
-        ge = gn @ vh.swapaxes(-1, -2)
-        # the softmax row term rowsum(g * out) / S, an (L, D) product
-        ge -= (gn * out).sum(axis=-1, keepdims=True)
-        ge *= e
-        gq = ge @ kh
-        gq *= c
-        return merge(gq), merge(ge.swapaxes(-1, -2) @ qs), merge(gv)
+        gn = flat(split(g) / rowsum.reshape(*heads_shape[:-1], 1))
+        gq, gk, gv = (np.empty_like(qs) for _ in range(3))
+
+        def vjp_heads(lo, hi):
+            gn_r, e_r = gn[lo:hi], e[lo:hi]
+            np.matmul(e_r.swapaxes(-1, -2), gn_r, out=gv[lo:hi])
+            ge = gn_r @ vh[lo:hi].swapaxes(-1, -2)
+            # the softmax row term rowsum(g * out) / S, an (L, D) product
+            ge -= (gn_r * out[lo:hi]).sum(axis=-1, keepdims=True)
+            ge *= e_r
+            gq_r = np.matmul(ge, kh[lo:hi], out=gq[lo:hi])
+            gq_r *= c
+            np.matmul(ge.swapaxes(-1, -2), qs[lo:hi], out=gk[lo:hi])
+
+        _run_head_ranges(vjp_heads, n, length)
+        return merge(gq), merge(gk), merge(gv)
 
     return make_node(merge(out), (q, k, v), vjp)
 

@@ -3,8 +3,11 @@
 A Tensor wraps a numpy array plus an optional gradient buffer and a
 closure that maps the output adjoint to parent adjoints. Graphs are
 plain DAGs built eagerly by the ops module; `backward` runs a single
-topological sweep. Everything is float64 and single-threaded by design:
-determinism is a contract here, not an aspiration.
+topological sweep. Everything is float64, and determinism is a contract
+here, not an aspiration: an op may split its work across threads only
+into disjoint slices of its outputs, each computed with the same
+per-element arithmetic as the whole, so no byte depends on the number of
+cores (ops.attention splits a large map's heads this way).
 
 A graph is consumed by its backward: each interior node drops its parents
 and its closure (and with them the arrays the forward saved) once its VJP

@@ -13,7 +13,9 @@ import hashlib
 import json
 import math
 import struct
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.special import erf
@@ -482,6 +484,29 @@ def dataset_by_columns(cfg, kinds) -> list[tuple[np.ndarray, int, str]]:
             points = shape_by_columns(kind, cfg.n_points, seed, params)
             out.append((points, label, f"{kind}:{seed}"))
     return out
+
+
+class StartedWorker(ThreadPoolExecutor):
+    """The attention worker, counting its tasks. `submit` returns once the
+    task has started, so the worker takes part in every split: a task that
+    has not started would be cancelled once the caller's thread has run
+    every head itself."""
+
+    def __init__(self):
+        super().__init__(max_workers=1)
+        self.tasks = 0
+
+    def submit(self, fn):
+        started = threading.Event()
+
+        def task():
+            started.set()
+            return fn()
+
+        self.tasks += 1
+        future = super().submit(task)
+        assert started.wait(timeout=60)
+        return future
 
 
 def traced_peak(fn) -> int:

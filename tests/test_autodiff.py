@@ -1,4 +1,9 @@
 import math
+import os
+import sys
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +14,12 @@ from mvmae.autodiff import Parameter, Tensor, backward, no_grad, ops
 from mvmae.autodiff.tensor import make_node
 from mvmae.errors import ContractViolation
 
-from oracles import attention_by_normalized_map, finite_difference, grad_rel_error
+from oracles import (
+    StartedWorker,
+    attention_by_normalized_map,
+    finite_difference,
+    grad_rel_error,
+)
 
 TOL = 1e-5
 
@@ -251,6 +261,126 @@ def test_attention_batch_rows_are_the_2d_bytes(batch, length, width, heads):
         want = (row.data, *row._vjp(g[i]))
         for a, b in zip(got, want):
             assert a[i].tobytes() == b.tobytes()
+
+
+@pytest.fixture
+def split_heads(monkeypatch):
+    """Every attention op with two heads or more shares them with a worker,
+    and the two threads trade the interpreter lock as often as they can."""
+    worker = StartedWorker()
+    monkeypatch.setattr(ops, "_WORKER", worker)
+    monkeypatch.setattr(ops, "_SPLIT_MIN_MAP", 0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield worker
+    finally:
+        sys.setswitchinterval(interval)
+        worker.shutdown()
+
+
+def test_head_ranges_run_every_head_once_across_two_threads(split_heads):
+    # each thread waits on its first head until the other has one too
+    barrier = threading.Barrier(2, timeout=60)
+    ran = []
+
+    def run(lo, hi):
+        first = threading.get_ident() not in {t for *_, t in ran}
+        ran.append((lo, hi, threading.get_ident()))
+        if first:
+            barrier.wait()
+
+    ops._run_head_ranges(run, 5, 1)
+    assert sorted((lo, hi) for lo, hi, _ in ran) == [(h, h + 1) for h in range(5)]
+    assert len({t for *_, t in ran}) == 2
+
+
+def attention_bytes(q, k, v, g, heads):
+    node = ops.attention(*(Tensor(a, requires_grad=True) for a in (q, k, v)), heads)
+    return [a.tobytes() for a in (node.data, *node._vjp(g))]
+
+
+@pytest.mark.parametrize(
+    "shape,heads",
+    [((256, 64), 4), ((2, 256, 64), 4), ((3, 128, 64), 1), ((128, 48), 3), ((128, 48), 6),
+     ((256, 64), 1)],
+    ids=["desk-decoder", "batch", "one-head-batch", "3heads", "6heads", "one-head"],
+)
+def test_split_attention_keeps_the_inline_bytes(shape, heads, split_heads, monkeypatch):
+    rng = np.random.default_rng(14)
+    q, k, v, g = (rng.standard_normal(shape) * 3 for _ in range(4))
+    split = attention_bytes(q, k, v, g, heads)
+    monkeypatch.setattr(ops, "_WORKER", None)
+    assert split == attention_bytes(q, k, v, g, heads)
+    # the forward and the VJP each shared their heads with the worker; a
+    # lone head is never shared
+    n = (shape[0] if len(shape) == 3 else 1) * heads
+    assert split_heads.tasks == (2 if n > 1 else 0)
+
+
+@pytest.mark.parametrize(
+    "name,build,x0",
+    [
+        ("attention_split_q", lambda t: ops.attention(t, Tensor(K56), Tensor(V56), 3), Q56),
+        ("attention_split_k", lambda t: ops.attention(Tensor(Q56), t, Tensor(V56), 3), K56),
+        ("attention_split_v", lambda t: ops.attention(Tensor(Q256), Tensor(K256), t, 2), V256),
+    ],
+)
+def test_split_attention_gradients_match_finite_differences(name, build, x0, split_heads):
+    check_op(build, x0)
+    assert split_heads.tasks
+
+
+class FailingWorker(StartedWorker):
+    """Claims its heads, then raises."""
+
+    def submit(self, fn):
+        def task():
+            fn()
+            raise RuntimeError("raised in the worker")
+
+        return super().submit(task)
+
+
+def test_split_attention_raises_what_its_worker_raised(monkeypatch):
+    rng = np.random.default_rng(15)
+    q, k, v, g = (rng.standard_normal((64, 32)) for _ in range(4))
+    node = ops.attention(*(Tensor(a, requires_grad=True) for a in (q, k, v)), 4)
+    worker = FailingWorker()
+    monkeypatch.setattr(ops, "_WORKER", worker)
+    monkeypatch.setattr(ops, "_SPLIT_MIN_MAP", 0)
+    try:
+        with pytest.raises(RuntimeError, match="raised in the worker"):
+            ops.attention(Tensor(q), Tensor(k), Tensor(v), 4)
+        with pytest.raises(RuntimeError, match="raised in the worker"):
+            node._vjp(g)
+    finally:
+        worker.shutdown()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_gets_its_own_attention_worker(split_heads):
+    q = Tensor(np.random.default_rng(16).standard_normal((64, 32)))
+    ops.attention(q, q, q, 4)  # the parent's worker thread is running
+    with warnings.catch_warnings():
+        # Python 3.12 warns about a fork in a process with threads
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:  # the child: the parent's executor has no thread here
+        code = 1
+        try:
+            if ops._WORKER is not split_heads:
+                ops.attention(q, q, q, 4)
+                code = 0
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while (waited := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if waited[0] == 0:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+    assert waited[0] == pid and os.waitstatus_to_exitcode(waited[1]) == 0
 
 
 def test_vjps_leave_incoming_adjoint_untouched():

@@ -11,7 +11,7 @@ import pytest
 
 import mvmae
 from mvmae import fileio
-from mvmae.autodiff import no_grad
+from mvmae.autodiff import no_grad, ops
 from mvmae.autodiff.optim import cosine_lr
 from mvmae.checkpoint import load_checkpoint, save_checkpoint
 from mvmae.config import desk_config, tiny_config
@@ -35,7 +35,13 @@ from mvmae.pipeline import (
 from mvmae.projection import write_pgm
 from mvmae.rng import Rng
 
-from oracles import param_fingerprint, per_sample_gradients, read_metrics, traced_peak
+from oracles import (
+    StartedWorker,
+    param_fingerprint,
+    per_sample_gradients,
+    read_metrics,
+    traced_peak,
+)
 
 
 @pytest.fixture(scope="module")
@@ -328,7 +334,7 @@ pretrain(cfg, make_dataset(cfg.data)[0][:64], sys.argv[1], run_seed=3, stop_afte
 
 
 def test_blas_thread_count_keeps_bytes(tmp_path):
-    # the substrate is single-threaded by design, so the BLAS thread count
+    # no byte may depend on how many threads run, so the BLAS thread count
     # must not reach the numbers: a 3-step desk run writes the same bytes
     src = str(Path(mvmae.__file__).parents[1])
     written = []
@@ -496,6 +502,24 @@ def test_step_gradients_match_per_sample_accumulation(preset, batch):
     for name, g in want.items():
         # the batched front end reorders sums only
         assert np.linalg.norm(got[name] - g) <= 1e-12 * np.linalg.norm(g), name
+
+
+def test_step_gradients_keep_their_bytes_with_the_attention_worker_off(monkeypatch):
+    # the desk decoder's (4, 256, 256) attention maps are past the split
+    # threshold, so with a worker each shares its heads between two threads:
+    # forward and VJP in each decoder block of each sample
+    model, plans = step_inputs("desk", 4)
+    worker = StartedWorker()
+    monkeypatch.setattr(ops, "_WORKER", worker)
+    try:
+        split = batched_step(model, plans)
+    finally:
+        worker.shutdown()
+    assert worker.tasks == 2 * model.cfg.dec_depth * len(plans)
+    monkeypatch.setattr(ops, "_WORKER", None)
+    inline = batched_step(model, plans)
+    for name, g in inline.items():
+        assert split[name].tobytes() == g.tobytes(), name
 
 
 def test_desk_step_memory_is_bounded():
