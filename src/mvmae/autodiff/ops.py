@@ -2,19 +2,19 @@
 
 The op set is closed and small: matmul and the fused affine map
 `linear`, elementwise arithmetic with broadcasting, shape ops, row
-gather (its adjoint is scatter-add), sum and max reductions, layer
-normalization with its scale and shift (`layer_norm_affine`), GELU, and
-four fused ops for the hot spots of a training step: multi-head scaled
-dot-product attention on (L, heads * D) projections or a batch of them
-(heads split and merged inside the node, which keeps the unnormalized
-attention maps and their row sums for its adjoint, never the normalized
-maps, and shares a large map's heads between two threads), segment
-max+mean pooling, the patch Chamfer loss and the mean squared error.
-That is sufficient for the whole encoder/decoder and every loss. A
-training step builds one more scalar from `mul` and `sum_`: sum(t * G)
-over its batched front end's outputs t, whose backward hands each t the
-gradient G that its samples' decoders left (see
-`pipeline.step_gradients`).
+gather (its adjoint is scatter-add), a whole-tensor sum, a max along one
+axis, layer normalization with its scale and shift
+(`layer_norm_affine`), GELU, and four fused ops for the hot spots of a
+training step: multi-head scaled dot-product attention on (L, heads * D)
+projections or a batch of them (heads split and merged inside the node,
+which keeps the unnormalized attention maps and their row sums for its
+adjoint, never the normalized maps, and shares a large map's heads
+between two threads), segment max+mean pooling, the patch Chamfer loss
+and the mean squared error. That is sufficient for the whole
+encoder/decoder and every loss. A training step builds one more scalar
+from `mul` and `sum_`: sum(t * G) over its batched front end's outputs t,
+whose backward hands each t the gradient G that its samples' decoders
+left (see `pipeline.step_gradients`).
 """
 
 from __future__ import annotations
@@ -110,7 +110,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     out = a.data + b.data
 
     def vjp(g):
@@ -120,7 +119,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     out = a.data * b.data
 
     def vjp(g):
@@ -222,21 +220,10 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     return make_node(out, (a,), vjp)
 
 
-def _norm_axis(axis, ndim):
-    if axis is None:
-        return None
-    if isinstance(axis, int):
-        axis = (axis,)
-    return tuple(ax % ndim for ax in axis)
-
-
-def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    axis = _norm_axis(axis, a.data.ndim)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+def sum_(a: Tensor) -> Tensor:
+    out = a.data.sum()
 
     def vjp(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.data.shape),)
 
     return make_node(out, (a,), vjp)
@@ -343,7 +330,9 @@ def segment_pool(a: Tensor, idx, starts) -> Tensor:
 
     Segment j is idx[starts[j]:starts[j + 1]] (the last runs to the end);
     every segment must be non-empty, and members may repeat across
-    segments. The max subgradient goes to the first maximal member.
+    segments. The rows are finite: a non-finite loss aborts its step before
+    any backward (`model.total_loss`), so no VJP sees a NaN. The max
+    subgradient goes to the first maximal member.
     """
     idx = np.asarray(idx, dtype=np.intp)
     starts = np.asarray(starts, dtype=np.intp)
@@ -354,17 +343,15 @@ def segment_pool(a: Tensor, idx, starts) -> Tensor:
     rows = a.data[idx]
     peak = np.maximum.reduceat(rows, starts, axis=0)
     out = peak + np.add.reduceat(rows, starts, axis=0) / counts[:, None]
-    # position in rows of each segment's first maximum, per column (a NaN
-    # is the maximum wherever it occurs, as with argmax)
-    segment = np.repeat(np.arange(len(starts)), counts)
-    hit = (rows == peak[segment]) | np.isnan(rows)
-    position = np.where(hit, np.arange(len(idx))[:, None], len(idx))
-    first = np.minimum.reduceat(position, starts, axis=0)
-    columns = np.arange(rows.shape[1])
 
     def vjp(g):
+        # position in rows of each segment's first maximum, per column,
+        # found here so a no_grad forward skips it
+        segment = np.repeat(np.arange(len(starts)), counts)
+        position = np.where(rows == peak[segment], np.arange(len(idx))[:, None], len(idx))
+        first = np.minimum.reduceat(position, starts, axis=0)
         grows = (g / counts[:, None])[segment]
-        grows[first, columns] += g
+        grows[first, np.arange(rows.shape[1])] += g
         ga = np.zeros_like(a.data)
         np.add.at(ga, idx, grows)
         return (ga,)

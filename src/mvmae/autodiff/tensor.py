@@ -133,12 +133,11 @@ def backward(loss: Tensor) -> None:
     # is freed once its own VJP has run
     while topo:
         node = topo.pop()
-        g = grads.pop(id(node), None)
+        # a child that has run reached this node, so its adjoint is pending
+        g = grads.pop(id(node))
         parents, vjp = node._parents, node._vjp
         if vjp is not None:
             node._parents, node._vjp = (), _CONSUMED
-        if g is None:
-            continue
         if vjp is None:
             # leaf: publish the accumulated adjoint in a buffer of its own
             if node.grad is None:

@@ -70,8 +70,6 @@ def run_gradcheck(
     plans = [build_pretrain_plan(cloud, cfg.model, Rng(seed).derive("plan", i)) for i in range(2)]
     weight = 1.0 / len(plans)
 
-    for p in model.params.values():
-        p.grad = None
     step_gradients(model, plans, weight)
     analytic = {
         name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))

@@ -149,8 +149,9 @@ def sample_plan(
 def step_gradients(
     model: MultiviewMae, plans: Iterable[PretrainPlan], weight: float
 ) -> list[dict]:
-    """Add weight * d(loss)/d(parameter) of every plan's loss into the
-    parameters' .grad and return each plan's diagnostics, in plan order.
+    """Set each parameter's .grad to weight * d(loss)/d(parameter) summed
+    over every plan's loss (None where no loss reaches it) and return each
+    plan's diagnostics, in plan order.
 
     Plans are taken FRONT_END_GROUP at a time, so only one batch of them
     need exist at once, and the front ends of each batch run as one
@@ -162,6 +163,8 @@ def step_gradients(
 
     Model functions are called through the module, where the benchmark's
     trace wraps them."""
+    for p in model.params.values():
+        p.grad = None
     diags = []
     plans = iter(plans)
     while group := list(islice(plans, FRONT_END_GROUP)):
@@ -244,15 +247,11 @@ def pretrain(
         )
         return path
 
-    order_epoch, order = -1, None
-
     with metrics_path.open("a") as metrics:
         for step in range(start_step, last_step):
             epoch = step // steps_per_epoch
-            if epoch != order_epoch:
-                order = root.derive("order", epoch).permutation(len(clouds))
-                order_epoch = epoch
             slot = step % steps_per_epoch
+            order = root.derive("order", epoch).permutation(len(clouds))
             items = order[slot * batch : (slot + 1) * batch]
             lr = cosine_lr(
                 step,
@@ -262,8 +261,6 @@ def pretrain(
                 warmup_steps=cfg.train.warmup_steps,
             )
 
-            for p in model.params.values():
-                p.grad = None
             # drawn a front-end batch at a time by step_gradients
             plans = (sample_plan(cfg, clouds, root, epoch, int(i)) for i in items)
             try:

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import sys
@@ -91,8 +92,9 @@ B34 = RNG.standard_normal((3, 4))
         ("concat", lambda t: ops.concat([t, Tensor(A34)]), A34),
         ("gather_repeat", lambda t: ops.gather_rows(t, [0, 2, 2, 1, 0]), A34),
         ("sum_all", lambda t: ops.sum_(t), A234),
-        ("sum_axis", lambda t: ops.sum_(t, axis=1), A234),
-        ("sum_keep", lambda t: ops.sum_(t, axis=(0, 2), keepdims=True), A234),
+        # mul's second operand, broadcast along a missing and a size-1 axis
+        ("mul_bcast_rev", lambda t: ops.mul(Tensor(A34), t), VEC4),
+        ("mul_bcast_keep", lambda t: ops.mul(Tensor(A234), t), A34[:2, None]),
         ("linear_b", lambda t: ops.linear(Tensor(A23), Tensor(A34), t), VEC4),
         # PatchEmbed's layout: (groups, points per group, d_in)
         ("linear_x3d", lambda t: ops.linear(t, Tensor(A34.T), Tensor(VEC3)), A234),
@@ -559,16 +561,17 @@ def test_chamfer_matches_difference_array_form_byte_for_byte():
 
 
 def segment_pool_by_loop(a, idx, starts):
-    """gather_rows + max_ + mean (sum, scaled) per segment, the unfused
-    composition."""
+    """gather_rows + max_ + mean per segment, the unfused composition; the
+    mean's sum adds the members one at a time, in the order reduceat does."""
     bounds = list(starts) + [len(idx)]
     rows = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         members = ops.gather_rows(a, idx[lo:hi])
+        total = functools.reduce(ops.add, [ops.gather_rows(a, [i]) for i in idx[lo:hi]])
         rows.append(
             ops.add(
                 ops.reshape(ops.max_(members, axis=0), (1, a.shape[1])),
-                ops.scale(ops.sum_(members, axis=0, keepdims=True), 1.0 / (hi - lo)),
+                ops.scale(total, 1.0 / (hi - lo)),
             )
         )
     return ops.concat(rows)

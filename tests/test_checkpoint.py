@@ -39,8 +39,6 @@ def trained_state(steps=3, seed=0):
     opt = AdamWState()
     cloud = generate_shape(SyntheticShape(kind="torus", n_points=64, seed=1))
     for step in range(steps):
-        for p in model.params.values():
-            p.grad = None
         plan = build_pretrain_plan(cloud, cfg.model, Rng(seed).derive("s", step))
         step_gradients(model, [plan], 1.0)
         adamw_step(model.params, opt, 1e-3, cfg.train.weight_decay)

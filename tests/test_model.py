@@ -475,8 +475,6 @@ def test_step_gradients_deterministic():
     ]
     runs = []
     for _ in range(2):
-        for p in model.params.values():
-            p.grad = None
         diags = step_gradients(model, plans, 1.0 / len(plans))
         runs.append((diags, [p.grad.copy() for p in model.params.values()]))
     assert runs[0][0] == runs[1][0]
@@ -513,8 +511,6 @@ def test_step_gradients_single_point_cloud_finite():
     model = tiny_model()
     cloud = PointCloud(np.array([[0.1, -0.2, 0.05]]))
     plan = build_pretrain_plan(cloud, model.cfg, Rng(9).derive("s"))
-    for p in model.params.values():
-        p.grad = None
     [diag] = step_gradients(model, [plan], 1.0)
     assert np.isfinite([diag["l3d"], diag["l2d"]]).all()
     assert all(np.isfinite(p.grad).all() for p in model.params.values())
@@ -638,8 +634,6 @@ def test_micro_end_to_end_gradcheck():
     # two plans: a decoder on cut leaves and one on the batch's own rows
     plans = [build_pretrain_plan(cloud, cfg, Rng(2).derive("s", i)) for i in range(2)]
 
-    for p in model.params.values():
-        p.grad = None
     step_gradients(model, plans, 0.5)
     for name, p in model.params.items():
         analytic = p.grad

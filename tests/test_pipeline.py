@@ -468,6 +468,29 @@ def test_nonfinite_gradient_aborts_before_update(corpus, tmp_path, monkeypatch):
     assert np.isfinite(rows[0]["total"])
 
 
+def test_nonfinite_loss_aborts_before_any_backward(corpus, tmp_path, monkeypatch):
+    # a NaN in the patch embedding reaches every encoded row, so the rows
+    # that ops.segment_pool pools too; its VJP may assume finite rows only
+    # because the first sample's loss aborts the step before any backward
+    import mvmae.pipeline as pipeline
+
+    cfg, clouds, _ = corpus
+    real_step = pipeline.step_gradients
+    backwards = []
+
+    def step(model, plans, weight):
+        model.params["patch_embed.fc1.bias"].data[0] = np.nan
+        return real_step(model, plans, weight)
+
+    monkeypatch.setattr(pipeline, "step_gradients", step)
+    monkeypatch.setattr(pipeline, "backward", backwards.append)
+    with pytest.raises(TrainingAborted, match="non-finite loss") as info:
+        with np.errstate(all="ignore"):
+            pretrain(cfg, clouds, tmp_path / "nan", run_seed=0)
+    assert info.value.step == 0
+    assert backwards == []
+
+
 # --- one step's gradients ---------------------------------------------------
 
 
@@ -487,8 +510,6 @@ def step_inputs(preset, batch):
 
 
 def batched_step(model, plans):
-    for p in model.params.values():
-        p.grad = None
     step_gradients(model, plans, 1.0 / len(plans))
     return {name: p.grad.copy() for name, p in model.params.items()}
 

@@ -6,7 +6,8 @@ identifier string (the benchmark patches functions by attribute name).
 Docstrings and `__all__` entries do not count. Code that only tests read
 belongs in the tests.
 
-Also, every module-level import in `src/mvmae` is used in its module."""
+Also, every module-level import in `src/mvmae` is used in its module, and
+every parameter with a default is passed by some caller outside the tests."""
 
 import ast
 from pathlib import Path
@@ -14,7 +15,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 # names kept although nothing outside the tests reads them, with the reason
-ALLOWED: dict[str, str] = {}
+ALLOWED: dict[str, str] = {
+    "as_tensor": "perfbench/tests/test_workloads.py calls it; it goes with the next "
+    "change to perfbench",
+}
 
 
 def _docstrings(tree: ast.AST) -> set[int]:
@@ -168,3 +172,109 @@ def test_import_scan_counts_each_kind_of_use(tmp_path):
         "os.path.join\n"
     )
     assert unused_imports(path) == {"unused", "unused_under_if"}
+
+
+# parameters with a default that no caller outside the tests passes, with
+# the reason each is kept
+ALLOWED_DEFAULTS: dict[str, str] = {
+    "cli.main(argv)": "the console script calls main() with no arguments, so "
+    "that it parses sys.argv",
+}
+
+
+def _defs(tree: ast.Module):
+    """(its qualified name, the name a call uses, the def, how many leading
+    parameters a call does not pass) for each def of a module; a class's
+    `__init__` is called by the class name, a method's `self` is bound."""
+    methods = {
+        id(item): node.name
+        for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+        for item in node.body if isinstance(item, ast.FunctionDef)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            cls = methods.get(id(node))
+            static = any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list
+            )
+            called = cls if node.name == "__init__" else node.name
+            qualified = node.name if cls is None else f"{cls}.{node.name}"
+            yield qualified, called, node, int(cls is not None and not static)
+
+
+def _passes(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether `call` passes the parameter `name` at `position` (None when
+    it is keyword-only); a `*` or `**` argument may pass any."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg is None or k.arg == name for k in call.keywords):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def unpassed_defaults(src_files, caller_files) -> set[str]:
+    """`module.def(parameter)` for each parameter with a default of a def in
+    `src_files` that no call in `src_files` or `caller_files` passes. A
+    call matches a def by the name it calls, `f(...)` or `x.f(...)`."""
+    calls: dict[str, list[ast.Call]] = {}
+    defaults = []
+    for path in {*src_files, *caller_files}:
+        tree = ast.parse(Path(path).read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(called, []).append(node)
+        if path not in src_files:
+            continue
+        for qualified, called, fn, bound in _defs(tree):
+            label = f"{Path(path).stem}.{qualified}"
+            positional = (fn.args.posonlyargs + fn.args.args)[bound:]
+            first = len(positional) - len(fn.args.defaults)
+            for position, arg in enumerate(positional[first:], start=first):
+                defaults.append((label, called, arg.arg, position))
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    defaults.append((label, called, arg.arg, None))
+    return {
+        f"{label}({name})"
+        for label, called, name, position in defaults
+        if not any(_passes(call, name, position) for call in calls.get(called, []))
+    }
+
+
+def test_every_src_default_is_passed_outside_the_tests():
+    src_files = set((ROOT / "src" / "mvmae").rglob("*.py"))
+    caller_files = set((ROOT / "perfbench").glob("*.py"))  # not perfbench/tests
+    unpassed = unpassed_defaults(src_files, caller_files)
+    assert unpassed - ALLOWED_DEFAULTS.keys() == set(), (
+        "no caller outside the tests passes these; drop the parameter or pass it"
+    )
+    assert ALLOWED_DEFAULTS.keys() - unpassed == set(), "allowed parameters that now have a caller"
+
+
+def test_default_scan_counts_each_kind_of_call(tmp_path):
+    (tmp_path / "lib.py").write_text(
+        "def f(a, by_position=1, by_keyword=2, never=3, *, kw_only=4, kw_never=5): pass\n"
+        "def spread(x=0, y=1): pass\n"
+        "def mapped(x=0): pass\n"
+        "class C:\n"
+        "    def __init__(self, size=0, unused=1): pass\n"
+        "    def method(self, step=1): pass\n"
+        "    @staticmethod\n"
+        "    def static(step=1): pass\n"
+        "f(0, 1, by_keyword=2)\n"
+        "C(4)\n"
+    )
+    (tmp_path / "caller.py").write_text(
+        "import lib\n"
+        "lib.f(0, kw_only=1)\n"
+        "lib.spread(*[1, 2])\n"
+        "lib.mapped(**{})\n"
+        "lib.C().method(2)\n"
+        "lib.C.static()\n"
+    )
+    unpassed = unpassed_defaults({tmp_path / "lib.py"}, {tmp_path / "caller.py"})
+    assert unpassed == {
+        "lib.f(never)", "lib.f(kw_never)", "lib.C.__init__(unused)", "lib.C.static(step)",
+    }
