@@ -7,7 +7,7 @@ Little-endian layout:
     u32 count  | per parameter: array record
     u32 count  | per parameter: two array records (AdamW first, second moment)
     u64 step   | AdamW updates taken
-    u32 length | bookkeeping JSON (run seed, total steps)
+    u32 length | bookkeeping JSON (run seed, total steps, each step's losses)
 
 The file holds no optimizer settings: the rate, the decay and the
 schedule come from the config block, and AdamW's betas and eps are
@@ -45,7 +45,7 @@ class Checkpoint:
     config: Config
     params: dict[str, np.ndarray]
     opt: AdamWState
-    bookkeeping: dict  # run_seed and total_steps
+    bookkeeping: dict  # run_seed, total_steps and losses ([l3d, l2d] per step)
 
     @property
     def step(self) -> int:

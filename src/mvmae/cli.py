@@ -86,7 +86,7 @@ def cmd_pretrain(args) -> int:
     clouds, _ = make_dataset(cfg.data)
     resume = None
     if args.resume is not None:  # refuse before --out is claimed
-        resume = resume_point(cfg, len(clouds), args.out, args.seed, args.resume)
+        resume = resume_point(cfg, len(clouds), args.seed, args.resume)
     with _run_manifest(args, args.config, cfg.config_hash()) as out_dir:
         result = pretrain(cfg, clouds, out_dir, run_seed=args.seed, resume=resume)
     print(

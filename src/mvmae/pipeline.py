@@ -3,6 +3,8 @@
 Determinism contract: every random draw in a run derives from the run
 seed and structural indices (epoch, item), never from loop state, so a
 run resumed from any checkpoint replays the remaining steps bit for bit.
+A checkpoint also holds the losses of every step before it, so a resume
+reads the checkpoint alone and writes the run's whole metrics TSV.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .autodiff.optim import AdamWState, adamw_step, cosine_lr
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import Config
 from .errors import CheckpointError, ContractViolation, TrainingAborted
-from .fileio import read_input, write_atomic
+from .fileio import write_atomic
 from .geometry import PointCloud, augment
 from . import model as mmodel
 from .model import MultiviewMae, PretrainPlan, encoder_features
@@ -36,33 +38,8 @@ PROBE_TRAIN_FRACTION = 0.8
 FRONT_END_GROUP = 4
 
 
-def format_metrics_row(step: int, lr: float, l3d: float, l2d: float, total: float) -> str:
-    return f"{step}\t{lr!r}\t{l3d!r}\t{l2d!r}\t{total!r}"
-
-
-def _metrics_rows(path: Path) -> list[tuple[int, str]]:
-    """The rows of a metrics file below its header as (step, line) pairs,
-    each checked to read exactly as format_metrics_row writes it: a step
-    in ASCII digits, then four finite values. A last line without its
-    newline is a row that a crash cut short, and is left out."""
-    lines = read_input(path, ContractViolation, "metrics file").split("\n")[:-1]
-    if not lines or lines[0] != METRICS_HEADER:
-        raise ContractViolation(f"{path} is not a metrics file (empty or foreign header)")
-    rows = []
-    for number, line in enumerate(lines[1:], start=2):
-        fields = line.split("\t")
-        try:
-            if len(fields) != 5 or not fields[0].isdecimal():
-                raise ValueError
-            step, values = int(fields[0]), [float(value) for value in fields[1:]]
-            if not np.isfinite(values).all() or line != format_metrics_row(step, *values):
-                raise ValueError
-        except ValueError:
-            raise ContractViolation(
-                f"{path}:{number}: not a row as pretrain writes it: {line!r}"
-            ) from None
-        rows.append((step, line))
-    return rows
+def format_metrics_row(step: int, lr: float, l3d: float, l2d: float) -> str:
+    return f"{step}\t{lr!r}\t{l3d!r}\t{l2d!r}\t{l3d + l2d!r}"
 
 
 @dataclass
@@ -81,15 +58,13 @@ def _bookkeeping_int(ckpt: Checkpoint, key: str, path) -> int:
 
 
 def resume_point(
-    cfg: Config, n_clouds: int, out_dir: str | Path, run_seed: int, resume_from: str | Path
-) -> tuple[Checkpoint, list[str]]:
+    cfg: Config, n_clouds: int, run_seed: int, resume_from: str | Path
+) -> Checkpoint:
     """Load the checkpoint a run resumes from and refuse it unless it holds
     this run's config, seed and step count at a step inside that run, and
-    `out_dir`'s metrics rows parse, are consecutive ascending steps and,
-    when any comes before the checkpoint, reach the step just before it.
-    Returns it with the metrics lines (header first) that the run keeps. It
-    writes nothing, so a caller can decide every resume refusal before it
-    claims `out_dir`."""
+    the [l3d, l2d] losses of each step before it. It writes nothing, so a
+    caller can decide every resume refusal before it claims an output
+    directory."""
     ckpt = load_checkpoint(resume_from)
     saved, wanted = asdict(ckpt.config), asdict(cfg)
     differing = [
@@ -117,22 +92,20 @@ def resume_point(
             f"{resume_from}: checkpoint is at step {ckpt.step}, "
             f"past the end of its {total_steps}-step run"
         )
-    metrics_path = Path(out_dir) / "metrics.tsv"
-    rows = _metrics_rows(metrics_path) if metrics_path.exists() else []
-    # line numbers: the header is line 1, rows[i] is line i + 2
-    for number, ((before, _), (step, _)) in enumerate(zip(rows, rows[1:]), start=3):
-        if step != before + 1:
-            raise ContractViolation(
-                f"{metrics_path}:{number}: step {step} follows step {before}; "
-                "a run's rows are consecutive ascending steps"
-            )
-    if rows and rows[0][0] < ckpt.step and rows[-1][0] < ckpt.step - 1:
-        raise ContractViolation(
-            f"{metrics_path}:{len(rows) + 1}: rows end at step {rows[-1][0]}, but "
-            f"{resume_from} resumes at step {ckpt.step} (another run's checkpoint?)"
+    losses = ckpt.bookkeeping.get("losses")
+    if not (
+        isinstance(losses, list) and len(losses) == ckpt.step
+        and all(
+            isinstance(pair, list) and len(pair) == 2
+            and all(isinstance(v, float) and np.isfinite(v) for v in pair)
+            for pair in losses
         )
-    # rows a crashed run wrote past its checkpoint are dropped
-    return ckpt, [METRICS_HEADER] + [line for step, line in rows if step < ckpt.step]
+    ):
+        raise CheckpointError(
+            f"{resume_from}: bookkeeping has no losses of its {ckpt.step} steps as "
+            "[l3d, l2d] pairs of finite floats (written before checkpoints held them?)"
+        )
+    return ckpt
 
 
 def sample_plan(
@@ -192,17 +165,19 @@ def pretrain(
     clouds: list[PointCloud],
     out_dir: str | Path,
     run_seed: int,
-    resume: tuple[Checkpoint, list[str]] | None = None,
+    resume: Checkpoint | None = None,
     stop_after_step: int | None = None,
 ) -> PretrainResult:
     """Run (or continue) masked multi-view pretraining.
 
     Writes a metrics TSV (replaced whole at the start, then appended one
-    row per step) and periodic binary checkpoints under out_dir. Raises
-    TrainingAborted with the offending step when the loss or a gradient
-    goes non-finite, before that step's update. A resumed run takes the
-    (checkpoint, metrics lines) pair that `resume_point` returned for
-    this config, corpus, out_dir and seed.
+    row per step) and periodic binary checkpoints under out_dir. Each
+    checkpoint's bookkeeping holds the [l3d, l2d] losses of every step it
+    has taken, so a resumed run writes its metrics TSV whole from the
+    checkpoint alone. Raises TrainingAborted with the offending step when
+    the loss or a gradient goes non-finite, before that step's update. A
+    resumed run takes the checkpoint that `resume_point` returned for this
+    config, corpus and seed.
     """
     if not clouds:
         raise ContractViolation("pretraining needs a non-empty dataset")
@@ -223,21 +198,26 @@ def pretrain(
     if resume is None:
         model = MultiviewMae(cfg.model, Rng(run_seed).derive("init"))
         opt = AdamWState()
-        start_step = 0
-        metrics_lines = [METRICS_HEADER]
+        losses = []
     else:
-        ckpt, metrics_lines = resume
-        model = MultiviewMae(cfg.model, ckpt.params)
-        opt = ckpt.opt
-        start_step = ckpt.step
+        model = MultiviewMae(cfg.model, resume.params)
+        opt = resume.opt
+        losses = list(resume.bookkeeping["losses"])
+    start_step = opt.step
     last_step = total_steps if stop_after_step is None else min(stop_after_step, total_steps)
     if last_step < start_step:
         raise ContractViolation(
             f"stop_after_step {stop_after_step} is before the start step {start_step}"
         )
-    write_atomic(metrics_path, "".join(line + "\n" for line in metrics_lines))
 
-    bookkeeping = {"run_seed": run_seed, "total_steps": total_steps}
+    def lr_at(step: int) -> float:
+        train = cfg.train
+        return cosine_lr(step, total_steps, train.lr, train.lr_min, train.warmup_steps)
+
+    rows = [format_metrics_row(step, lr_at(step), *pair) for step, pair in enumerate(losses)]
+    write_atomic(metrics_path, "".join(line + "\n" for line in [METRICS_HEADER, *rows]))
+
+    bookkeeping = {"run_seed": run_seed, "total_steps": total_steps, "losses": losses}
     root = Rng(run_seed)
 
     def save(done: int) -> Path:
@@ -253,13 +233,7 @@ def pretrain(
             slot = step % steps_per_epoch
             order = root.derive("order", epoch).permutation(len(clouds))
             items = order[slot * batch : (slot + 1) * batch]
-            lr = cosine_lr(
-                step,
-                total_steps,
-                cfg.train.lr,
-                lr_min=cfg.train.lr_min,
-                warmup_steps=cfg.train.warmup_steps,
-            )
+            lr = lr_at(step)
 
             # drawn a front-end batch at a time by step_gradients
             plans = (sample_plan(cfg, clouds, root, epoch, int(i)) for i in items)
@@ -274,7 +248,8 @@ def pretrain(
 
             l3d = sum(diag["l3d"] for diag in diags) / len(items)
             l2d = sum(diag["l2d"] for diag in diags) / len(items)
-            metrics.write(format_metrics_row(step, lr, l3d, l2d, l3d + l2d) + "\n")
+            losses.append([l3d, l2d])
+            metrics.write(format_metrics_row(step, lr, l3d, l2d) + "\n")
             metrics.flush()
 
             if (step + 1) % cfg.train.ckpt_every == 0 and step + 1 < last_step:

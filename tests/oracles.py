@@ -237,8 +237,7 @@ def project_point_by_hand(
 
 
 def read_metrics(path) -> list[dict]:
-    """The rows of a metrics.tsv as dicts keyed by its header, parsed
-    without the package's own reader."""
+    """The rows of a metrics.tsv as dicts keyed by its header."""
     with open(path) as fh:
         header, *rows = fh.read().splitlines()
     keys = header.split("\t")

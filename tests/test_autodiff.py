@@ -70,56 +70,57 @@ BETA4 = RNG.standard_normal(4)
 B34 = RNG.standard_normal((3, 4))
 
 
-@pytest.mark.parametrize(
-    "name,build,x0",
-    [
-        ("add_bcast", lambda t: ops.add(t, Tensor(VEC4)), A34),
-        ("add_bcast_rev", lambda t: ops.add(Tensor(A34), ops.reshape(t, (1, 4))), VEC4),
-        ("linear_x", lambda t: ops.linear(t, Tensor(A34), Tensor(VEC4)), A23),
-        ("linear_w", lambda t: ops.linear(Tensor(A23), t, Tensor(VEC4)), A34),
-        ("mul_bcast", lambda t: ops.mul(t, Tensor(VEC4)), A34),
-        ("scale", lambda t: ops.scale(t, -2.5), A34),
-        ("matmul_l", lambda t: ops.matmul(t, Tensor(A34)), A23),
-        ("matmul_r", lambda t: ops.matmul(Tensor(A23), t), A34),
-        # the depth head's view tiling: (K, H_t, W_t, ppr, ppc) -> (K, H_i, W_i)
-        ("tile_views", lambda t: ops.reshape(
-            ops.transpose(ops.reshape(t, (2, 1, 2, 3, 2)), (0, 1, 3, 2, 4)), (2, 3, 4)
-        ), A234),
-        ("matmul_stacked_l", lambda t: ops.matmul(t, Tensor(A34.T)), A234),
-        ("matmul_stacked_r", lambda t: ops.matmul(Tensor(A234), t), A34.T),
-        ("transpose", lambda t: ops.transpose(t, (2, 0, 1)), A234),
-        ("reshape", lambda t: ops.reshape(t, (6, 4)), A234),
-        ("concat", lambda t: ops.concat([t, Tensor(A34)]), A34),
-        ("gather_repeat", lambda t: ops.gather_rows(t, [0, 2, 2, 1, 0]), A34),
-        ("sum_all", lambda t: ops.sum_(t), A234),
-        # mul's second operand, broadcast along a missing and a size-1 axis
-        ("mul_bcast_rev", lambda t: ops.mul(Tensor(A34), t), VEC4),
-        ("mul_bcast_keep", lambda t: ops.mul(Tensor(A234), t), A34[:2, None]),
-        ("linear_b", lambda t: ops.linear(Tensor(A23), Tensor(A34), t), VEC4),
-        # PatchEmbed's layout: (groups, points per group, d_in)
-        ("linear_x3d", lambda t: ops.linear(t, Tensor(A34.T), Tensor(VEC3)), A234),
-        ("max", lambda t: ops.max_(t, axis=1), A234),
-        ("chamfer", lambda t: ops.chamfer(t, T463), P453),
-        ("attention_q", lambda t: ops.attention(t, Tensor(K56), Tensor(V56), 2), Q56),
-        ("layer_norm_affine_x",
-         lambda t: ops.layer_norm_affine(t, Tensor(VEC4), Tensor(BETA4)), A34),
-        ("gelu", lambda t: ops.gelu(t), A34),
-        ("mse", lambda t: ops.mse(t, Tensor(A34)), B34),
-        ("attention_k", lambda t: ops.attention(Tensor(Q56), t, Tensor(V56), 2), K56),
-        ("attention_v", lambda t: ops.attention(Tensor(Q56), Tensor(K56), t, 2), V56),
-        ("segment_pool", lambda t: ops.segment_pool(t, SEG_IDX, SEG_STARTS), A54),
-        ("linear_w3d", lambda t: ops.linear(Tensor(A234), t, Tensor(VEC3)), A34.T),
-        ("linear_b3d", lambda t: ops.linear(Tensor(A234), Tensor(A34.T), t), VEC3),
-        ("layer_norm_affine_gamma",
-         lambda t: ops.layer_norm_affine(Tensor(A34), t, Tensor(BETA4)), VEC4),
-        ("layer_norm_affine_beta",
-         lambda t: ops.layer_norm_affine(Tensor(A34), Tensor(VEC4), t), BETA4),
-        ("mse_rhs", lambda t: ops.mse(Tensor(A34), t), B34),
-        ("attention_batch_q", lambda t: ops.attention(t, Tensor(K256), Tensor(V256), 2), Q256),
-        ("attention_batch_k", lambda t: ops.attention(Tensor(Q256), t, Tensor(V256), 2), K256),
-        ("attention_batch_v", lambda t: ops.attention(Tensor(Q256), Tensor(K256), t, 2), V256),
-    ],
-)
+# each case's id is its name, so deleting a case renames no other
+OP_CASES = [
+    ("add_bcast", lambda t: ops.add(t, Tensor(VEC4)), A34),
+    ("add_bcast_rev", lambda t: ops.add(Tensor(A34), ops.reshape(t, (1, 4))), VEC4),
+    ("linear_x", lambda t: ops.linear(t, Tensor(A34), Tensor(VEC4)), A23),
+    ("linear_w", lambda t: ops.linear(Tensor(A23), t, Tensor(VEC4)), A34),
+    ("mul_bcast", lambda t: ops.mul(t, Tensor(VEC4)), A34),
+    ("scale", lambda t: ops.scale(t, -2.5), A34),
+    ("matmul_l", lambda t: ops.matmul(t, Tensor(A34)), A23),
+    ("matmul_r", lambda t: ops.matmul(Tensor(A23), t), A34),
+    # the depth head's view tiling: (K, H_t, W_t, ppr, ppc) -> (K, H_i, W_i)
+    ("tile_views", lambda t: ops.reshape(
+        ops.transpose(ops.reshape(t, (2, 1, 2, 3, 2)), (0, 1, 3, 2, 4)), (2, 3, 4)
+    ), A234),
+    ("matmul_stacked_l", lambda t: ops.matmul(t, Tensor(A34.T)), A234),
+    ("matmul_stacked_r", lambda t: ops.matmul(Tensor(A234), t), A34.T),
+    ("transpose", lambda t: ops.transpose(t, (2, 0, 1)), A234),
+    ("reshape", lambda t: ops.reshape(t, (6, 4)), A234),
+    ("concat", lambda t: ops.concat([t, Tensor(A34)]), A34),
+    ("gather_repeat", lambda t: ops.gather_rows(t, [0, 2, 2, 1, 0]), A34),
+    ("sum_all", lambda t: ops.sum_(t), A234),
+    # mul's second operand, broadcast along a missing and a size-1 axis
+    ("mul_bcast_rev", lambda t: ops.mul(Tensor(A34), t), VEC4),
+    ("mul_bcast_keep", lambda t: ops.mul(Tensor(A234), t), A34[:2, None]),
+    ("linear_b", lambda t: ops.linear(Tensor(A23), Tensor(A34), t), VEC4),
+    # PatchEmbed's layout: (groups, points per group, d_in)
+    ("linear_x3d", lambda t: ops.linear(t, Tensor(A34.T), Tensor(VEC3)), A234),
+    ("max", lambda t: ops.max_(t, axis=1), A234),
+    ("chamfer", lambda t: ops.chamfer(t, T463), P453),
+    ("attention_q", lambda t: ops.attention(t, Tensor(K56), Tensor(V56), 2), Q56),
+    ("layer_norm_affine_x",
+     lambda t: ops.layer_norm_affine(t, Tensor(VEC4), Tensor(BETA4)), A34),
+    ("gelu", lambda t: ops.gelu(t), A34),
+    ("mse", lambda t: ops.mse(t, Tensor(A34)), B34),
+    ("attention_k", lambda t: ops.attention(Tensor(Q56), t, Tensor(V56), 2), K56),
+    ("attention_v", lambda t: ops.attention(Tensor(Q56), Tensor(K56), t, 2), V56),
+    ("segment_pool", lambda t: ops.segment_pool(t, SEG_IDX, SEG_STARTS), A54),
+    ("linear_w3d", lambda t: ops.linear(Tensor(A234), t, Tensor(VEC3)), A34.T),
+    ("linear_b3d", lambda t: ops.linear(Tensor(A234), Tensor(A34.T), t), VEC3),
+    ("layer_norm_affine_gamma",
+     lambda t: ops.layer_norm_affine(Tensor(A34), t, Tensor(BETA4)), VEC4),
+    ("layer_norm_affine_beta",
+     lambda t: ops.layer_norm_affine(Tensor(A34), Tensor(VEC4), t), BETA4),
+    ("mse_rhs", lambda t: ops.mse(Tensor(A34), t), B34),
+    ("attention_batch_q", lambda t: ops.attention(t, Tensor(K256), Tensor(V256), 2), Q256),
+    ("attention_batch_k", lambda t: ops.attention(Tensor(Q256), t, Tensor(V256), 2), K256),
+    ("attention_batch_v", lambda t: ops.attention(Tensor(Q256), Tensor(K256), t, 2), V256),
+]
+
+
+@pytest.mark.parametrize("name,build,x0", OP_CASES, ids=[name for name, _, _ in OP_CASES])
 def test_op_gradients_match_finite_differences(name, build, x0):
     check_op(build, x0)
 

@@ -1,4 +1,6 @@
+import builtins
 import dataclasses
+import io
 import json
 import hashlib
 import subprocess
@@ -91,38 +93,44 @@ def test_pretrain_resume_reproduces_tail(tiny_run, tmp_path):
         "--resume", str(tiny_run / "ckpt_00000008.ckpt"),
     ])
     assert code == 0
-    full = read_metrics(tiny_run / "metrics.tsv")
-    tail = read_metrics(resumed / "metrics.tsv")
-    assert tail == [row for row in full if row["step"] >= 8]
-    assert (resumed / "final.ckpt").read_bytes() == (tiny_run / "final.ckpt").read_bytes()
+    # a fresh directory gets the run's whole metrics.tsv, rows 0 to 7 from
+    # the checkpoint's losses
+    for name in ("metrics.tsv", "final.ckpt"):
+        assert (resumed / name).read_bytes() == (tiny_run / name).read_bytes()
 
 
 def test_resume_reads_its_checkpoint_and_rows_once(tiny_run, tmp_path, monkeypatch):
+    # the checkpoint is loaded once, and --out's metrics.tsv is never read:
+    # it is replaced whole from the checkpoint's losses
     import mvmae.pipeline as pipeline
 
     out = tmp_path / "o"
     out.mkdir()
-    rows = (tiny_run / "metrics.tsv").read_text().splitlines(keepends=True)
-    (out / "metrics.tsv").write_text("".join(rows[:9]))  # steps 0 to 7
-    calls = []
+    metrics = out / "metrics.tsv"
+    metrics.write_text("garbage\n")
+    loads, reads = [], []
+    real_load, real_open = pipeline.load_checkpoint, io.open
 
-    def counted(name):
-        real = getattr(pipeline, name)
+    def load(path):
+        loads.append(Path(path).name)
+        return real_load(path)
 
-        def call(*args):
-            calls.append(name)
-            return real(*args)
+    def opened(file, mode="r", *args, **kwargs):
+        # Path.open, read_text and read_bytes all open through io.open
+        if not isinstance(file, int) and Path(file) == metrics and "r" in mode:
+            reads.append(mode)
+        return real_open(file, mode, *args, **kwargs)
 
-        return call
-
-    for name in ("load_checkpoint", "_metrics_rows"):
-        monkeypatch.setattr(pipeline, name, counted(name))
+    monkeypatch.setattr(pipeline, "load_checkpoint", load)
+    monkeypatch.setattr(io, "open", opened)
+    monkeypatch.setattr(builtins, "open", opened)
     assert main([
         "pretrain", "--config", "tiny", "--out", str(out), "--seed", "5",
         "--resume", str(tiny_run / "ckpt_00000008.ckpt"),
     ]) == 0
-    assert calls == ["load_checkpoint", "_metrics_rows"]
-    assert (out / "metrics.tsv").read_bytes() == (tiny_run / "metrics.tsv").read_bytes()
+    assert loads == ["ckpt_00000008.ckpt"]
+    assert reads == []
+    assert metrics.read_bytes() == (tiny_run / "metrics.tsv").read_bytes()
 
 
 def test_pretrain_resume_with_other_epochs_exit_2(tiny_run, tmp_path, capsys):
@@ -178,23 +186,6 @@ def test_refused_resume_with_force_keeps_the_run(tmp_path, capsys):
     assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
 
-def test_resume_onto_another_runs_rows_exit_2(tiny_run, tmp_path, capsys):
-    # --out holds the rows of steps 0 and 1 only: continuing them from
-    # tiny_run's step-4 checkpoint would skip steps 2 and 3
-    out = tmp_path / "o"
-    out.mkdir()
-    rows = (tiny_run / "metrics.tsv").read_text().splitlines(keepends=True)
-    (out / "metrics.tsv").write_text("".join(rows[:3]))
-    code = main([
-        "pretrain", "--config", "tiny", "--out", str(out), "--seed", "5",
-        "--resume", str(tiny_run / "ckpt_00000004.ckpt"),
-    ])
-    assert code == 2
-    assert "metrics.tsv:3: rows end at step 1" in capsys.readouterr().err
-    assert [p.name for p in out.iterdir()] == ["metrics.tsv"]
-    assert (out / "metrics.tsv").read_text() == "".join(rows[:3])
-
-
 def test_resume_past_the_runs_end_claims_no_out(tiny_run, tmp_path, capsys):
     # a checkpoint whose step is beyond its run's total steps is refused
     # by name before --out gets a manifest
@@ -212,6 +203,69 @@ def test_resume_past_the_runs_end_claims_no_out(tiny_run, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "step 99" in err and f"{ckpt.bookkeeping['total_steps']}-step run" in err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        lambda good: None,
+        lambda good: good[:-1],
+        lambda good: [*good[:3], {"l3d": 0.1, "l2d": 0.1}],
+        lambda good: [*good[:3], [0.1, 0.1, 0.1]],
+        lambda good: [*good[:3], [True, 0.1]],
+        lambda good: [*good[:3], [0.1, 1]],
+        lambda good: [*good[:3], ["0.1", 0.1]],
+        lambda good: [*good[:3], [0.1, float("nan")]],
+        lambda good: [*good[:3], [float("inf"), 0.1]],
+    ],
+    ids=["missing", "wrong_count", "non_list_row", "pair_of_three", "bool", "int",
+         "string", "nan", "inf"],
+)
+def test_resume_refuses_bad_losses_and_claims_no_out(tiny_run, tmp_path, capsys, bad):
+    # the checkpoint's losses must be exactly its 4 steps' [l3d, l2d] pairs
+    # of finite floats; anything else is refused before --out is claimed
+    ckpt = load_checkpoint(tiny_run / "ckpt_00000004.ckpt")
+    losses = bad(ckpt.bookkeeping["losses"])
+    bookkeeping = {k: v for k, v in ckpt.bookkeeping.items() if k != "losses"}
+    if losses is not None:
+        bookkeeping["losses"] = losses
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(path, ckpt.config, ckpt.params, ckpt.opt, bookkeeping)
+    out = tmp_path / "o"
+    code = main([
+        "pretrain", "--config", "tiny", "--out", str(out), "--seed", "5", "--resume", str(path),
+    ])
+    assert code == 2
+    assert "has no losses of its 4 steps" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_checkpoint_without_losses_still_probes_and_reconstructs(tiny_run, tmp_path, capsys):
+    # written before checkpoints held their run's losses: probe and
+    # reconstruct read it as before, only --resume refuses it
+    ckpt = load_checkpoint(tiny_run / "final.ckpt")
+    old = tmp_path / "old.ckpt"
+    bookkeeping = {k: v for k, v in ckpt.bookkeeping.items() if k != "losses"}
+    save_checkpoint(old, ckpt.config, ckpt.params, ckpt.opt, bookkeeping)
+    cloud = shape_cloud(tmp_path)
+    written = []
+    for path in (tiny_run / "final.ckpt", old):
+        assert main(["probe", "--checkpoint", str(path), "--mode", "linear"]) == 0
+        out = tmp_path / path.stem
+        code = main([
+            "reconstruct", "--checkpoint", str(path), "--input", str(cloud), "--out", str(out),
+        ])
+        assert code == 0
+        written.append({p.name: p.read_bytes() for p in out.iterdir() if p.suffix != ".json"})
+    probes = capsys.readouterr().out.splitlines()
+    assert probes[0] == probes[2] and written[0] == written[1]
+    out = tmp_path / "resumed"
+    code = main([
+        "pretrain", "--config", "tiny", "--out", str(out), "--seed", "5", "--resume", str(old),
+    ])
+    assert code == 2
+    assert "has no losses of its 20 steps" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("epochs", ["0", "-2"])
@@ -388,38 +442,6 @@ def test_pretrain_resume_without_run_seed_exit_2(tmp_path, capsys):
     ])
     assert code == 2
     assert "run_seed" in capsys.readouterr().err
-
-
-def test_pretrain_resume_with_empty_metrics_exit_2(tiny_run, tmp_path, capsys):
-    out = tmp_path / "o"
-    out.mkdir()
-    ckpt = out / "ckpt_00000004.ckpt"
-    ckpt.write_bytes((tiny_run / "ckpt_00000004.ckpt").read_bytes())
-    (out / "metrics.tsv").write_text("")
-    code = main([
-        "pretrain", "--config", "tiny", "--out", str(out), "--seed", "5",
-        "--resume", str(ckpt), "--force",
-    ])
-    assert code == 2
-    assert "metrics.tsv" in capsys.readouterr().err
-    assert not (out / "final.ckpt").exists()
-
-
-def test_pretrain_resume_with_malformed_metrics_row_exit_2(tiny_run, tmp_path, capsys):
-    out = tmp_path / "o"
-    out.mkdir()
-    ckpt = out / "ckpt_00000004.ckpt"
-    ckpt.write_bytes((tiny_run / "ckpt_00000004.ckpt").read_bytes())
-    lines = (tiny_run / "metrics.tsv").read_text().split("\n")
-    lines[3] = "2\t0.1"  # the row of step 2
-    (out / "metrics.tsv").write_text("\n".join(lines))
-    code = main([
-        "pretrain", "--config", "tiny", "--out", str(out), "--seed", "5",
-        "--resume", str(ckpt), "--force",
-    ])
-    assert code == 2
-    assert "metrics.tsv:4" in capsys.readouterr().err
-    assert not (out / "final.ckpt").exists()
 
 
 def test_pretrain_resume_with_misshaped_moments_exit_2(tmp_path, capsys):

@@ -58,7 +58,7 @@ def with_epochs(cfg, epochs):
 def resume_run(cfg, clouds, out_dir, run_seed, checkpoint, **kwargs):
     """A run resumed from a checkpoint the way `mvmae pretrain --resume`
     does it: resume_point refuses or accepts, pretrain takes its result."""
-    resume = resume_point(cfg, len(clouds), out_dir, run_seed, checkpoint)
+    resume = resume_point(cfg, len(clouds), run_seed, checkpoint)
     return pretrain(cfg, clouds, out_dir, run_seed=run_seed, resume=resume, **kwargs)
 
 
@@ -155,23 +155,6 @@ def test_stop_before_start_step_rejected_before_any_write(corpus, trained, tmp_p
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "",
-        "step\tloss\n0\t1.0\n",
-        METRICS_HEADER + "\n0\t1\t1\t1\t2\nx\t1\t1\t1\t2\n",
-    ],
-    ids=["empty", "foreign_header", "non_integer_step"],
-)
-def test_resume_rejects_malformed_metrics(corpus, tmp_path, text):
-    cfg, clouds, _ = corpus
-    run = pretrain(cfg, clouds, tmp_path / "a", run_seed=1, stop_after_step=4)
-    (tmp_path / "a" / "metrics.tsv").write_text(text)
-    with pytest.raises(ContractViolation, match="metrics.tsv"):
-        resume_run(cfg, clouds, tmp_path / "a", 1, run.checkpoint_path)
-
-
 def test_resume_replaces_metrics_whole(corpus, tmp_path, monkeypatch):
     # the truncated rows go to a new file that replaces the old one, so a
     # failure before the swap leaves the old rows in place
@@ -188,33 +171,6 @@ def test_resume_replaces_metrics_whole(corpus, tmp_path, monkeypatch):
         resume_run(cfg, clouds, tmp_path / "a", 1, tmp_path / "a" / "ckpt_00000004.ckpt")
     assert metrics.read_bytes() == before
     assert len(read_metrics(metrics)) == 6
-
-
-@pytest.mark.parametrize(
-    "rewrite",
-    [
-        lambda row: "2\t0.1",
-        lambda row: "2\t0.1\t1\tx\t2",
-        lambda row: "2\t0.1\t1\t1\t2\t3",
-        lambda row: "0" + row,
-        lambda row: "\u0662" + row[1:],  # ARABIC-INDIC DIGIT TWO
-        lambda row: row.replace("\t", "\t+", 1),  # lr as +lr: the same float
-        lambda row: row.rsplit("\t", 1)[0] + "\tnan",
-    ],
-    ids=[
-        "short", "non_numeric_value", "extra_field", "leading_zero_step",
-        "non_ascii_digit_step", "respelled_value", "nan_value",
-    ],
-)
-def test_malformed_metrics_row_rejected(corpus, tmp_path, rewrite):
-    cfg, clouds, _ = corpus
-    run = pretrain(cfg, clouds, tmp_path / "a", run_seed=1, stop_after_step=4)
-    lines = run.metrics_path.read_text().split("\n")
-    assert lines[3].startswith("2\t")
-    lines[3] = rewrite(lines[3])  # the row of step 2, file line 4
-    run.metrics_path.write_text("\n".join(lines))
-    with pytest.raises(ContractViolation, match="metrics.tsv:4"):
-        resume_run(cfg, clouds, tmp_path / "a", 1, run.checkpoint_path)
 
 
 def test_each_checkpoint_written_once(corpus, tmp_path, monkeypatch):
@@ -362,45 +318,51 @@ def test_resume_drops_row_cut_short_by_crash(corpus, trained, tmp_path):
     assert resumed.metrics_path.read_bytes() == full_result.metrics_path.read_bytes()
 
 
-def test_resume_refuses_rows_that_stop_short_of_the_checkpoint(corpus, trained, tmp_path):
-    # rows 0 and 1 of a run stopped after step 2 cannot go on from another
-    # run's step-4 checkpoint: the file would splice two runs and skip 2, 3
-    cfg, clouds, _ = corpus
-    _, full_dir = trained
-    run = pretrain(cfg, clouds, tmp_path / "b", run_seed=11, stop_after_step=2)
-    before = run.metrics_path.read_bytes()
-    with pytest.raises(ContractViolation, match="metrics.tsv:3: rows end at step 1, "):
-        resume_run(cfg, clouds, tmp_path / "b", 11, full_dir / "ckpt_00000004.ckpt")
-    assert run.metrics_path.read_bytes() == before
-
-
-def test_resume_refuses_rows_out_of_order(corpus, tmp_path):
-    cfg, clouds, _ = corpus
-    run = pretrain(cfg, clouds, tmp_path / "a", run_seed=1, stop_after_step=4)
-    header, step0, _, step2, _ = run.metrics_path.read_text().splitlines()
-    run.metrics_path.write_text("\n".join([header, step2, step2, step0]) + "\n")
-    with pytest.raises(ContractViolation, match="metrics.tsv:3: step 2 follows step 2"):
-        resume_point(cfg, len(clouds), tmp_path / "a", 1, run.checkpoint_path)
-    run.metrics_path.write_text("\n".join([header, step2, step0]) + "\n")
-    with pytest.raises(ContractViolation, match="metrics.tsv:3: step 0 follows step 2"):
-        resume_point(cfg, len(clouds), tmp_path / "a", 1, run.checkpoint_path)
-
-
 def test_resume_keeps_a_tail_directory(corpus, trained, tmp_path):
-    # a directory resumed from another run's step-8 checkpoint starts at
-    # row 8. Resumed again from that checkpoint, all its rows lie past it
-    # and are dropped; resumed from its own step-12 checkpoint, it keeps
-    # rows 8 to 11. Either way it ends with the full run's tail.
+    # a directory resumed from another run's step-8 checkpoint, stopped at
+    # step 14, then resumed from its own step-12 checkpoint: each resume
+    # writes the run's whole history, so it ends with the full run's bytes
     cfg, clouds, _ = corpus
     full_result, full_dir = trained
+    full_rows = full_result.metrics_path.read_text().splitlines(keepends=True)
     tail = tmp_path / "tail"
     for _ in range(2):
         resume_run(cfg, clouds, tail, 11, full_dir / "ckpt_00000008.ckpt", stop_after_step=14)
-        assert [row["step"] for row in read_metrics(tail / "metrics.tsv")] == list(range(8, 14))
+        assert (tail / "metrics.tsv").read_text() == "".join(full_rows[:15])
     resumed = resume_run(cfg, clouds, tail, 11, tail / "ckpt_00000012.ckpt")
-    want = [row for row in read_metrics(full_result.metrics_path) if row["step"] >= 8]
-    assert read_metrics(resumed.metrics_path) == want
+    assert resumed.metrics_path.read_bytes() == full_result.metrics_path.read_bytes()
     assert (tail / "final.ckpt").read_bytes() == (full_dir / "final.ckpt").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "metrics", [None, "garbage\n", "other_run"], ids=["missing", "garbage", "other_run"]
+)
+def test_resume_ignores_the_metrics_it_finds(corpus, trained, tmp_path, metrics):
+    # --out's metrics.tsv is missing, garbage or another run's rows 0 to 11:
+    # a resume from step 8 writes the uninterrupted run's bytes over it
+    cfg, clouds, _ = corpus
+    full_result, full_dir = trained
+    out = tmp_path / "o"
+    if metrics == "other_run":
+        pretrain(cfg, clouds, out, run_seed=12, stop_after_step=12)
+    elif metrics is not None:
+        out.mkdir()
+        (out / "metrics.tsv").write_text(metrics)
+    resumed = resume_run(cfg, clouds, out, 11, full_dir / "ckpt_00000008.ckpt")
+    assert resumed.metrics_path.read_bytes() == full_result.metrics_path.read_bytes()
+    assert resumed.checkpoint_path.read_bytes() == (full_dir / "final.ckpt").read_bytes()
+
+
+def test_every_checkpoint_holds_the_losses_of_its_steps(trained):
+    # each checkpoint's losses are its first `step` rows of metrics.tsv,
+    # which format_metrics_row spells from them and the schedule's lr
+    result, out = trained
+    rows = read_metrics(result.metrics_path)
+    for path in sorted(out.glob("*.ckpt")):
+        ckpt = load_checkpoint(path)
+        losses = ckpt.bookkeeping["losses"]
+        assert len(losses) == ckpt.step, path.name
+        assert losses == [[row["l3d"], row["l2d"]] for row in rows[: ckpt.step]], path.name
 
 
 def test_resume_rejects_other_config(corpus, tmp_path):
@@ -568,8 +530,9 @@ def test_resume_with_other_epochs_rejected(corpus, tmp_path):
     cfg, clouds, _ = corpus
     one = with_epochs(cfg, 1)
     run = pretrain(one, clouds, tmp_path / "a", run_seed=1, stop_after_step=2)
+    losses = [[row["l3d"], row["l2d"]] for row in read_metrics(run.metrics_path)]
     assert load_checkpoint(run.checkpoint_path).bookkeeping == {
-        "run_seed": 1, "total_steps": run.total_steps,
+        "run_seed": 1, "total_steps": run.total_steps, "losses": losses,
     }
     with pytest.raises(CheckpointError, match=r"in train\.epochs \(checkpoint 1, requested 2\)"):
         resume_run(cfg, clouds, tmp_path / "a", 1, run.checkpoint_path)
