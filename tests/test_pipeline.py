@@ -156,8 +156,8 @@ def test_stop_before_start_step_rejected_before_any_write(corpus, trained, tmp_p
 
 
 def test_resume_replaces_metrics_whole(corpus, tmp_path, monkeypatch):
-    # the truncated rows go to a new file that replaces the old one, so a
-    # failure before the swap leaves the old rows in place
+    # the checkpoint's rows go to a new file that replaces the old one, so
+    # a failure before the swap leaves the old rows in place
     cfg, clouds, _ = corpus
     run = pretrain(cfg, clouds, tmp_path / "a", run_seed=1, stop_after_step=6)
     metrics = tmp_path / "a" / "metrics.tsv"
