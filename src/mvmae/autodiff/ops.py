@@ -15,13 +15,18 @@ encoder/decoder and every loss. A training step builds one more scalar
 from `mul` and `sum_`: sum(t * G) over its batched front end's outputs t,
 whose backward hands each t the gradient G that its samples' decoders
 left (see `pipeline.step_gradients`).
+
+The VJP of matmul and linear hands a large weight adjoint x^T g to the
+same worker thread and returns its Future in the adjoint's place; nothing
+in the sweep reads it, and `backward` resolves it in the sweep's order.
 """
 
 from __future__ import annotations
 
+import contextvars
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 from scipy.special import erf
@@ -41,6 +46,13 @@ LAYER_NORM_EPS = 1e-6  # added to the variance before its square root
 # 0.59-0.64 at L = 256. So the desk decoder (L = 256) shares its heads, and
 # its encoder and feature extraction (L <= 64) do not.
 _SPLIT_MIN_MAP = 1 << 17
+
+# a weight adjoint x^T g goes to the worker from this many multiply-adds
+# (rows * d_in * d_out) on: the desk decoder's projections and MLPs, its
+# encoder's MLPs and its front end's second layers. A desk step gained less
+# from 2^18 on, where each hand-off (tens of microseconds) outweighs the small
+# product it moves, and from 2^22 on, which moves too few of them
+_DEFER_MIN_PRODUCT = 1 << 20
 
 
 def _new_worker() -> ThreadPoolExecutor | None:
@@ -63,6 +75,13 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_renew_worker)
 
 
+def _submit(fn, *args) -> Future:
+    """fn(*args) on the worker, in a copy of the caller's context: numpy's
+    error state is a context variable, which a bare submit would leave
+    behind."""
+    return _WORKER.submit(contextvars.copy_context().run, fn, *args)
+
+
 def _run_head_ranges(run, n: int, length: int) -> None:
     """run(0, n) over n heads of L x L maps or, for a large map, run(h, h + 1)
     for every head h, which this thread and the worker claim one at a time:
@@ -83,7 +102,7 @@ def _run_head_ranges(run, n: int, length: int) -> None:
                 return
             run(h, h + 1)
 
-    other = _WORKER.submit(claim)
+    other = _submit(claim)
     try:
         claim()
     finally:
@@ -141,8 +160,13 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 def _matmul_grads(a: np.ndarray, b: np.ndarray, g: np.ndarray):
     """Adjoints of a @ b for a 2-d b; the weight grad accumulates over
-    every leading axis of a."""
-    gb = a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+    every leading axis of a. A large weight grad is a Future of the same
+    product on the worker."""
+    a2, g2 = a.reshape(-1, a.shape[-1]), g.reshape(-1, g.shape[-1])
+    if _WORKER is not None and a2.size * g2.shape[1] >= _DEFER_MIN_PRODUCT:
+        gb = _submit(np.matmul, a2.T, g2)  # before g @ b.T, so the two overlap
+    else:
+        gb = a2.T @ g2
     return g @ b.T, gb
 
 

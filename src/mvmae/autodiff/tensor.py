@@ -7,7 +7,11 @@ topological sweep. Everything is float64, and determinism is a contract
 here, not an aspiration: an op may split its work across threads only
 into disjoint slices of its outputs, each computed with the same
 per-element arithmetic as the whole, so no byte depends on the number of
-cores (ops.attention splits a large map's heads this way).
+cores (ops.attention splits a large map's heads this way). An op may also
+hand a whole product to the worker and return its Future as an adjoint
+(ops.linear and ops.matmul do this with a large weight adjoint): the
+sweep adds it to the other terms of its parent in the order the sweep
+bound them, the order it would add the inline product in.
 
 A graph is consumed by its backward: each interior node drops its parents
 and its closure (and with them the arrays the forward saved) once its VJP
@@ -17,7 +21,10 @@ ContractViolation; run the forward again to get a fresh graph.
 
 from __future__ import annotations
 
+import operator
+from concurrent.futures import Future
 from contextlib import contextmanager
+from functools import reduce
 
 import numpy as np
 
@@ -86,6 +93,10 @@ def make_node(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     return out
 
 
+def _resolved(adjoint):
+    return adjoint.result() if isinstance(adjoint, Future) else adjoint
+
+
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into .grad of every reachable leaf.
 
@@ -98,7 +109,9 @@ def backward(loss: Tensor) -> None:
     closure as soon as that VJP has run, so the forward's saved arrays are
     freed during the sweep. Backward through a graph that an earlier
     backward consumed raises ContractViolation before any grad changes;
-    rebuild the graph by running the forward again.
+    rebuild the graph by running the forward again. No grad changes either
+    when a VJP, or a product it handed to the worker, raises: grads are
+    published only after the sweep.
     """
     if loss.data.shape != ():
         raise ContractViolation(
@@ -128,7 +141,11 @@ def backward(loss: Tensor) -> None:
             if p.requires_grad and id(p) not in visited:
                 stack.append((p, False))
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
+    # an interior node's adjoint is summed as its children run; a leaf's
+    # terms, arrays or the worker's Futures, wait in sweep order for the end
+    one = np.ones((), dtype=np.float64)
+    grads: dict[int, np.ndarray | list] = {id(loss): [one] if loss._vjp is None else one}
+    leaves: list[tuple[Tensor, list]] = []
     # popping drops the list's reference, so a node whose children have run
     # is freed once its own VJP has run
     while topo:
@@ -136,19 +153,28 @@ def backward(loss: Tensor) -> None:
         # a child that has run reached this node, so its adjoint is pending
         g = grads.pop(id(node))
         parents, vjp = node._parents, node._vjp
-        if vjp is not None:
-            node._parents, node._vjp = (), _CONSUMED
         if vjp is None:
-            # leaf: publish the accumulated adjoint in a buffer of its own
-            if node.grad is None:
-                node.grad = np.array(g, dtype=np.float64, copy=True)
-            else:
-                node.grad += g
+            leaves.append((node, g))
             continue
+        node._parents, node._vjp = (), _CONSUMED
         for parent, pg in zip(parents, vjp(g)):
             if not parent.requires_grad:
                 continue
+            if parent._vjp is None:
+                grads.setdefault(id(parent), []).append(pg)
+                continue
+            pg = _resolved(pg)
             # a VJP may return its own adjoint or a view of it, so one array
             # can be pending for several parents: accumulate out of place
             acc = grads.get(id(parent))
             grads[id(parent)] = pg if acc is None else acc + pg
+
+    # every term is resolved before any grad is published, so a product that
+    # raised on the worker leaves every grad as it was
+    sums = [reduce(operator.add, map(_resolved, terms)) for _, terms in leaves]
+    for (leaf, _), g in zip(leaves, sums):
+        # publish the adjoint in a buffer of its own
+        if leaf.grad is None:
+            leaf.grad = np.array(g, dtype=np.float64, copy=True)
+        else:
+            leaf.grad += g

@@ -486,21 +486,21 @@ def dataset_by_columns(cfg, kinds) -> list[tuple[np.ndarray, int, str]]:
 
 
 class StartedWorker(ThreadPoolExecutor):
-    """The attention worker, counting its tasks. `submit` returns once the
-    task has started, so the worker takes part in every split: a task that
-    has not started would be cancelled once the caller's thread has run
-    every head itself."""
+    """The ops worker, counting its tasks. `submit` returns once the task
+    has started, so the worker takes part in every split: a task that has
+    not started would be cancelled once the caller's thread has run every
+    head itself."""
 
     def __init__(self):
         super().__init__(max_workers=1)
         self.tasks = 0
 
-    def submit(self, fn):
+    def submit(self, fn, *args):
         started = threading.Event()
 
         def task():
             started.set()
-            return fn()
+            return fn(*args)
 
         self.tasks += 1
         future = super().submit(task)

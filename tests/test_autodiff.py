@@ -335,11 +335,11 @@ def test_split_attention_gradients_match_finite_differences(name, build, x0, spl
 
 
 class FailingWorker(StartedWorker):
-    """Claims its heads, then raises."""
+    """Runs its task, then raises."""
 
-    def submit(self, fn):
+    def submit(self, fn, *args):
         def task():
-            fn()
+            fn(*args)
             raise RuntimeError("raised in the worker")
 
         return super().submit(task)
@@ -384,6 +384,119 @@ def test_forked_child_gets_its_own_attention_worker(split_heads):
         os.kill(pid, 9)
         os.waitpid(pid, 0)
     assert waited[0] == pid and os.waitstatus_to_exitcode(waited[1]) == 0
+
+
+def huge_attention(rng):
+    # squares of 1e200 overflow in q k^T, on whichever thread runs the head
+    q = Tensor(rng.standard_normal((256, 64)) * 1e200)
+    ops.attention(q, q, q, 4)
+
+
+def huge_weight_adjoint(rng):
+    # x^T g overflows in the weight adjoint, which the worker computes
+    x = Tensor(rng.standard_normal((256, 64)) * 1e200)
+    w = Parameter(rng.standard_normal((64, 64)), "w")
+    b = Parameter(np.zeros(64), "b")
+    probe = Tensor(rng.standard_normal((256, 64)) * 1e200)
+    backward(ops.sum_(ops.mul(ops.linear(x, w, b), probe)))
+    assert np.isinf(w.grad).any()
+
+
+@pytest.mark.parametrize("run", [huge_attention, huge_weight_adjoint])
+def test_worker_keeps_the_callers_numpy_error_state(run, split_heads):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="ignore"):
+            run(np.random.default_rng(17))
+    assert split_heads.tasks
+
+
+def three_layer_x_grad(x0, g0, layers):
+    """x's grad of sum(f3(f2(f1(x))) * g0), where f_i = gelu(linear(., w_i,
+    b_i)) for the (w_i, b_i) of layers[i]."""
+    x = Tensor(x0, requires_grad=True)
+    out = x
+    for w, b in layers:
+        out = ops.gelu(ops.linear(out, w, b))
+    backward(ops.sum_(ops.mul(out, Tensor(g0))))
+    return x.grad
+
+
+def test_deferred_weight_adjoints_keep_the_inline_bytes(split_heads, monkeypatch):
+    # 256 rows of width 64: each weight adjoint is 2^20 multiply-adds, as in
+    # the desk decoder's projections, so it goes to the worker
+    rng = np.random.default_rng(18)
+    x0, w0, b0, g0 = rng.standard_normal((256, 64)), rng.standard_normal((64, 64)) / 8, \
+        rng.standard_normal(64), rng.standard_normal((256, 64))
+    assert 256 * 64 * 64 >= ops._DEFER_MIN_PRODUCT
+    # inline, with a w and b of its own in each layer, one term each
+    monkeypatch.setattr(ops, "_WORKER", None)
+    inline = [(Parameter(w0, f"w{i}"), Parameter(b0, f"b{i}")) for i in (1, 2, 3)]
+    x_want = three_layer_x_grad(x0, g0, inline)
+    # one w and b shared by the three layers, as by an Mlp2 run on several
+    # inputs, with a grad already there: the sweep binds the last layer's
+    # terms first, and adds them in that order before adding them to it
+    w, b = Parameter(w0, "w"), Parameter(b0, "b")
+    w.grad, b.grad = w0 * 0.5, b0 * 0.5
+    (w_1, b_1), (w_2, b_2), (w_3, b_3) = inline
+    w_want = w.grad + ((w_3.grad + w_2.grad) + w_1.grad)
+    b_want = b.grad + ((b_3.grad + b_2.grad) + b_1.grad)
+    monkeypatch.setattr(ops, "_WORKER", split_heads)
+    x_got = three_layer_x_grad(x0, g0, [(w, b)] * 3)
+    assert split_heads.tasks == 3
+    assert x_got.tobytes() == x_want.tobytes()
+    assert w.grad.tobytes() == w_want.tobytes()
+    assert b.grad.tobytes() == b_want.tobytes()
+
+
+def scaled_weight_grad(x0, w0, g0):
+    """w's grad through matmul(x, 2 w): the weight operand is a node, so
+    its adjoint must be resolved before scale's VJP runs."""
+    w = Parameter(w0, "w")
+    backward(ops.sum_(ops.mul(ops.matmul(Tensor(x0), ops.scale(w, 2.0)), Tensor(g0))))
+    return w.grad
+
+
+def test_deferred_adjoint_of_a_node_is_resolved_in_the_sweep(split_heads, monkeypatch):
+    monkeypatch.setattr(ops, "_DEFER_MIN_PRODUCT", 0)
+    rng = np.random.default_rng(19)
+    args = rng.standard_normal((2, 9, 5)), rng.standard_normal((5, 4)), \
+        rng.standard_normal((2, 9, 4))
+    deferred = scaled_weight_grad(*args)
+    assert split_heads.tasks == 1
+    monkeypatch.setattr(ops, "_WORKER", None)
+    assert deferred.tobytes() == scaled_weight_grad(*args).tobytes()
+
+
+@pytest.mark.parametrize(
+    "name,build,x0",
+    [case for case in OP_CASES if case[0].startswith(("linear", "matmul"))],
+    ids=[name for name, _, _ in OP_CASES if name.startswith(("linear", "matmul"))],
+)
+def test_deferred_weight_adjoints_match_finite_differences(name, build, x0, split_heads,
+                                                           monkeypatch):
+    monkeypatch.setattr(ops, "_DEFER_MIN_PRODUCT", 0)
+    check_op(build, x0)
+    assert split_heads.tasks
+
+
+def test_a_product_that_raised_in_the_worker_leaves_every_grad(monkeypatch):
+    worker = FailingWorker()
+    monkeypatch.setattr(ops, "_WORKER", worker)
+    monkeypatch.setattr(ops, "_DEFER_MIN_PRODUCT", 0)
+    rng = np.random.default_rng(20)
+    x = Tensor(rng.standard_normal((8, 6)), requires_grad=True)
+    w, b = Parameter(rng.standard_normal((6, 6)), "w"), Parameter(rng.standard_normal(6), "b")
+    w.grad, b.grad = np.ones((6, 6)), np.ones(6)
+    out = ops.linear(ops.gelu(ops.linear(x, w, b)), w, b)
+    try:
+        with pytest.raises(RuntimeError, match="raised in the worker"):
+            backward(ops.sum_(ops.mul(out, Tensor(rng.standard_normal((8, 6))))))
+    finally:
+        worker.shutdown()
+    # x's adjoint came inline, b's too, but none was published
+    assert x.grad is None
+    assert (w.grad == 1).all() and (b.grad == 1).all()
 
 
 def test_vjps_leave_incoming_adjoint_untouched():

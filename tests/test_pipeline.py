@@ -487,10 +487,36 @@ def test_step_gradients_match_per_sample_accumulation(preset, batch):
         assert np.linalg.norm(got[name] - g) <= 1e-12 * np.linalg.norm(g), name
 
 
-def test_step_gradients_keep_their_bytes_with_the_attention_worker_off(monkeypatch):
+def deferred_weight_adjoints(model, plans) -> int:
+    """How many weight adjoints of a step over one front-end batch of plans
+    reach ops._DEFER_MIN_PRODUCT multiply-adds, so go to the worker: each
+    linear map's (rows, d_in, d_out), read from the model's layer sizes."""
+    cfg, b = model.cfg, len(plans)
+    c, visible = cfg.C, b * len(plans[0].mask.visible_idx)
+
+    def mlp(rows, d_in, d_hidden, d_out):
+        return [(rows, d_in, d_hidden), (rows, d_hidden, d_out)]
+
+    def block(rows):  # wq, the key projection, wv, wo, then the MLP
+        return [(rows, c, c)] * 4 + mlp(rows, c, 4 * c, c)
+
+    pixels = (cfg.H_i // cfg.H_t) * (cfg.W_i // cfg.W_t)
+    image_rows = cfg.K * model.tokens_per_view
+    maps = mlp(visible * cfg.k, 3, c // 2, c) + mlp(b * cfg.n, 3, c, c)
+    maps += block(visible) * cfg.enc_depth
+    for plan in plans:
+        fused = sum(len(grouping.groups) for grouping in plan.groupings)
+        maps += mlp(fused, c, c, c) + mlp(1, 2, c, c) * 2 + mlp(cfg.K, 5, c, c)
+        maps += block(cfg.n + image_rows) * cfg.dec_depth
+        maps += [(len(plan.mask.masked_idx), c, 3 * cfg.k), (image_rows, c, pixels)]
+    return sum(rows * d_in * d_out >= ops._DEFER_MIN_PRODUCT for rows, d_in, d_out in maps)
+
+
+def test_step_gradients_keep_their_bytes_with_the_worker_off(monkeypatch):
     # the desk decoder's (4, 256, 256) attention maps are past the split
     # threshold, so with a worker each shares its heads between two threads:
-    # forward and VJP in each decoder block of each sample
+    # forward and VJP in each decoder block of each sample. The large weight
+    # adjoints go to the worker whole
     model, plans = step_inputs("desk", 4)
     worker = StartedWorker()
     monkeypatch.setattr(ops, "_WORKER", worker)
@@ -498,7 +524,9 @@ def test_step_gradients_keep_their_bytes_with_the_attention_worker_off(monkeypat
         split = batched_step(model, plans)
     finally:
         worker.shutdown()
-    assert worker.tasks == 2 * model.cfg.dec_depth * len(plans)
+    deferred = deferred_weight_adjoints(model, plans)
+    assert deferred  # the decoder's projections and MLPs at least
+    assert worker.tasks == 2 * model.cfg.dec_depth * len(plans) + deferred
     monkeypatch.setattr(ops, "_WORKER", None)
     inline = batched_step(model, plans)
     for name, g in inline.items():
