@@ -18,7 +18,7 @@ left (see `pipeline.step_gradients`).
 
 The VJP of matmul and linear hands a large weight adjoint x^T g to the
 same worker thread and returns its Future in the adjoint's place; nothing
-in the sweep reads it, and `backward` resolves it in the sweep's order.
+in the sweep reads it, and `backward` resolves it as it folds the weight's terms.
 """
 
 from __future__ import annotations

@@ -3,15 +3,16 @@
 A Tensor wraps a numpy array plus an optional gradient buffer and a
 closure that maps the output adjoint to parent adjoints. Graphs are
 plain DAGs built eagerly by the ops module; `backward` runs a single
-topological sweep. Everything is float64, and determinism is a contract
-here, not an aspiration: an op may split its work across threads only
-into disjoint slices of its outputs, each computed with the same
-per-element arithmetic as the whole, so no byte depends on the number of
-cores (ops.attention splits a large map's heads this way). An op may also
-hand a whole product to the worker and return its Future as an adjoint
-(ops.linear and ops.matmul do this with a large weight adjoint): the
-sweep adds it to the other terms of its parent in the order the sweep
-bound them, the order it would add the inline product in.
+topological sweep, in which a node's adjoint is the left fold of its
+terms in the order the sweep binds them. Everything is float64, and
+determinism is a contract here, not an aspiration: an op may split its
+work across threads only into disjoint slices of its outputs, each
+computed with the same per-element arithmetic as the whole, so no byte
+depends on the number of cores (ops.attention splits a large map's heads
+this way). An op may also hand a whole product to the worker and return
+its Future as an adjoint (ops.linear and ops.matmul do this with a large
+weight adjoint): the Future is a term like any other, resolved when its
+node is folded and added where the inline product would be.
 
 A graph is consumed by its backward: each interior node drops its parents
 and its closure (and with them the arrays the forward saved) once its VJP
@@ -93,8 +94,10 @@ def make_node(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     return out
 
 
-def _resolved(adjoint):
-    return adjoint.result() if isinstance(adjoint, Future) else adjoint
+def _fold(terms: list) -> np.ndarray:
+    """A node's adjoint: its terms, any Future resolved, added left to right
+    out of place, since a VJP may return its own adjoint or a view of it."""
+    return reduce(operator.add, [t.result() if isinstance(t, Future) else t for t in terms])
 
 
 def backward(loss: Tensor) -> None:
@@ -104,6 +107,10 @@ def backward(loss: Tensor) -> None:
     buffer created (or added to) here; leaves the caller zeroed but the
     graph never reached keep their zeros, which is the documented
     "unreachable means zero gradient" contract.
+
+    A node's adjoint, leaf or interior, is the left fold of its terms in
+    the order the sweep binds them: an interior node's just before its VJP
+    runs, every leaf's after the sweep.
 
     The graph is consumed: each interior node releases its parents and VJP
     closure as soon as that VJP has run, so the forward's saved arrays are
@@ -141,37 +148,27 @@ def backward(loss: Tensor) -> None:
             if p.requires_grad and id(p) not in visited:
                 stack.append((p, False))
 
-    # an interior node's adjoint is summed as its children run; a leaf's
-    # terms, arrays or the worker's Futures, wait in sweep order for the end
-    one = np.ones((), dtype=np.float64)
-    grads: dict[int, np.ndarray | list] = {id(loss): [one] if loss._vjp is None else one}
+    # each node's terms, arrays or the worker's Futures, in bind order
+    grads: dict[int, list] = {id(loss): [np.ones((), dtype=np.float64)]}
     leaves: list[tuple[Tensor, list]] = []
     # popping drops the list's reference, so a node whose children have run
     # is freed once its own VJP has run
     while topo:
         node = topo.pop()
-        # a child that has run reached this node, so its adjoint is pending
-        g = grads.pop(id(node))
+        # a child that has run reached this node, so its terms are pending
+        terms = grads.pop(id(node))
         parents, vjp = node._parents, node._vjp
         if vjp is None:
-            leaves.append((node, g))
+            leaves.append((node, terms))
             continue
         node._parents, node._vjp = (), _CONSUMED
-        for parent, pg in zip(parents, vjp(g)):
-            if not parent.requires_grad:
-                continue
-            if parent._vjp is None:
+        for parent, pg in zip(parents, vjp(_fold(terms))):
+            if parent.requires_grad:
                 grads.setdefault(id(parent), []).append(pg)
-                continue
-            pg = _resolved(pg)
-            # a VJP may return its own adjoint or a view of it, so one array
-            # can be pending for several parents: accumulate out of place
-            acc = grads.get(id(parent))
-            grads[id(parent)] = pg if acc is None else acc + pg
 
-    # every term is resolved before any grad is published, so a product that
+    # every leaf is folded before any grad is published, so a product that
     # raised on the worker leaves every grad as it was
-    sums = [reduce(operator.add, map(_resolved, terms)) for _, terms in leaves]
+    sums = [_fold(terms) for _, terms in leaves]
     for (leaf, _), g in zip(leaves, sums):
         # publish the adjoint in a buffer of its own
         if leaf.grad is None:

@@ -35,7 +35,6 @@ class SyntheticShape:
 
 
 def _sample_sphere(rng: Rng, n: int, params: dict) -> np.ndarray:
-    radius = params.get("radius", 1.0)
     # antithetic pairs: for even n the sample centroid is exactly zero, so
     # unit-sphere normalization preserves every point's norm
     half = (n + 1) // 2
@@ -45,7 +44,6 @@ def _sample_sphere(rng: Rng, n: int, params: dict) -> np.ndarray:
     sq = x * x
     sq += y * y
     sq += z * z
-    v = radius * v
     v /= np.sqrt(sq)[:, None]
     return np.concatenate([v, -v], axis=0)[:n]
 
@@ -54,8 +52,7 @@ _OTHER_AXES = np.array([[1, 2], [0, 2], [0, 1]])
 
 
 def _sample_cube(rng: Rng, n: int, params: dict) -> np.ndarray:
-    side = params.get("side", 2.0)
-    half = side / 2.0
+    half = 1.0
     face = rng.integers(0, 6, n)
     uv = rng.uniform(-half, half, (n, 2))
     pts = np.empty((n, 3))
@@ -67,7 +64,7 @@ def _sample_cube(rng: Rng, n: int, params: dict) -> np.ndarray:
 
 
 def _sample_torus(rng: Rng, n: int, params: dict) -> np.ndarray:
-    ring = params.get("ring_radius", 1.0)
+    ring = 1.0
     tube = params.get("tube_radius", 0.3)
     pts = np.empty((n, 3))
     done = 0
@@ -98,7 +95,7 @@ def _disk(rng: Rng, n: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sample_cylinder(rng: Rng, n: int, params: dict) -> np.ndarray:
-    radius = params.get("radius", 0.5)
+    radius = 0.5
     height = params.get("height", 1.5)
     side_area = 2.0 * math.pi * radius * height
     cap_area = math.pi * radius**2
@@ -118,7 +115,7 @@ def _sample_cylinder(rng: Rng, n: int, params: dict) -> np.ndarray:
 
 
 def _sample_cone(rng: Rng, n: int, params: dict) -> np.ndarray:
-    radius = params.get("radius", 0.7)
+    radius = 0.7
     height = params.get("height", 1.4)
     lateral_area = math.pi * radius * math.hypot(radius, height)
     base_area = math.pi * radius**2
@@ -196,15 +193,11 @@ def _instance_params(kind: str, rng: Rng) -> dict:
         "orientation": _random_orientation(rng.derive("orientation")),
     }
     if kind == "torus":
-        return {
-            "ring_radius": 1.0,
-            "tube_radius": float(rng.uniform(0.15, 0.45)),
-            **base,
-        }
+        return {"tube_radius": float(rng.uniform(0.15, 0.45)), **base}
     if kind == "cylinder":
-        return {"radius": 0.5, "height": float(rng.uniform(0.5, 2.5)), **base}
+        return {"height": float(rng.uniform(0.5, 2.5)), **base}
     if kind == "cone":
-        return {"radius": 0.7, "height": float(rng.uniform(0.56, 1.75)), **base}
+        return {"height": float(rng.uniform(0.56, 1.75)), **base}
     return base
 
 

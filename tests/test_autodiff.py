@@ -143,6 +143,15 @@ def test_backward_rejects_non_scalar():
         backward(ops.mul(x, x))
 
 
+def test_a_scalar_parameter_as_the_loss_gets_grad_one():
+    # the loss is a leaf, so its seed is the only term it folds
+    x = Parameter(np.array(2.5), "x")
+    backward(x)
+    assert x.grad.shape == () and x.grad == 1.0
+    backward(x)  # a leaf is not consumed, so a second backward adds
+    assert x.grad == 2.0
+
+
 def test_unreached_leaf_keeps_zero_grad():
     used = Parameter(np.ones(2), "used")
     unused = Parameter(np.ones(2), "unused")
@@ -447,6 +456,25 @@ def test_deferred_weight_adjoints_keep_the_inline_bytes(split_heads, monkeypatch
     assert x_got.tobytes() == x_want.tobytes()
     assert w.grad.tobytes() == w_want.tobytes()
     assert b.grad.tobytes() == b_want.tobytes()
+
+
+def test_a_node_folds_its_terms_in_bind_order(split_heads, monkeypatch):
+    # the three layers share a w and b that are nodes (scaled by 1.0, which
+    # is exact), so the worker's Futures are terms of a node, which folds
+    # them in the order the sweep binds them before its own VJP runs
+    rng = np.random.default_rng(21)
+    x0, w0, b0, g0 = rng.standard_normal((256, 64)), rng.standard_normal((64, 64)) / 8, \
+        rng.standard_normal(64), rng.standard_normal((256, 64))
+    monkeypatch.setattr(ops, "_WORKER", None)
+    inline = [(Parameter(w0, f"w{i}"), Parameter(b0, f"b{i}")) for i in (1, 2, 3)]
+    three_layer_x_grad(x0, g0, inline)
+    (w_1, b_1), (w_2, b_2), (w_3, b_3) = inline
+    w, b = Parameter(w0, "w"), Parameter(b0, "b")
+    monkeypatch.setattr(ops, "_WORKER", split_heads)
+    three_layer_x_grad(x0, g0, [(ops.scale(w, 1.0), ops.scale(b, 1.0))] * 3)
+    assert split_heads.tasks == 3
+    assert w.grad.tobytes() == ((w_3.grad + w_2.grad) + w_1.grad).tobytes()
+    assert b.grad.tobytes() == ((b_3.grad + b_2.grad) + b_1.grad).tobytes()
 
 
 def scaled_weight_grad(x0, w0, g0):

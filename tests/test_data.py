@@ -33,21 +33,21 @@ def test_cube_axis_symmetry():
 
 
 def test_torus_points_on_surface():
-    pts = raw_surface("torus", n=2048, seed=3, ring_radius=1.0, tube_radius=0.3)
+    pts = raw_surface("torus", n=2048, seed=3, tube_radius=0.3)
     ring_gap = np.hypot(pts[:, 0], pts[:, 1]) - 1.0
     tube_r = np.sqrt(ring_gap**2 + pts[:, 2] ** 2)
     np.testing.assert_allclose(tube_r, 0.3, atol=1e-12)
 
 
 def test_torus_angle_coverage():
-    pts = raw_surface("torus", n=4096, ring_radius=1.0, tube_radius=0.3)
+    pts = raw_surface("torus", n=4096, tube_radius=0.3)
     angles = np.arctan2(pts[:, 1], pts[:, 0])
     hist, _ = np.histogram(angles, bins=8, range=(-np.pi, np.pi))
     assert hist.min() > 0.5 * hist.mean()
 
 
 def test_cylinder_points_on_surface():
-    pts = raw_surface("cylinder", n=2048, seed=4, radius=0.5, height=1.5)
+    pts = raw_surface("cylinder", n=2048, seed=4, height=1.5)
     rad = np.hypot(pts[:, 0], pts[:, 1])
     on_side = np.abs(rad - 0.5) < 1e-12
     on_cap = (np.abs(np.abs(pts[:, 2]) - 0.75) < 1e-12) & (rad <= 0.5 + 1e-12)
@@ -57,7 +57,7 @@ def test_cylinder_points_on_surface():
 
 
 def test_cone_points_on_surface():
-    pts = raw_surface("cone", n=2048, seed=5, radius=0.7, height=1.4)
+    pts = raw_surface("cone", n=2048, seed=5, height=1.4)
     rad = np.hypot(pts[:, 0], pts[:, 1])
     on_base = (np.abs(pts[:, 2]) < 1e-12) & (rad <= 0.7 + 1e-12)
     want_rad = 0.7 * (1.0 - pts[:, 2] / 1.4)
