@@ -12,9 +12,9 @@ adjoint, never the normalized maps, and shares a large map's heads
 between two threads), segment max+mean pooling, the patch Chamfer loss
 and the mean squared error. That is sufficient for the whole
 encoder/decoder and every loss. A training step builds one more scalar
-from `mul` and `sum_`: sum(t * G) over its batched front end's outputs t,
-whose backward hands each t the gradient G that its samples' decoders
-left (see `pipeline.step_gradients`).
+from `mul` and `sum_`: sum(t * G) of its batched front end's output t,
+whose backward hands t the gradient G that its samples' decoders left
+(see `pipeline.step_gradients`).
 
 The VJP of matmul and linear hands a large weight adjoint x^T g to the
 same worker thread and returns its Future in the adjoint's place; nothing

@@ -31,7 +31,7 @@ from typing import BinaryIO
 import numpy as np
 
 from .autodiff.optim import AdamWState
-from .config import Config, config_from_dict
+from .config import Config, canonical_json, config_from_dict
 from .errors import CheckpointError
 from .fileio import open_input, write_atomic
 
@@ -126,10 +126,6 @@ class _Reader:
             raise self.fail(f"{self.size - self.offset} trailing bytes")
 
 
-def _canonical(obj: dict) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
 def _sized(data: bytes) -> list[bytes]:
     return [struct.pack("<I", len(data)), data]
 
@@ -162,7 +158,7 @@ def save_checkpoint(
     for name in sorted(opt.m):
         chunks += _record(name, opt.m[name]) + _record(name, opt.v[name])
     chunks.append(struct.pack("<Q", opt.step))
-    chunks += _sized(_canonical(bookkeeping))
+    chunks += _sized(canonical_json(bookkeeping).encode("utf-8"))
     write_atomic(path, chunks)
 
 

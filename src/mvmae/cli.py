@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .autodiff import no_grad
-from .config import Config, preset_or_file
+from .config import preset_or_file
 from .data import make_dataset
 from .errors import CheckpointError, ConfigError, ContractViolation, TrainingAborted
 from .fileio import write_atomic
@@ -185,13 +185,14 @@ def cmd_probe(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     cfg = preset_or_file(args.config)
-    scalars = _estimate_scalars(cfg)
+    model = MultiviewMae(cfg.model, Rng(args.seed).derive("init"))
+    scalars = sum(p.data.size for p in model.params.values())
     if scalars > _GRADCHECK_WARN_SCALARS:
         print(
             f"warning: {scalars} scalars to perturb; this will be slow",
             file=sys.stderr,
         )
-    result = run_gradcheck(cfg, args.seed, corrupt_param=args.corrupt_param)
+    result = run_gradcheck(cfg, model, args.seed, corrupt_param=args.corrupt_param)
     status = "PASS" if result.passed else "FAIL"
     print(
         f"{status}: worst {result.worst_name} "
@@ -200,11 +201,6 @@ def cmd_gradcheck(args) -> int:
         f"{result.seconds:.1f}s"
     )
     return EXIT_OK if result.passed else EXIT_GRADCHECK_FAILED
-
-
-def _estimate_scalars(cfg: Config) -> int:
-    model = MultiviewMae(cfg.model, Rng(0).derive("init"))
-    return sum(p.data.size for p in model.params.values())
 
 
 # --- parser ---------------------------------------------------------------

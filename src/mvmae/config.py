@@ -115,10 +115,16 @@ class Config:
         return self
 
     def canonical_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
+        return canonical_json(asdict(self))
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode("ascii")).hexdigest()
+
+
+def canonical_json(obj) -> str:
+    """JSON with sorted keys and no spaces, so equal values give equal text:
+    what a config hash and a checkpoint's JSON blocks are made of."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _check_field(section: str, name: str, kind: str, value) -> None:

@@ -54,15 +54,15 @@ def _component_error(f, flat: np.ndarray, i: int, analytic: float) -> float:
 
 
 def run_gradcheck(
-    cfg: Config, seed: int, corrupt_param: str | None = None
+    cfg: Config, model: MultiviewMae, seed: int, corrupt_param: str | None = None
 ) -> GradcheckResult:
-    """Compare backprop against central differences for every parameter.
+    """Compare backprop against central differences for every parameter
+    of `model`, a model of cfg.model. Each perturbed coordinate is restored.
 
     corrupt_param deliberately biases one analytic gradient; the check
     must then fail naming that parameter (negative control).
     """
     started = time.monotonic()
-    model = MultiviewMae(cfg.model, Rng(seed).derive("init"))
     cloud = generate_shape(
         SyntheticShape(kind="torus", n_points=cfg.data.n_points, seed=seed)
     )

@@ -252,29 +252,27 @@ def build_pretrain_plan(cloud: PointCloud, cfg: ModelConfig, rng: Rng) -> Pretra
     )
 
 
-def encode_plans(model: MultiviewMae, plans: list[PretrainPlan]) -> tuple[Tensor, Tensor]:
+def encode_plans(model: MultiviewMae, plans: list[PretrainPlan]) -> Tensor:
     """The front end of a stack of plans as one graph: the (B, n_visible,
-    C) encoder outputs and the (B, n, C) position embeddings of all n
-    patches. Every plan masks the same number of patches, so they stack;
-    each sample's rows are the bytes its own one-plan stack gives."""
-    b, n = len(plans), model.cfg.n
-    visible = np.stack([plan.mask.visible_idx for plan in plans])
-    pos_all = model.pos3d(Tensor(np.stack([plan.patches.centers for plan in plans])))
+    C) encoder outputs. Every plan masks the same number of patches, so
+    they stack; each sample's rows are the bytes its own one-plan stack
+    gives."""
+    pos = model.pos3d(
+        Tensor(np.stack([plan.patches.centers[plan.mask.visible_idx] for plan in plans]))
+    )
     tokens = model.patch_embed(
         Tensor(np.stack([plan.patches.patches[plan.mask.visible_idx] for plan in plans]))
     )
-    # each sample's visible rows, gathered from the samples' rows end to end
-    rows = (visible + n * np.arange(b)[:, None]).reshape(-1)
-    pos_flat = ops.reshape(pos_all, (b * n, model.cfg.C))
-    pos_visible = ops.reshape(ops.gather_rows(pos_flat, rows), tokens.shape)
-    return model.encode(tokens, pos_visible), pos_all
+    return model.encode(tokens, pos)
 
 
 def loss_from_plan(
-    model: MultiviewMae, plan: PretrainPlan, encoded: Tensor, pos_all: Tensor
+    model: MultiviewMae, plan: PretrainPlan, encoded: Tensor
 ) -> tuple[Tensor, Reconstruction, dict]:
     """The parameterized decoder half for a fixed plan, from that plan's
-    (n_visible, C) encoder outputs and (n, C) position embeddings."""
+    (n_visible, C) encoder outputs; it embeds the positions of all n
+    patches itself."""
+    pos_all = model.pos3d(Tensor(plan.patches.centers))
     fused = model.fuse_image_tokens(encoded, plan.groupings)
     seq, pos = model.assemble_decoder_input(
         encoded, fused, plan.groupings, plan.mask, plan.poses, pos_all
@@ -297,9 +295,9 @@ def plan_losses(
 ) -> list[tuple[Tensor, Reconstruction, dict]]:
     """loss_from_plan of every plan, each on its rows of one batched front
     end: the forward that a training step runs."""
-    front = encode_plans(model, plans)
+    encoded = encode_plans(model, plans)
     return [
-        loss_from_plan(model, plan, *(ops.gather_rows(t, i) for t in front))
+        loss_from_plan(model, plan, ops.gather_rows(encoded, i))
         for i, plan in enumerate(plans)
     ]
 

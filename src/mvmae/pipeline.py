@@ -128,11 +128,12 @@ def step_gradients(
 
     Plans are taken FRONT_END_GROUP at a time, so only one batch of them
     need exist at once, and the front ends of each batch run as one
-    (`encode_plans`); each decoder runs on its own sample's rows. All but
-    the last decoder of a batch run on leaves cut from those rows, and
-    their backward stops at the leaves. The last one runs on the batch's
-    own rows, and its backward also carries the leaves' gradients into
-    the front end, so a batch of B samples takes B backward sweeps.
+    (`encode_plans`); each decoder runs on its own sample's encoder rows
+    and embeds that sample's patch positions itself. All but the last
+    decoder of a batch run on leaves cut from those rows, and their
+    backward stops at the leaves. The last one runs on the batch's own
+    rows, and its backward also carries the leaves' gradients into the
+    front end, so a batch of B samples takes B backward sweeps.
 
     Model functions are called through the module, where the benchmark's
     trace wraps them."""
@@ -141,21 +142,19 @@ def step_gradients(
     diags = []
     plans = iter(plans)
     while group := list(islice(plans, FRONT_END_GROUP)):
-        front = mmodel.encode_plans(model, group)
-        seeds = [np.zeros_like(t.data) for t in front]
+        encoded = mmodel.encode_plans(model, group)
+        seed = np.zeros_like(encoded.data)
         for i, plan in enumerate(group[:-1]):
-            leaves = [Tensor(t.data[i], requires_grad=True) for t in front]
-            loss, _, diag = mmodel.loss_from_plan(model, plan, *leaves)
+            leaf = Tensor(encoded.data[i], requires_grad=True)
+            loss, _, diag = mmodel.loss_from_plan(model, plan, leaf)
             backward(ops.scale(loss, weight))
-            for seed, leaf in zip(seeds, leaves):
-                seed[i] = leaf.grad
+            seed[i] = leaf.grad
             diags.append(diag)
         last = len(group) - 1
-        rows = (ops.gather_rows(t, last) for t in front)
-        loss, _, diag = mmodel.loss_from_plan(model, group[last], *rows)
-        # sum(t * seed) hands each front-end output its seed as its adjoint
-        carried = [ops.sum_(ops.mul(t, Tensor(seed))) for t, seed in zip(front, seeds)]
-        backward(ops.add(ops.scale(loss, weight), ops.add(*carried)))
+        loss, _, diag = mmodel.loss_from_plan(model, group[last], ops.gather_rows(encoded, last))
+        # sum(encoded * seed) hands the encoder output its seed as its adjoint
+        carried = ops.sum_(ops.mul(encoded, Tensor(seed)))
+        backward(ops.add(ops.scale(loss, weight), carried))
         diags.append(diag)
     return diags
 

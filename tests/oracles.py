@@ -523,17 +523,18 @@ def traced_peak(fn) -> int:
 
 
 def per_sample_front_end(model, plan):
-    """One plan's (n_visible, C) encoder outputs and (n, C) position
-    embeddings, from a front end that sees that plan alone."""
-    pos_all = model.pos3d(Tensor(plan.patches.centers))
-    tokens = model.patch_embed(Tensor(plan.patches.patches[plan.mask.visible_idx]))
-    return model.encode(tokens, ops.gather_rows(pos_all, plan.mask.visible_idx)), pos_all
+    """One plan's (n_visible, C) encoder outputs, from a front end that
+    sees that plan alone."""
+    visible = plan.mask.visible_idx
+    pos = model.pos3d(Tensor(plan.patches.centers[visible]))
+    tokens = model.patch_embed(Tensor(plan.patches.patches[visible]))
+    return model.encode(tokens, pos)
 
 
 def per_sample_loss(model, plan):
     """loss_from_plan's (loss, reconstruction, diagnostics) for one plan,
     with its whole forward, front end included, in one graph."""
-    return loss_from_plan(model, plan, *per_sample_front_end(model, plan))
+    return loss_from_plan(model, plan, per_sample_front_end(model, plan))
 
 
 def per_sample_gradients(model, plans, weight) -> dict:

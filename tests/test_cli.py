@@ -720,13 +720,20 @@ def test_probe_insufficient_data_exit_2(tiny_run, capsys):
 # --- gradcheck ----------------------------------------------------------------
 
 
-def test_gradcheck_micro_pass(tmp_path, capsys):
+def test_gradcheck_micro_pass(tmp_path, capsys, monkeypatch):
+    # with the slow-run threshold below the micro model's size, the warning
+    # counts the scalars of the model that the check then runs on
+    monkeypatch.setattr("mvmae.cli._GRADCHECK_WARN_SCALARS", 0)
     cfg_path = tmp_path / "micro.json"
     cfg_path.write_text(micro_config().canonical_json())
     code = main(["gradcheck", "--config", str(cfg_path), "--seed", "3"])
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
     assert code == 0
-    assert out.startswith("PASS")
+    assert captured.out.startswith("PASS")
+    model = MultiviewMae(micro_config().model, Rng(3).derive("init"))
+    scalars = sum(p.data.size for p in model.params.values())
+    assert captured.err == f"warning: {scalars} scalars to perturb; this will be slow\n"
+    assert f"; {scalars} scalars in {len(model.params)} parameters" in captured.out
 
 
 def test_gradcheck_corrupted_gradient_fails(tmp_path, capsys):

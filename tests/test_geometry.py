@@ -418,8 +418,15 @@ def test_load_cloud_dispatches_on_extension(tmp_path):
 def test_xyz_reader_rejects_malformed(tmp_path, text):
     path = tmp_path / "bad.xyz"
     path.write_text(text)
-    with pytest.raises(ContractViolation):
+    with pytest.raises(ContractViolation) as info:
         read_xyz(path)
+    # the reader names the file and the offending line (the last one in each
+    # text). PointCloud refuses non-finite and empty clouds too, but names no
+    # line, and no file for an empty one
+    assert str(path) in str(info.value)
+    lines = [line for line in text.splitlines() if line.strip()]
+    if lines:
+        assert repr(lines[-1]) in str(info.value)
 
 
 @pytest.mark.parametrize(

@@ -491,13 +491,10 @@ def test_batched_front_end_rows_are_the_one_plan_bytes(preset, seed):
         build_pretrain_plan(torus_cloud(n_points, seed + i), cfg, Rng(seed).derive("s", i))
         for i in range(4)
     ]
-    encoded, pos_all = encode_plans(model, plans)
+    encoded = encode_plans(model, plans)
     assert encoded.shape == (4, len(plans[0].mask.visible_idx), cfg.C)
-    assert pos_all.shape == (4, cfg.n, cfg.C)
     for i, plan in enumerate(plans):
-        want_encoded, want_pos = per_sample_front_end(model, plan)
-        np.testing.assert_array_equal(encoded.data[i], want_encoded.data)
-        np.testing.assert_array_equal(pos_all.data[i], want_pos.data)
+        np.testing.assert_array_equal(encoded.data[i], per_sample_front_end(model, plan).data)
 
 
 def test_desk_mask_leaves_sixteen_visible():
@@ -572,7 +569,7 @@ def test_desk_graph_size_does_not_grow_with_fused_tokens():
     assert len(set(groups)) == len(groups)
     assert groups[-1] == (0, 0, 0)
     assert len(set(counts)) == 1, counts
-    assert counts[0] == 239
+    assert counts[0] == 241
 
 
 # --- downstream features ------------------------------------------------

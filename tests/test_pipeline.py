@@ -502,11 +502,12 @@ def deferred_weight_adjoints(model, plans) -> int:
 
     pixels = (cfg.H_i // cfg.H_t) * (cfg.W_i // cfg.W_t)
     image_rows = cfg.K * model.tokens_per_view
-    maps = mlp(visible * cfg.k, 3, c // 2, c) + mlp(b * cfg.n, 3, c, c)
+    maps = mlp(visible * cfg.k, 3, c // 2, c) + mlp(visible, 3, c, c)
     maps += block(visible) * cfg.enc_depth
     for plan in plans:
         fused = sum(len(grouping.groups) for grouping in plan.groupings)
-        maps += mlp(fused, c, c, c) + mlp(1, 2, c, c) * 2 + mlp(cfg.K, 5, c, c)
+        maps += mlp(cfg.n, 3, c, c) + mlp(fused, c, c, c)
+        maps += mlp(1, 2, c, c) * 2 + mlp(cfg.K, 5, c, c)
         maps += block(cfg.n + image_rows) * cfg.dec_depth
         maps += [(len(plan.mask.masked_idx), c, 3 * cfg.k), (image_rows, c, pixels)]
     return sum(rows * d_in * d_out >= ops._DEFER_MIN_PRODUCT for rows, d_in, d_out in maps)
