@@ -1,20 +1,20 @@
 """Forward ops with hand-written vector-Jacobian products.
 
 The op set is closed and small: matmul and the fused affine map
-`linear`, elementwise arithmetic with broadcasting, shape ops, row
-gather (its adjoint is scatter-add), a whole-tensor sum, a max along one
+`linear`, elementwise arithmetic with broadcasting, reshape, row concat,
+row gather (its adjoint is scatter-add), a whole-tensor sum, a max along one
 axis, layer normalization with its scale and shift
 (`layer_norm_affine`), GELU, and four fused ops for the hot spots of a
 training step: multi-head scaled dot-product attention on (L, heads * D)
 projections or a batch of them (heads split and merged inside the node,
 which keeps the unnormalized attention maps and their row sums for its
 adjoint, never the normalized maps, and shares a large map's heads
-between two threads), segment max+mean pooling, the patch Chamfer loss
-and the mean squared error. That is sufficient for the whole
-encoder/decoder and every loss. A training step builds one more scalar
-from `mul` and `sum_`: sum(t * G) of its batched front end's output t,
-whose backward hands t the gradient G that its samples' decoders left
-(see `pipeline.step_gradients`).
+between two threads), segment max+mean pooling, and two losses against a
+constant target array: the patch Chamfer loss and the mean squared error.
+That is sufficient for the whole encoder/decoder and every loss. A
+training step builds one more scalar from `mul` and `sum_`: sum(t * G)
+of its batched front end's output t, whose backward hands t the gradient
+G that its samples' decoders left (see `pipeline.step_gradients`).
 
 The VJP of matmul and linear hands a large weight adjoint x^T g to the
 same worker thread and returns its Future in the adjoint's place; nothing
@@ -198,16 +198,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         return (*_matmul_grads(x.data, w.data, g), _unbroadcast(g, b.data.shape))
 
     return make_node(out, (x, w, b), vjp)
-
-
-def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    out = np.ascontiguousarray(a.data.transpose(axes))
-    inverse = tuple(np.argsort(axes))
-
-    def vjp(g):
-        return (g.transpose(inverse),)
-
-    return make_node(out, (a,), vjp)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -454,19 +444,17 @@ def gelu(a: Tensor) -> Tensor:
     return make_node(out, (a,), vjp)
 
 
-def mse(a: Tensor, b: Tensor) -> Tensor:
-    """Mean squared error over all elements; shapes must match exactly."""
-    if a.data.shape != b.data.shape:
-        raise ContractViolation(
-            f"mse shape mismatch: {a.data.shape} vs {b.data.shape}"
-        )
-    d = a.data - b.data
+def mse(a: Tensor, target: np.ndarray) -> Tensor:
+    """Mean squared error over all elements between a and a constant target
+    array; shapes must match exactly."""
+    if a.data.shape != target.shape:
+        raise ContractViolation(f"mse shape mismatch: {a.data.shape} vs {target.shape}")
+    d = a.data - target
     out = (d * d).mean()
 
     def vjp(g):
         # d * d reaches d twice: two equal adjoints, added
         t = (g / d.size) * d
-        ga = t + t
-        return ga, -ga
+        return (t + t,)
 
-    return make_node(out, (a, b), vjp)
+    return make_node(out, (a,), vjp)

@@ -5,7 +5,8 @@ Little-endian layout:
     magic "MVMAE\\0" | u32 format version
     u32 length | canonical config JSON (utf-8)
     u32 count  | per parameter: array record
-    u32 count  | per parameter: two array records (AdamW first, second moment)
+    u32 count  | per parameter: two array records (AdamW first, second
+                 moment), or none at step 0
     u64 step   | AdamW updates taken
     u32 length | bookkeeping JSON (run seed, total steps, each step's losses)
 
@@ -196,6 +197,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                 raise r.fail(f"moment pair mismatch: {name_m} vs {name_v}")
             if name_m not in params:
                 raise r.fail(f"moments for unknown parameter {name_m}")
+            if name_m in opt.m:
+                raise r.fail(f"duplicate moments for {name_m}")
             if not m.shape == v.shape == params[name_m].shape:
                 shapes = f"{m.shape}, {v.shape} vs {params[name_m].shape}"
                 raise r.fail(f"moment shapes of {name_m} differ from the parameter: {shapes}")
@@ -203,6 +206,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             opt.v[name_m] = v
 
         opt.step = r.unpack("Q")
+        # AdamW's first update gives every parameter its moments
+        stray = sorted(opt.m) if opt.step == 0 else sorted(set(params) - set(opt.m))
+        if stray:
+            held = "holds moments for" if opt.step == 0 else "has no moments for"
+            raise r.fail(f"checkpoint at step {opt.step} {held} {stray}")
         bookkeeping = r.json_block("bookkeeping")
         r.done()
         return Checkpoint(config=config, params=params, opt=opt, bookkeeping=bookkeeping)

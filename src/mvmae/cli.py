@@ -25,7 +25,7 @@ from .errors import CheckpointError, ConfigError, ContractViolation, TrainingAbo
 from .fileio import write_atomic
 from .geometry import PointCloud, load_cloud, write_xyz
 from .gradcheck import GRADCHECK_TOLERANCE, run_gradcheck
-from .model import MultiviewMae, build_pretrain_plan, plan_losses
+from .model import MultiviewMae, build_pretrain_plan, plan_losses, untile_images
 from .pipeline import (
     extract_features,
     fewshot_trials,
@@ -137,10 +137,10 @@ def cmd_reconstruct(args) -> int:
         centers = plan.patches.centers[plan.mask.masked_idx]
         predicted_abs = (recon.predicted_patches.data + centers[:, None, :]).reshape(-1, 3)
         write_xyz(out_dir / "reconstructed.xyz", PointCloud(predicted_abs))
-        predicted = np.clip(recon.predicted_images.data, 0.0, 1.0)
-        for v in range(cfg.model.K):
-            write_pgm(out_dir / f"gt_view{v}.pgm", plan.target_images[v])
-            write_pgm(out_dir / f"pred_view{v}.pgm", predicted[v])
+        predicted = np.clip(recon.predicted_tiles.data, 0.0, 1.0)
+        for name, tiles in (("gt", plan.target_tiles), ("pred", predicted)):
+            for v, image in enumerate(untile_images(tiles, cfg.model)):
+                write_pgm(out_dir / f"{name}_view{v}.pgm", image)
     print(
         f"wrote 2 clouds and {2 * cfg.model.K} depth images to {out_dir} "
         f"(l3d={diag['l3d']:.6f}, l2d={diag['l2d']:.6f})"

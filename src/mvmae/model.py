@@ -6,8 +6,8 @@ are bucketed per view by where their patch centers project and fused into
 image tokens; point and image sequences, padded with learnable mask
 tokens and carrying positional, modality, and view embeddings, run
 through one joint decoder; two affine heads emit masked 3D patches and
-full depth images. Training minimizes patch Chamfer distance plus mean
-per-view image MSE.
+one depth tile per image token. Training minimizes patch Chamfer distance
+plus mean per-view image MSE, scored on the tiles of the target images.
 """
 
 from __future__ import annotations
@@ -73,9 +73,8 @@ class MultiviewMae:
             for i in range(cfg.dec_depth)
         ]
         self.dec_norm = LayerNormAffine(reg, "dec.norm", cfg.C)
-        pixels_per_token = (cfg.H_i // cfg.H_t) * (cfg.W_i // cfg.W_t)
         self.head3d = Linear(reg, "head3d", cfg.C, 3 * cfg.k)
-        self.head2d = Linear(reg, "head2d", cfg.C, pixels_per_token)
+        self.head2d = Linear(reg, "head2d", cfg.C, (cfg.H_i // cfg.H_t) * (cfg.W_i // cfg.W_t))
         self.params = reg.params()
         self.sincos = Tensor(sincos_table_2d(cfg.H_t, cfg.W_t, cfg.C))
 
@@ -155,28 +154,19 @@ class MultiviewMae:
     # --- heads ---------------------------------------------------------
 
     def project_heads(self, decoded: Tensor, masked_idx: np.ndarray) -> tuple[Tensor, Tensor]:
-        """Masked (M, k, 3) patches and (K, H_i, W_i) depth images from the
+        """Masked (M, k, 3) patches and (K·T, ph·pw) depth tiles from the
         decoded (L, C) sequence: the masked point rows feed the 3D head, and
-        each image row becomes one H_i/H_t x W_i/W_t tile of its view."""
+        each image row becomes its token's tile, in `tile_images` order."""
         cfg = self.cfg
         masked = ops.gather_rows(decoded, masked_idx)
         patches = ops.reshape(self.head3d(masked), (len(masked_idx), cfg.k, 3))
-        image_rows = ops.gather_rows(decoded, np.arange(cfg.n, decoded.shape[0]))
-        views = image_rows.shape[0] // self.tokens_per_view
-        tiles = ops.reshape(
-            self.head2d(image_rows),
-            (views, cfg.H_t, cfg.W_t, cfg.H_i // cfg.H_t, cfg.W_i // cfg.W_t),
-        )
-        images = ops.reshape(
-            ops.transpose(tiles, (0, 1, 3, 2, 4)), (views, cfg.H_i, cfg.W_i)
-        )
-        return patches, images
+        return patches, self.head2d(ops.gather_rows(decoded, np.arange(cfg.n, decoded.shape[0])))
 
 
 @dataclass
 class Reconstruction:
     predicted_patches: Tensor  # (M, k, 3), center-relative
-    predicted_images: Tensor  # (K, H_i, W_i)
+    predicted_tiles: Tensor  # (K·T, ph·pw), the rows of `tile_images`
 
 
 # --- losses ------------------------------------------------------------
@@ -185,13 +175,14 @@ class Reconstruction:
 def loss_3d(predicted: Tensor, target: np.ndarray) -> Tensor:
     """Mean over masked patches of the per-patch Chamfer distance: the
     symmetric mean of squared nearest-neighbor distances."""
-    return ops.chamfer(predicted, np.asarray(target, dtype=np.float64))
+    return ops.chamfer(predicted, target)
 
 
 def loss_2d(predicted: Tensor, target: np.ndarray) -> Tensor:
-    """Mean over views of the full-image mean squared error: every view
-    has the same pixel count, so one MSE over the (K, H_i, W_i) stack."""
-    return ops.mse(predicted, Tensor(target))
+    """Mean over views of the full-image mean squared error, scored per
+    image token: every view has the same pixel count and every token the
+    same tile, so one MSE over the (K·T, ph·pw) tile stack."""
+    return ops.mse(predicted, target)
 
 
 def total_loss(l3d: Tensor, l2d: Tensor) -> Tensor:
@@ -208,15 +199,15 @@ def total_loss(l3d: Tensor, l2d: Tensor) -> Tensor:
 @dataclass
 class PretrainPlan:
     """Everything parameter-independent about one training example: the
-    patch layout, mask, chosen views, per-view groupings, and targets.
-    Building it once lets a finite-difference loop re-evaluate only the
-    parameterized loss."""
+    patch layout, mask, chosen views, per-view groupings, and targets (the
+    depth rasters cut into image-token tiles). Building it once lets a
+    finite-difference loop re-evaluate only the parameterized loss."""
 
     patches: PatchSet
     mask: MaskPlan
     poses: list[CameraPose]
     groupings: list[TokenGrouping]
-    target_images: np.ndarray  # (K, H_i, W_i) depth rasters, pose order
+    target_tiles: np.ndarray  # (K·T, ph·pw) `tile_images` of the rasters, pose order
 
 
 def patchify(cloud: PointCloud, cfg: ModelConfig) -> PatchSet:
@@ -229,6 +220,19 @@ def patchify(cloud: PointCloud, cfg: ModelConfig) -> PatchSet:
     return build_patches(points, cfg.n, cfg.k)
 
 
+def tile_images(images: np.ndarray, cfg: ModelConfig) -> np.ndarray:
+    """(K, H_i, W_i) images as the (K·T, ph·pw) rows of `project_heads`'
+    depth tiles: row v·T + t is view v's block under token t, row-major."""
+    ph, pw = cfg.H_i // cfg.H_t, cfg.W_i // cfg.W_t
+    return images.reshape(-1, cfg.H_t, ph, cfg.W_t, pw).swapaxes(2, 3).reshape(-1, ph * pw)
+
+
+def untile_images(tiles: np.ndarray, cfg: ModelConfig) -> np.ndarray:
+    """The (K, H_i, W_i) images of `tile_images` rows."""
+    ph, pw = cfg.H_i // cfg.H_t, cfg.W_i // cfg.W_t
+    return tiles.reshape(-1, cfg.H_t, cfg.W_t, ph, pw).swapaxes(2, 3).reshape(-1, cfg.H_i, cfg.W_i)
+
+
 def build_pretrain_plan(cloud: PointCloud, cfg: ModelConfig, rng: Rng) -> PretrainPlan:
     patches = patchify(cloud, cfg)
     mask = apply_mask(cfg.n, cfg.m, rng.derive("mask"))
@@ -238,6 +242,7 @@ def build_pretrain_plan(cloud: PointCloud, cfg: ModelConfig, rng: Rng) -> Pretra
         for i in np.sort(chosen)
     ]
     visible_centers = patches.centers[mask.visible_idx]
+    images = np.stack([rasterize_depth(cloud.points, pose, cfg.H_i, cfg.W_i) for pose in poses])
     return PretrainPlan(
         patches=patches,
         mask=mask,
@@ -246,9 +251,7 @@ def build_pretrain_plan(cloud: PointCloud, cfg: ModelConfig, rng: Rng) -> Pretra
             group_by_image_token(visible_centers, pose, cfg.H_i, cfg.W_i, cfg.H_t, cfg.W_t)
             for pose in poses
         ],
-        target_images=np.stack(
-            [rasterize_depth(cloud.points, pose, cfg.H_i, cfg.W_i) for pose in poses]
-        ),
+        target_tiles=tile_images(images, cfg),
     )
 
 
@@ -278,11 +281,11 @@ def loss_from_plan(
         encoded, fused, plan.groupings, plan.mask, plan.poses, pos_all
     )
     decoded = model.joint_decode(seq, pos)
-    pred_patches, pred_images = model.project_heads(decoded, plan.mask.masked_idx)
+    pred_patches, pred_tiles = model.project_heads(decoded, plan.mask.masked_idx)
     l3d = loss_3d(pred_patches, plan.patches.patches[plan.mask.masked_idx])
-    l2d = loss_2d(pred_images, plan.target_images)
+    l2d = loss_2d(pred_tiles, plan.target_tiles)
     loss = total_loss(l3d, l2d)
-    recon = Reconstruction(predicted_patches=pred_patches, predicted_images=pred_images)
+    recon = Reconstruction(predicted_patches=pred_patches, predicted_tiles=pred_tiles)
     diagnostics = {
         "l3d": float(l3d.data),
         "l2d": float(l2d.data),

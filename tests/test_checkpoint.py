@@ -324,6 +324,34 @@ def test_moments_for_an_unknown_parameter_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def test_repeated_moments_rejected(tmp_path):
+    # a second pair for p would otherwise replace the first
+    path = tmp_path / "twice.ckpt"
+    pair = [("p", np.zeros(2)), ("p", np.ones(2))]
+    path.write_bytes(with_moments(*pair, *pair))
+    with pytest.raises(CheckpointError, match="duplicate moments for p"):
+        load_checkpoint(path)
+
+
+def test_moment_set_must_match_the_step(tmp_path):
+    # AdamW's first update gives every parameter its moments: none before
+    # it, all of them after, or a resume would restart the missing ones
+    cfg, model, opt = trained_state(steps=1)
+    path = tmp_path / "a.ckpt"
+    for name in ("head3d.bias", "head2d.weight"):
+        del opt.m[name], opt.v[name]
+    save_state(path, cfg, model, opt)
+    message = "checkpoint at step 1 has no moments for ['head2d.weight', 'head3d.bias']"
+    with pytest.raises(CheckpointError, match=re.escape(message)):
+        load_checkpoint(path)
+    save_state(path, cfg, model, AdamWState())  # step 0, no moments: loads
+    assert load_checkpoint(path).opt.m == {}
+    moments = {"head3d.bias": np.zeros_like(model.params["head3d.bias"].data)}
+    save_state(path, cfg, model, AdamWState(m=moments, v=dict(moments)))
+    with pytest.raises(CheckpointError, match=re.escape("step 0 holds moments for ['head3d.bias']")):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("block", ["config", "bookkeeping"])
 def test_json_block_must_hold_an_object(tmp_path, block):
     path = tmp_path / "list.ckpt"

@@ -12,10 +12,14 @@ import pytest
 
 import mvmae
 from mvmae.checkpoint import load_checkpoint, save_checkpoint
+from mvmae.autodiff import no_grad
 from mvmae.autodiff.optim import AdamWState
 from mvmae.cli import main
 from mvmae.config import Config, DataConfig, ModelConfig, TrainConfig, load_config, tiny_config
-from mvmae.model import MultiviewMae
+from mvmae.geometry import load_cloud
+from mvmae.model import MultiviewMae, build_pretrain_plan, plan_losses
+from mvmae.pipeline import load_pretrained
+from mvmae.projection import rasterize_depth, write_pgm
 from mvmae.rng import Rng
 
 from oracles import read_metrics, read_pgm
@@ -202,6 +206,37 @@ def test_resume_past_the_runs_end_claims_no_out(tiny_run, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "step 99" in err and f"{ckpt.bookkeeping['total_steps']}-step run" in err
+    assert list(out.iterdir()) == []
+
+
+def drop_head3d_bias_moments(ckpt, path):
+    del ckpt.opt.m["head3d.bias"], ckpt.opt.v["head3d.bias"]
+    save_checkpoint(path, ckpt.config, ckpt.params, ckpt.opt, ckpt.bookkeeping)
+
+
+def repeat_head3d_bias_moments(ckpt, path):
+    # a pair saved under a stand-in name of the same length, which sorts
+    # right after head3d.bias, is renamed to it in the file
+    ckpt.opt.m["head3d.biat"] = ckpt.opt.m["head3d.bias"]
+    ckpt.opt.v["head3d.biat"] = ckpt.opt.v["head3d.bias"]
+    save_checkpoint(path, ckpt.config, ckpt.params, ckpt.opt, ckpt.bookkeeping)
+    path.write_bytes(path.read_bytes().replace(b"head3d.biat", b"head3d.bias"))
+
+
+@pytest.mark.parametrize("corrupt", [drop_head3d_bias_moments, repeat_head3d_bias_moments])
+def test_resume_with_a_wrong_moment_set_claims_no_out(tiny_run, tmp_path, capsys, corrupt):
+    # AdamW would restart a missing moment from zeros, and the later of a
+    # repeated pair would win: either way the resumed run would drift
+    path = tmp_path / "moments.ckpt"
+    corrupt(load_checkpoint(tiny_run / "ckpt_00000008.ckpt"), path)
+    out = tmp_path / "o"
+    out.mkdir()
+    code = main([
+        "pretrain", "--config", "tiny", "--out", str(out), "--seed", "5",
+        "--resume", str(path),
+    ])
+    assert code == 2
+    assert "head3d.bias" in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 
@@ -571,6 +606,35 @@ def test_reconstruct_file_census(tiny_run, tmp_path):
     for name in ("pred_view0.pgm", "pred_view1.pgm"):
         values = read_pgm(out / name)
         assert values.min() >= 0.0 and values.max() <= 1.0
+
+
+def test_reconstruct_writes_the_plan_views(tiny_run, tmp_path):
+    # gt_view{v} is the input's raster at the plan's v-th pose, and
+    # pred_view{v} holds each head2d row at its token's block
+    cloud_path = shape_cloud(tmp_path)
+    out = tmp_path / "rec"
+    code = main([
+        "reconstruct", "--checkpoint", str(tiny_run / "final.ckpt"),
+        "--input", str(cloud_path), "--out", str(out), "--seed", "3",
+    ])
+    assert code == 0
+    model, ckpt = load_pretrained(tiny_run / "final.ckpt")
+    cfg, cloud = ckpt.config.model, load_cloud(cloud_path)
+    plan = build_pretrain_plan(cloud, cfg, Rng(3).derive("reconstruct"))
+    with no_grad():
+        [(_, recon, _)] = plan_losses(model, [plan])
+    rows = np.clip(recon.predicted_tiles.data, 0.0, 1.0)
+    ph, pw, t = cfg.H_i // cfg.H_t, cfg.W_i // cfg.W_t, cfg.H_t * cfg.W_t
+    want = tmp_path / "want.pgm"
+    for v, pose in enumerate(plan.poses):
+        write_pgm(want, rasterize_depth(cloud.points, pose, cfg.H_i, cfg.W_i))
+        assert (out / f"gt_view{v}.pgm").read_bytes() == want.read_bytes()
+        image = np.empty((cfg.H_i, cfg.W_i))
+        for token in range(t):
+            r0, c0 = (token // cfg.W_t) * ph, (token % cfg.W_t) * pw
+            image[r0 : r0 + ph, c0 : c0 + pw] = rows[v * t + token].reshape(ph, pw)
+        write_pgm(want, image)
+        assert (out / f"pred_view{v}.pgm").read_bytes() == want.read_bytes()
 
 
 def test_reconstruct_views_override(tiny_run, tmp_path):

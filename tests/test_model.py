@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from mvmae.model import (
     loss_2d,
     loss_3d,
     patchify,
+    tile_images,
     total_loss,
+    untile_images,
 )
 from mvmae.pipeline import step_gradients
 from mvmae.projection import TokenGrouping
@@ -285,40 +288,42 @@ def test_heads_shapes_at_desk_scale():
     image_rows = rng.normal(size=(cfg.K * model.tokens_per_view, cfg.C))
     masked_idx = np.arange(48)
     decoded = Tensor(np.concatenate([point_rows, image_rows]))
-    patches, images = model.project_heads(decoded, masked_idx)
+    patches, tiles = model.project_heads(decoded, masked_idx)
     assert patches.shape == (48, 32, 3)
-    assert images.shape == (cfg.K, 64, 64)
+    assert tiles.shape == (cfg.K * 64, 8 * 8)
 
 
 def test_head2d_tiling_layout():
-    model = tiny_model()
-    cfg = model.cfg
-    ppr, ppc = cfg.H_i // cfg.H_t, cfg.W_i // cfg.W_t
-    t = model.tokens_per_view
-    rows = np.random.default_rng(16).normal(size=(cfg.K * t, cfg.C))
-    decoded = Tensor(np.concatenate([np.zeros((cfg.n, cfg.C)), rows]))
-    _, images = model.project_heads(decoded, np.array([0]))
-    assert images.shape == (cfg.K, cfg.H_i, cfg.W_i)
-    for v in range(cfg.K):
-        image = images.data[v]
-        flat = rows[v * t : (v + 1) * t] @ model.head2d.weight.data + model.head2d.bias.data
-        for token in range(t):
-            r0 = (token // cfg.W_t) * ppr
-            c0 = (token % cfg.W_t) * ppc
+    # the rows the depth head is scored against: row v·T + t is the block
+    # of view v under token t, tokens row-major; non-square tiles on a
+    # non-square token grid, so a swapped axis shows
+    cfg = replace(tiny_config().model, H_i=6, W_i=8, H_t=3, W_t=2)
+    ph, pw = 2, 4
+    images = np.random.default_rng(16).normal(size=(3, cfg.H_i, cfg.W_i))
+    tiles = tile_images(images, cfg)
+    assert tiles.shape == (3 * cfg.H_t * cfg.W_t, ph * pw)
+    for v in range(3):
+        for token in range(cfg.H_t * cfg.W_t):
+            r0, c0 = (token // cfg.W_t) * ph, (token % cfg.W_t) * pw
             np.testing.assert_array_equal(
-                image[r0 : r0 + ppr, c0 : c0 + ppc], flat[token].reshape(ppr, ppc)
+                tiles[v * cfg.H_t * cfg.W_t + token],
+                images[v, r0 : r0 + ph, c0 : c0 + pw].reshape(-1),
             )
+    np.testing.assert_array_equal(untile_images(tiles, cfg), images)
 
 
 def test_head2d_zero_input_gives_tiled_bias():
+    # every depth row of a zero decoder output is head2d's bias, so each
+    # untiled view repeats the bias's (ph, pw) block over the token grid
     model = tiny_model()
     cfg = model.cfg
     ppr, ppc = cfg.H_i // cfg.H_t, cfg.W_i // cfg.W_t
     model.head2d.bias.data[...] = np.random.default_rng(17).normal(size=ppr * ppc)
     decoded = Tensor(np.zeros((cfg.n + cfg.K * model.tokens_per_view, cfg.C)))
-    _, images = model.project_heads(decoded, np.array([0]))
+    _, tiles = model.project_heads(decoded, np.array([0]))
     want = np.tile(model.head2d.bias.data.reshape(ppr, ppc), (cfg.K, cfg.H_t, cfg.W_t))
-    np.testing.assert_array_equal(images.data, want)
+    np.testing.assert_array_equal(untile_images(tiles.data, cfg), want)
+    np.testing.assert_array_equal(tile_images(want, cfg), tiles.data)
 
 
 # --- chamfer and losses -----------------------------------------------
@@ -456,7 +461,7 @@ def test_loss_gradients_are_additive():
         )
     )
     g2d = grads_for(
-        lambda loss, recon: loss_2d(recon.predicted_images, plan.target_images)
+        lambda loss, recon: loss_2d(recon.predicted_tiles, plan.target_tiles)
     )
     for name in total:
         np.testing.assert_allclose(
@@ -535,7 +540,7 @@ def test_encoder_never_sees_masked_patch_contents():
         recon_a.predicted_patches.data, recon_b.predicted_patches.data
     )
     np.testing.assert_array_equal(
-        recon_a.predicted_images.data, recon_b.predicted_images.data
+        recon_a.predicted_tiles.data, recon_b.predicted_tiles.data
     )
     assert diag_a["l3d"] != diag_b["l3d"]  # the corrupted content is the 3D target
 
@@ -569,7 +574,7 @@ def test_desk_graph_size_does_not_grow_with_fused_tokens():
     assert len(set(groups)) == len(groups)
     assert groups[-1] == (0, 0, 0)
     assert len(set(counts)) == 1, counts
-    assert counts[0] == 241
+    assert counts[0] == 238
 
 
 # --- downstream features ------------------------------------------------
