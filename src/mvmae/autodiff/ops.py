@@ -379,6 +379,11 @@ def chamfer(pred: Tensor, target: np.ndarray) -> Tensor:
     distance to the nearest point on the other side, summed over both
     sides. Subgradients go to the first nearest point."""
     p = pred.data
+    if not (p.ndim == target.ndim == 3 and p.shape[::2] == target.shape[::2] == (len(p), 3)):
+        raise ContractViolation(
+            f"chamfer needs (M, A, 3) predictions and an (M, B, 3) target, "
+            f"got {p.shape} and {target.shape}"
+        )
     m, a, b = p.shape[0], p.shape[1], target.shape[1]
     # summed one coordinate at a time on (M, A, B) planes: x, then y, then
     # z, the order of a sum over a trailing axis of 3

@@ -2,26 +2,30 @@
 
 A Tensor wraps a numpy array plus an optional gradient buffer and a
 closure that maps the output adjoint to parent adjoints. Graphs are
-plain DAGs built eagerly by the ops module; `backward` runs a single
-topological sweep, in which a node's adjoint is the left fold of its
-terms in the order the sweep binds them. Everything is float64, and
-determinism is a contract here, not an aspiration: an op may split its
-work across threads only into disjoint slices of its outputs, each
-computed with the same per-element arithmetic as the whole, so no byte
-depends on the number of cores (ops.attention splits a large map's heads
-this way). An op may also hand a whole product to the worker and return
-its Future as an adjoint (ops.linear and ops.matmul do this with a large
-weight adjoint): the Future is a term like any other, resolved when its
-node is folded and added where the inline product would be.
+plain DAGs built eagerly by the ops module. A node is built after its
+parents, so `backward` sweeps by creation number, newest node first: a
+node's adjoint is the left fold of its terms, newest child first.
+Everything is float64, and determinism is a contract here, not an
+aspiration: an op may split its work across threads only into disjoint
+slices of its outputs, each computed with the same per-element arithmetic
+as the whole, so no byte depends on the number of cores (ops.attention
+splits a large map's heads this way). An op may also hand a whole product
+to the worker and return its Future as an adjoint (ops.linear and
+ops.matmul do this with a large weight adjoint): the Future is a term like
+any other, resolved when its node is folded and added where the inline
+product would be.
 
 A graph is consumed by its backward: each interior node drops its parents
 and its closure (and with them the arrays the forward saved) once its VJP
-has run. A second backward through a consumed node raises
-ContractViolation; run the forward again to get a fresh graph.
+has run. A backward raises ContractViolation at a consumed node, with the
+newer part of its own graph consumed and no grad changed; run the forward
+again to get a fresh graph.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import operator
 from concurrent.futures import Future
 from contextlib import contextmanager
@@ -32,6 +36,8 @@ import numpy as np
 from ..errors import ContractViolation
 
 _grad_enabled = True
+# creation numbers: a node is built after its parents, so it has a larger one
+_created = itertools.count()
 
 
 @contextmanager
@@ -47,7 +53,7 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_n")
 
     def __init__(self, data, requires_grad: bool = False):
         # note: ascontiguousarray would promote 0-d arrays to 1-d
@@ -56,6 +62,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._vjp = None
+        self._n = next(_created)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -108,17 +115,17 @@ def backward(loss: Tensor) -> None:
     graph never reached keep their zeros, which is the documented
     "unreachable means zero gradient" contract.
 
-    A node's adjoint, leaf or interior, is the left fold of its terms in
-    the order the sweep binds them: an interior node's just before its VJP
-    runs, every leaf's after the sweep.
+    The sweep runs the newest pending node first, so a node's adjoint, leaf
+    or interior, is the left fold of its terms newest child first: an
+    interior node's just before its VJP runs, every leaf's after the sweep.
 
     The graph is consumed: each interior node releases its parents and VJP
     closure as soon as that VJP has run, so the forward's saved arrays are
-    freed during the sweep. Backward through a graph that an earlier
-    backward consumed raises ContractViolation before any grad changes;
-    rebuild the graph by running the forward again. No grad changes either
-    when a VJP, or a product it handed to the worker, raises: grads are
-    published only after the sweep.
+    freed during the sweep. Reaching a node that an earlier backward
+    consumed raises ContractViolation, after the newer part of this graph
+    has been consumed; rebuild the graph by running the forward again. No
+    grad changes then, nor when a VJP, or a product it handed to the
+    worker, raises: grads are published only after the sweep.
     """
     if loss.data.shape != ():
         raise ContractViolation(
@@ -127,43 +134,29 @@ def backward(loss: Tensor) -> None:
     if not loss.requires_grad:
         return
 
-    topo: list[Tensor] = []
-    visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            topo.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        if node._vjp is _CONSUMED:
-            raise ContractViolation(
-                "backward through a graph that an earlier backward consumed; "
-                "rebuild the graph by running the forward again"
-            )
-        visited.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in visited:
-                stack.append((p, False))
-
     # each node's terms, arrays or the worker's Futures, in bind order
     grads: dict[int, list] = {id(loss): [np.ones((), dtype=np.float64)]}
+    # pending nodes, newest first; numbers never tie, so no Tensor is compared
+    pending = [(-loss._n, loss)]
     leaves: list[tuple[Tensor, list]] = []
-    # popping drops the list's reference, so a node whose children have run
-    # is freed once its own VJP has run
-    while topo:
-        node = topo.pop()
-        # a child that has run reached this node, so its terms are pending
+    while pending:
+        node = heapq.heappop(pending)[1]
+        # every child of a node is newer, so all its terms are bound
         terms = grads.pop(id(node))
         parents, vjp = node._parents, node._vjp
         if vjp is None:
             leaves.append((node, terms))
             continue
+        if vjp is _CONSUMED:
+            raise ContractViolation(
+                "backward through a graph that an earlier backward consumed; "
+                "rebuild the graph by running the forward again"
+            )
         node._parents, node._vjp = (), _CONSUMED
         for parent, pg in zip(parents, vjp(_fold(terms))):
             if parent.requires_grad:
+                if id(parent) not in grads:
+                    heapq.heappush(pending, (-parent._n, parent))
                 grads.setdefault(id(parent), []).append(pg)
 
     # every leaf is folded before any grad is published, so a product that

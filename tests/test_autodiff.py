@@ -181,6 +181,25 @@ def test_backward_through_a_consumed_graph_raises():
     np.testing.assert_array_equal(x.grad, [8.0, -4.0])
 
 
+def test_a_consumed_node_met_mid_sweep_changes_no_grad():
+    x = Parameter(np.array([2.0, -1.0]), "x")
+    h = ops.mul(x, x)
+    backward(ops.sum_(h))
+    # y is reached only through nodes newer than h, so the sweep binds y's
+    # term before it meets h
+    y = Parameter(np.array([3.0]), "y")
+    y.grad = np.zeros(1)
+    loss = ops.sum_(ops.concat([ops.scale(h, 3.0), ops.mul(y, y)]))
+    with pytest.raises(ContractViolation, match="rebuild the graph"):
+        backward(loss)
+    np.testing.assert_array_equal(y.grad, [0.0])
+    np.testing.assert_array_equal(x.grad, [4.0, -2.0])
+    # the nodes the sweep ran are consumed too
+    with pytest.raises(ContractViolation, match="rebuild the graph"):
+        backward(loss)
+    np.testing.assert_array_equal(y.grad, [0.0])
+
+
 def test_matmul_rejects_3d_right_operand():
     with pytest.raises(ContractViolation, match="2-d right operand"):
         ops.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 4, 5))))
@@ -469,6 +488,15 @@ def test_a_node_folds_its_terms_in_bind_order(split_heads, monkeypatch):
     assert split_heads.tasks == 3
     assert w.grad.tobytes() == ((w_3.grad + w_2.grad) + w_1.grad).tobytes()
     assert b.grad.tobytes() == ((b_3.grad + b_2.grad) + b_1.grad).tobytes()
+
+
+def test_a_node_folds_its_sibling_children_newest_first():
+    # the sweep runs c, then b, then a, so x folds (2**-53 + 2**-53) + 1;
+    # a's term first would give (1 + 2**-53) + 2**-53, which rounds to 1
+    x = Parameter(np.array([0.5]), "x")
+    a, b, c = ops.scale(x, 1.0), ops.scale(x, 2.0**-53), ops.scale(x, 2.0**-53)
+    backward(ops.sum_(ops.concat([a, b, c])))
+    assert x.grad[0] == 1.0 + 2.0**-52
 
 
 def scaled_weight_grad(x0, w0, g0):
@@ -802,6 +830,27 @@ def test_chamfer_tie_routes_to_first_nearest_point():
     p = Parameter(np.array([[[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]]), "p")
     backward(ops.chamfer(p, np.zeros((1, 1, 3))))
     np.testing.assert_array_equal(p.grad, [[[3.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]])
+
+
+@pytest.mark.parametrize(
+    "loss,pred_shape,target_shape,rule",
+    [
+        # each but the last target would broadcast against the predictions
+        (ops.mse, (3, 4), (3, 4, 1), "mse shape mismatch"),
+        (ops.mse, (3, 4), (1, 4), "mse shape mismatch"),
+        (ops.mse, (3, 4), (4,), "mse shape mismatch"),
+        (ops.mse, (3, 4), (3, 5), "mse shape mismatch"),
+        # unchecked, chamfer would drop z, broadcast over the patches and
+        # ignore a fourth coordinate for these, each without an error
+        (ops.chamfer, (2, 4, 3), (2, 5, 2), r"\(M, B, 3\) target"),
+        (ops.chamfer, (2, 4, 3), (1, 5, 3), r"\(M, B, 3\) target"),
+        (ops.chamfer, (2, 4, 3), (2, 5, 4), r"\(M, B, 3\) target"),
+    ],
+)
+def test_loss_rejects_a_target_of_the_wrong_shape(loss, pred_shape, target_shape, rule):
+    pred = Tensor(np.random.default_rng(22).standard_normal(pred_shape), requires_grad=True)
+    with pytest.raises(ContractViolation, match=rule):
+        loss(pred, np.zeros(target_shape))
 
 
 def test_chamfer_adjoint_matches_the_tuple_index_scatter():

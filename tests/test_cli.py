@@ -363,6 +363,17 @@ def test_refused_config_writes_nothing(tmp_path, capsys, edits, rule):
     assert not out.exists()
 
 
+def test_misspelt_config_field_exit_2(tmp_path, capsys):
+    raw = json.loads(tiny_config().canonical_json())
+    raw["model"]["bogus"] = 1
+    cfg_path = tmp_path / "misspelt.json"
+    cfg_path.write_text(json.dumps(raw))
+    out = tmp_path / "o"
+    assert main(["pretrain", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "bogus" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def test_epochs_override_is_the_runs_config(tmp_path, capsys):
     whole = tmp_path / "whole"
     assert main(["pretrain", "--config", "tiny", "--out", str(whole), "--epochs", "1"]) == 0

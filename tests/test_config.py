@@ -107,3 +107,8 @@ def test_unknown_section_raises_config_error():
     raw["modle"] = raw.pop("model")
     with pytest.raises(ConfigError, match="modle"):
         config_from_dict(raw)
+
+
+def test_misspelt_field_raises_config_error():
+    with pytest.raises(ConfigError, match="bogus"):
+        config_from_dict({"model": {"bogus": 1}})

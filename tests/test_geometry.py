@@ -439,6 +439,8 @@ def test_xyz_reader_rejects_malformed(tmp_path, text):
         "OFF\n",
         "OFF\n2 0 0\n0 0 0\nnan 1 1\n",
         "OFF\n1 0 0\n0 -inf 0\n",
+        "",
+        "# nothing but a comment\n",
     ],
 )
 def test_off_reader_rejects_malformed(tmp_path, text):
